@@ -652,7 +652,11 @@ mod tests {
     #[test]
     fn capture_produces_a_real_trace() {
         let w = workload();
-        assert!(w.events.len() > 1000, "a search makes many kernel calls: {}", w.events.len());
+        // This capture is 989 events: 746 newview + 238 makenewz + 5
+        // evaluate (1064 with 821 newview before the SPR scan followed the
+        // tree). The floors leave room for a leaner scan, not for an empty
+        // round.
+        assert!(w.events.len() > 800, "a search makes many kernel calls: {}", w.events.len());
         assert!(w.log_likelihood.is_finite() && w.log_likelihood < 0.0);
         assert!(w.counters.newview_calls > 500);
         assert!(w.counters.makenewz_calls > 50);

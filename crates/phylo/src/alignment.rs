@@ -362,7 +362,9 @@ impl PatternAlignment {
     }
 
     /// Replace the pattern weights (used by bootstrapping). The weight
-    /// vector must have one entry per pattern.
+    /// vector must have one entry per pattern. Weights are expected to be
+    /// integer-valued counts: stepwise addition relies on their sums being
+    /// exact to break ties the way a full parsimony re-score would.
     pub fn set_weights(&mut self, weights: Vec<f64>) {
         assert_eq!(weights.len(), self.n_patterns(), "weight vector length mismatch");
         self.weights = weights;

@@ -256,7 +256,9 @@ pub struct FarmStats {
     pub per_worker_jobs: Vec<usize>,
     /// Workers killed by the fault plan.
     pub workers_died: usize,
-    /// Wall time of the whole run.
+    /// Wall time of the whole run, from `run_farm` entry to the last seal —
+    /// also when [`FarmConfig::epoch`] puts the event timestamps on an older
+    /// shared clock.
     pub elapsed_nanos: u64,
 }
 
@@ -721,7 +723,8 @@ where
 {
     assert!(config.n_workers >= 1, "farm needs at least one worker");
     let n_workers = config.n_workers;
-    let epoch = config.epoch.unwrap_or_else(Instant::now);
+    let run_start = Instant::now();
+    let epoch = config.epoch.unwrap_or(run_start);
     let shared: Shared<J, R> = Shared::new(n_workers);
     let shards: Vec<W> = (0..n_workers).map(&mut make_shard).collect();
     let metrics = FarmMetrics::new(n_workers);
@@ -863,7 +866,9 @@ where
         &mut observer,
         &mut on_sealed,
     );
-    stats.elapsed_nanos = nanos(epoch);
+    // The run's own wall, not time on the (possibly much older) shared
+    // event clock: `jobs_per_sec` divides by it.
+    stats.elapsed_nanos = nanos(run_start);
     stats.n_jobs = results.len();
     let results: Vec<Result<R, FarmError>> = results
         .into_iter()
@@ -1207,6 +1212,39 @@ mod tests {
         let one = run(1);
         assert_eq!(one, run(2));
         assert_eq!(one, run(8));
+    }
+
+    /// A farm started late on a shared clock reports its own wall time:
+    /// events stay on the shared clock, throughput does not.
+    #[test]
+    fn elapsed_is_measured_from_the_run_not_from_a_shared_epoch() {
+        let epoch = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let mut first_event_at = None;
+        let mut obs = |ev: FarmEvent| {
+            if let FarmEvent::JobStarted { at_nanos, .. } = ev {
+                first_event_at.get_or_insert(at_nanos);
+            }
+        };
+        let config = FarmConfig::new(2).with_epoch(epoch);
+        let outer = Instant::now();
+        let outcome = run_farm(
+            &config,
+            (0..10u32).collect::<Vec<_>>(),
+            |_| (),
+            |(), _, j| j,
+            Some(&mut obs),
+            |_, _| {},
+        );
+        let outer_nanos = outer.elapsed().as_nanos() as u64;
+        assert!(
+            outcome.stats.elapsed_nanos <= outer_nanos,
+            "run wall {} ns exceeds the caller's own measurement {} ns",
+            outcome.stats.elapsed_nanos,
+            outer_nanos
+        );
+        assert!(first_event_at.unwrap() >= 20_000_000, "events keep the shared clock");
+        assert!(outcome.stats.jobs_per_sec() >= 10.0 / (outer_nanos as f64 / 1e9));
     }
 
     #[test]

@@ -16,7 +16,9 @@ use super::kernels::{
     build_sumtable_into, build_tip_tables, build_tip_tables_into, Child, EvalOperand, Mat4,
     TipTable16,
 };
-use super::workspace::{LikelihoodWorkspace, TraversalOp, TraversalOps, WorkspaceOptions};
+use super::workspace::{
+    LikelihoodWorkspace, SprScratch, TraversalOp, TraversalOps, WorkspaceOptions,
+};
 use super::LikelihoodConfig;
 use crate::alignment::PatternAlignment;
 use crate::model::{ExpImpl, GammaRates, SubstModel};
@@ -178,6 +180,11 @@ impl<'a> LikelihoodEngine<'a> {
     /// Consume the engine, recovering its workspace arena for reuse.
     pub fn into_workspace(self) -> LikelihoodWorkspace {
         self.ws
+    }
+
+    /// The SPR scan scratch held by this engine's workspace.
+    pub(crate) fn spr_scratch_mut(&mut self) -> &mut SprScratch {
+        &mut self.ws.spr
     }
 
     /// The alignment this engine evaluates against.

@@ -18,7 +18,7 @@
 //! arenas across ad-hoc threads.
 
 use super::kernels::{tiled_len, Mat4, NewtonScratch, TipTable16};
-use crate::tree::NodeId;
+use crate::tree::{Edge, NodeId};
 use std::sync::Mutex;
 
 /// Engine-level switches for the workspace/dispatch layer, threaded through
@@ -122,6 +122,22 @@ impl<'a> IntoIterator for &'a TraversalOps {
     }
 }
 
+/// Working memory of one SPR round's candidate scan
+/// ([`crate::search::spr`]), owned by the workspace so a steady-state round
+/// allocates nothing. The round moves it out of the workspace while it runs
+/// and puts it back when it is done.
+#[derive(Debug, Default)]
+pub(crate) struct SprScratch {
+    /// The round's branches; each is tried as a prune point in both
+    /// directions.
+    pub(crate) candidates: Vec<Edge>,
+    /// Regraft targets of the current pruned subtree in scan order, each
+    /// with the log-likelihood its insertion scored.
+    pub(crate) targets: Vec<(Edge, f64)>,
+    /// Depth-first stack of the target enumeration: `(node, parent, depth)`.
+    pub(crate) dfs: Vec<(NodeId, NodeId, usize)>,
+}
+
 /// Every buffer the likelihood hot path touches, allocated once and reused
 /// across all kernel calls, SPR candidates and (via [`WorkspacePool`])
 /// bootstrap replicates. Geometry (`n_taxa`, `n_patterns`, `n_rates`) is
@@ -178,6 +194,8 @@ pub struct LikelihoodWorkspace {
     pub(crate) hop: Vec<usize>,
     pub(crate) seen: Vec<bool>,
     pub(crate) node_stack: Vec<NodeId>,
+    /// Scratch for the SPR candidate scan.
+    pub(crate) spr: SprScratch,
 }
 
 impl LikelihoodWorkspace {
@@ -249,6 +267,14 @@ impl LikelihoodWorkspace {
         self.node_stack.clear();
         self.node_stack.reserve(n_nodes);
 
+        // One entry per branch (2n − 3 < n_nodes) at most.
+        self.spr.candidates.clear();
+        self.spr.candidates.reserve(n_nodes);
+        self.spr.targets.clear();
+        self.spr.targets.reserve(n_nodes);
+        self.spr.dfs.clear();
+        self.spr.dfs.reserve(n_nodes);
+
         self.n_taxa = n_taxa;
         self.n_patterns = n_patterns;
         self.n_rates = n_rates;
@@ -297,7 +323,11 @@ impl LikelihoodWorkspace {
         let per_node = n_inner
             * (std::mem::size_of::<Option<NodeId>>() + std::mem::size_of::<u64>()) as u64
             + n_nodes * (std::mem::size_of::<usize>() + 1 + std::mem::size_of::<NodeId>()) as u64
-            + n_inner * std::mem::size_of::<TraversalOp>() as u64;
+            + n_inner * std::mem::size_of::<TraversalOp>() as u64
+            + n_nodes
+                * (std::mem::size_of::<Edge>()
+                    + std::mem::size_of::<(Edge, f64)>()
+                    + std::mem::size_of::<(NodeId, NodeId, usize)>()) as u64;
         partials + scales + sum_table + rate_scratch + per_node
     }
 

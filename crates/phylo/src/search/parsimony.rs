@@ -8,9 +8,10 @@
 
 use crate::alignment::PatternAlignment;
 use crate::error::Result;
-use crate::tree::{NodeId, Tree};
+use crate::tree::{Edge, NodeId, Tree};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::ops::Range;
 
 /// Weighted Fitch parsimony score of a tree (number of state changes,
 /// weighted by pattern multiplicities). Ambiguity codes participate
@@ -82,9 +83,146 @@ fn fitch_sets(
     sets[node].take().expect("root of the traversal was computed")
 }
 
+/// Fitch combination of two state sets: the intersection when non-empty,
+/// the union otherwise.
+#[inline]
+fn fitch(x: u8, y: u8) -> u8 {
+    let inter = x & y;
+    if inter == 0 {
+        x | y
+    } else {
+        inter
+    }
+}
+
+/// [`fitch`] over two rows of state sets.
+fn fitch_into(out: &mut [u8], a: &[u8], b: &[u8]) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = fitch(x, y);
+    }
+}
+
+/// Directional Fitch state sets of a (partially built) tree, memoised over
+/// directed edges in one flat byte buffer. Writing `D(m|p)` for the Fitch
+/// set of the subtree at `m` seen from its neighbour `p`, every attached
+/// node `n` other than the traversal root owns two rows, with `p` its
+/// neighbour toward the root: row `2n` holds `D(n|p)` (filled children
+/// first) and row `2n + 1` holds `D(p|n)` (filled parents first). Two passes
+/// over the tree, `O(nodes × patterns)`, give both directions of every edge.
+struct DirectionalSets {
+    n_patterns: usize,
+    /// The neighbour of each attached node toward the traversal root.
+    parent: Vec<NodeId>,
+    /// Attached non-root nodes, parents before children.
+    order: Vec<NodeId>,
+    stack: Vec<NodeId>,
+    sets: Vec<u8>,
+}
+
+impl DirectionalSets {
+    fn new(n_nodes: usize, n_patterns: usize) -> DirectionalSets {
+        DirectionalSets {
+            n_patterns,
+            parent: vec![usize::MAX; n_nodes],
+            order: Vec::with_capacity(n_nodes),
+            stack: Vec::with_capacity(n_nodes),
+            sets: vec![0; 2 * n_nodes * n_patterns],
+        }
+    }
+
+    /// Row holding `D(m|p)` for adjacent `m`, `p`.
+    fn row_of(&self, m: NodeId, p: NodeId) -> usize {
+        if self.parent[m] == p {
+            2 * m
+        } else {
+            2 * p + 1
+        }
+    }
+
+    /// Byte range of a row in `sets`.
+    fn span(&self, row: usize) -> Range<usize> {
+        row * self.n_patterns..(row + 1) * self.n_patterns
+    }
+
+    /// Fill row `out` with the combination of `D(a|node)` and `D(b|node)`
+    /// for the two neighbours `a`, `b` of `node` other than `except`.
+    fn combine(&mut self, tree: &Tree, out: usize, node: NodeId, except: NodeId) {
+        let [(a, _), (b, _)] = tree.other_neighbors(node, except);
+        let rows =
+            [self.span(out), self.span(self.row_of(a, node)), self.span(self.row_of(b, node))];
+        let [o, x, y] = self
+            .sets
+            .get_disjoint_mut(rows)
+            .expect("rows of three distinct directed edges never overlap");
+        fitch_into(o, x, y);
+    }
+
+    /// Recompute every directional set for the currently attached tree.
+    fn compute(&mut self, tree: &Tree, aln: &PatternAlignment) {
+        // The first inner node joins the initial triplet, so it is attached
+        // for the whole build.
+        let root = tree.n_taxa();
+        self.parent[root] = usize::MAX;
+        self.order.clear();
+        self.stack.clear();
+        for (c, _) in tree.neighbors_of(root) {
+            self.parent[c] = root;
+            self.stack.push(c);
+        }
+        while let Some(n) = self.stack.pop() {
+            self.order.push(n);
+            if !tree.is_tip(n) {
+                for (c, _) in tree.other_neighbors(n, self.parent[n]) {
+                    self.parent[c] = n;
+                    self.stack.push(c);
+                }
+            }
+        }
+        for i in (0..self.order.len()).rev() {
+            let n = self.order[i];
+            if tree.is_tip(n) {
+                let own = self.span(2 * n);
+                self.sets[own].copy_from_slice(aln.tip_row(n));
+            } else {
+                self.combine(tree, 2 * n, n, self.parent[n]);
+            }
+        }
+        for i in 0..self.order.len() {
+            let n = self.order[i];
+            self.combine(tree, 2 * n + 1, self.parent[n], n);
+        }
+    }
+
+    /// Weighted number of extra changes a tip with state sets `tip` costs
+    /// when inserted on the edge `(a, b)`: the new junction's set is the
+    /// combination of the two sides of the edge, and a pattern pays when
+    /// the tip misses it.
+    fn insertion_cost(&self, (a, b): Edge, tip: &[u8], weights: &[f64]) -> f64 {
+        let side_a = &self.sets[self.span(self.row_of(a, b))];
+        let side_b = &self.sets[self.span(self.row_of(b, a))];
+        let mut cost = 0.0;
+        for (((&x, &y), &t), &w) in side_a.iter().zip(side_b).zip(tip).zip(weights) {
+            if fitch(x, y) & t == 0 {
+                cost += w;
+            }
+        }
+        cost
+    }
+}
+
 /// Build a starting tree by randomized stepwise addition under parsimony.
 /// Each taxon (in random order) is inserted on the branch minimizing the
 /// resulting Fitch score. All branch lengths are set to `initial_len`.
+///
+/// Candidate branches are ranked by the *increase* each insertion causes,
+/// read off the directional Fitch sets of the current tree (computed once
+/// per taxon) instead of re-scoring a cloned tree per branch: inserting on
+/// `(a, b)` leaves both sides of the branch untouched, so rooting the
+/// candidate at the new tip's branch gives `score = score(current) +
+/// insertion_cost`. The Fitch length does not depend on the rooting, and
+/// pattern weights are integer-valued (compression or bootstrap counts), so
+/// every sum is exact in `f64` and the branch chosen — first strictly
+/// smallest in [`Tree::edges`] order — is the one a full re-score picks.
 pub fn stepwise_addition_tree<R: Rng>(
     aln: &PatternAlignment,
     initial_len: f64,
@@ -95,16 +233,18 @@ pub fn stepwise_addition_tree<R: Rng>(
     order.shuffle(rng);
 
     let mut tree = Tree::initial_triplet_of(n, [order[0], order[1], order[2]], initial_len)?;
+    let mut sets = DirectionalSets::new(tree.n_nodes(), aln.n_patterns());
+    let mut edges = Vec::new();
     for &tip in &order[3..] {
-        let mut best: Option<(f64, (NodeId, NodeId))> = None;
-        for edge in tree.edges() {
-            let mut candidate = tree.clone();
-            candidate.add_taxon_on_edge(tip, edge, initial_len)?;
-            let score = parsimony_score(&candidate, aln);
+        sets.compute(&tree, aln);
+        tree.edges_into(&mut edges);
+        let mut best: Option<(f64, Edge)> = None;
+        for &edge in &edges {
+            let cost = sets.insertion_cost(edge, aln.tip_row(tip), aln.weights());
             // Strict improvement keeps the first-best edge, making ties
             // deterministic given the (random) addition order.
-            if best.is_none_or(|(s, _)| score < s) {
-                best = Some((score, edge));
+            if best.is_none_or(|(c, _)| cost < c) {
+                best = Some((cost, edge));
             }
         }
         let (_, edge) = best.expect("a tree always has at least one edge");
@@ -129,6 +269,82 @@ mod tests {
 
     fn names(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("t{i}")).collect()
+    }
+
+    /// The implementation [`stepwise_addition_tree`] replaced, kept as its
+    /// oracle: clone the tree, insert on each branch in turn, re-score the
+    /// whole candidate with [`parsimony_score`].
+    fn stepwise_addition_reference<R: Rng>(
+        aln: &PatternAlignment,
+        initial_len: f64,
+        rng: &mut R,
+    ) -> Tree {
+        let n = aln.n_taxa();
+        let mut order: Vec<NodeId> = (0..n).collect();
+        order.shuffle(rng);
+        let mut tree =
+            Tree::initial_triplet_of(n, [order[0], order[1], order[2]], initial_len).unwrap();
+        for &tip in &order[3..] {
+            let mut best: Option<(f64, Edge)> = None;
+            for edge in tree.edges() {
+                let mut candidate = tree.clone();
+                candidate.add_taxon_on_edge(tip, edge, initial_len).unwrap();
+                let score = parsimony_score(&candidate, aln);
+                if best.is_none_or(|(s, _)| score < s) {
+                    best = Some((score, edge));
+                }
+            }
+            tree.add_taxon_on_edge(tip, best.unwrap().1, initial_len).unwrap();
+        }
+        for (a, b) in tree.edges() {
+            tree.set_branch_length(a, b, initial_len);
+        }
+        tree
+    }
+
+    /// A random alignment over the full IUPAC alphabet (ambiguity codes and
+    /// gaps included), compressed, with bootstrap-resampled weights.
+    fn ambiguous_bootstrap_alignment(n_taxa: usize, n_sites: usize, seed: u64) -> PatternAlignment {
+        const ALPHABET: &[u8] = b"ACGTACGTACGTRYKMSWBDHVN-";
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<(String, String)> = (0..n_taxa)
+            .map(|t| {
+                let seq = (0..n_sites)
+                    .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())] as char)
+                    .collect();
+                (format!("t{t}"), seq)
+            })
+            .collect();
+        let named: Vec<(&str, &str)> = rows.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
+        let mut aln = Alignment::from_named_sequences(&named).unwrap().compress();
+        let weights = aln.bootstrap_weights(&mut rng);
+        aln.set_weights(weights);
+        aln
+    }
+
+    proptest::proptest! {
+        /// Ranking branches by insertion cost builds, slot for slot, the tree
+        /// that cloning and re-scoring every candidate builds.
+        #[test]
+        fn incremental_matches_clone_and_rescore(
+            n_taxa in 4usize..14,
+            n_sites in 1usize..60,
+            seed in 0u64..10_000,
+        ) {
+            let aln = ambiguous_bootstrap_alignment(n_taxa, n_sites, seed);
+            let fast = stepwise_addition_tree(&aln, 0.1, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let slow = stepwise_addition_reference(&aln, 0.1, &mut StdRng::seed_from_u64(seed));
+            proptest::prop_assert_eq!(fast.to_exact_string(), slow.to_exact_string());
+        }
+    }
+
+    /// The property above must see resampled-away patterns: a bootstrap of
+    /// mostly-distinct columns leaves some with weight zero.
+    #[test]
+    fn bootstrap_fixture_contains_zero_weights() {
+        let aln = ambiguous_bootstrap_alignment(8, 50, 3);
+        assert!(aln.weights().contains(&0.0));
+        assert_eq!(aln.weights().iter().sum::<f64>(), 50.0);
     }
 
     #[test]

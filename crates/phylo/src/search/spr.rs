@@ -5,13 +5,25 @@
 //!
 //! "Lazy" is doing real work here, exactly as in RAxML: partial-likelihood
 //! vectors are kept valid across candidate insertions through careful
-//! orientation bookkeeping, so scoring one candidate costs roughly **one**
-//! `newview` (the virtual junction) plus **one** short `makenewz` (a couple
-//! of Newton steps on the insertion branch) — not a full tree traversal.
-//! This is what gives RAxML its ~2–3 `newview` calls per `makenewz` trace
-//! profile that the Cell port's communication analysis (§5.2.6) relies on.
+//! orientation bookkeeping, and a pruned subtree's regraft targets are
+//! scored in depth-first order outward from where it was cut, so that
+//! consecutive insertions are neighbours in the tree. Scoring one candidate
+//! then costs the virtual junction's `newview`, one more to turn the
+//! partial above the insertion branch to face it, the occasional
+//! re-orientation when the scan climbs back to a sibling, and **one** short
+//! `makenewz` (a couple of Newton steps on the insertion branch) — measured
+//! 2.6 `newview` per candidate at 12 taxa / radius 4 and at 42 taxa /
+//! radius 10 alike, not a full tree traversal. This is what gives RAxML its
+//! ~2–3 `newview` calls per `makenewz` trace profile that the Cell port's
+//! communication analysis (§5.2.6) relies on.
+//!
+//! The scan order is free to follow the cache because a candidate's score
+//! is a function of the tree alone; the winner is then named by a rule that
+//! does not mention the order — highest log-likelihood, ties to the
+//! smallest edge — so every order applies the same moves to the bit.
 
 use crate::likelihood::engine::LikelihoodEngine;
+use crate::likelihood::workspace::SprScratch;
 use crate::tree::{edge, Edge, NodeId, Tree};
 
 /// Outcome of one SPR improvement round.
@@ -45,6 +57,67 @@ fn note_merge(engine: &mut LikelihoodEngine<'_>, x: NodeId, y: NodeId, v: NodeId
     engine.remap_orientation(y, v, x);
 }
 
+/// Enumerate the regraft targets of a subtree pruned from the merged edge
+/// `(ma, mb)`: every branch whose far endpoint lies within `radius` hops of
+/// `ma` or of `mb`, the merged edge itself (the identity move) excluded — in
+/// depth-first pre-order outward from the merged edge, first the `ma` side,
+/// then the `mb` side, neighbours in slot order. Consecutive targets are
+/// therefore adjacent (or a short climb apart), which is what lets the
+/// engine's one-partial-per-node cache follow the scan one re-orientation
+/// at a time.
+fn collect_targets(
+    tree: &Tree,
+    ma: NodeId,
+    mb: NodeId,
+    radius: usize,
+    targets: &mut Vec<(Edge, f64)>,
+    dfs: &mut Vec<(NodeId, NodeId, usize)>,
+) {
+    // Children of `node` away from `except`, pushed so the first slot pops
+    // first. Tips have none.
+    fn push_children(
+        tree: &Tree,
+        dfs: &mut Vec<(NodeId, NodeId, usize)>,
+        node: NodeId,
+        except: NodeId,
+        depth: usize,
+    ) {
+        if !tree.is_tip(node) {
+            let [(a, _), (b, _)] = tree.other_neighbors(node, except);
+            dfs.push((b, node, depth));
+            dfs.push((a, node, depth));
+        }
+    }
+
+    targets.clear();
+    if radius == 0 {
+        return;
+    }
+    for (from, across) in [(ma, mb), (mb, ma)] {
+        dfs.clear();
+        push_children(tree, dfs, from, across, 1);
+        while let Some((node, parent, depth)) = dfs.pop() {
+            targets.push((edge(parent, node), f64::NEG_INFINITY));
+            if depth < radius {
+                push_children(tree, dfs, node, parent, depth + 1);
+            }
+        }
+    }
+}
+
+/// The regraft a pruned subtree would take: the highest log-likelihood,
+/// ties to the smallest [`Edge`]. The rule names its winner independently
+/// of the order the targets were scored in.
+fn select_winner(scored: &[(Edge, f64)]) -> Option<(f64, Edge)> {
+    let mut best: Option<(f64, Edge)> = None;
+    for &(target, lnl) in scored {
+        if best.is_none_or(|(b, e)| lnl > b || (lnl == b && target < e)) {
+            best = Some((lnl, target));
+        }
+    }
+    best
+}
+
 /// One full SPR round: every prunable subtree is tried against every target
 /// branch within `radius` of its original location; a move is kept when it
 /// improves the log-likelihood by more than `epsilon`. Returns round stats.
@@ -76,20 +149,24 @@ pub fn spr_round_with_mode(
     let mut current = engine.log_likelihood(tree);
     let mut applied = 0;
     let mut evaluated = 0;
+    // Borrowed from the workspace for the round (a move, not an allocation).
+    let mut scratch = std::mem::take(engine.spr_scratch_mut());
 
-    // Enumerate prunable (subtree root, junction) pairs up front; the tree
-    // changes as moves are applied, so re-check adjacency before each prune.
-    let candidates: Vec<(NodeId, NodeId)> =
-        tree.edges().iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
-
-    for (s, v) in candidates {
+    // Enumerate prunable (subtree root, junction) pairs up front — every
+    // branch, both directions; the tree changes as moves are applied, so
+    // re-check adjacency before each prune.
+    let SprScratch { candidates, targets, dfs } = &mut scratch;
+    tree.edges_into(candidates);
+    for (s, v) in candidates.iter().flat_map(|&(a, b)| [(a, b), (b, a)]) {
         // The junction must (still) be an inner node adjacent to s.
         if !tree.adjacent(s, v) || tree.is_tip(v) {
             continue;
         }
-        // Keep at least a quartet on the remaining tree.
-        let subtree_taxa = tree.subtree_tips(s, v).len();
-        if tree.n_taxa() - subtree_taxa < 3 {
+        // Keep at least a quartet on the remaining tree: it holds fewer
+        // than three taxa exactly when both other branches at the junction
+        // end in tips.
+        let [(n1, _), (n2, _)] = tree.other_neighbors(v, s);
+        if tree.is_tip(n1) && tree.is_tip(n2) {
             continue;
         }
 
@@ -101,18 +178,12 @@ pub fn spr_round_with_mode(
         note_merge(engine, ma, mb, v);
         engine.invalidate_for_branch(tree, ma, mb);
 
-        // Regraft targets: branches within `radius` hops of the original
-        // location (both endpoints of the merged edge), excluding the
-        // merged edge itself (the identity move). Sorted so candidate
-        // order — and thereby tie-breaking — is fully deterministic.
-        let mut targets: Vec<Edge> = tree.edges_within_radius(ma, radius, &[]);
-        targets.extend(tree.edges_within_radius(mb, radius, &[]));
-        targets.sort_unstable();
-        targets.dedup();
-        targets.retain(|&t| t != edge(ma, mb));
-
-        let mut best: Option<(f64, Edge)> = None;
-        for &target in &targets {
+        // Score every target in topological scan order. A score depends on
+        // the tree alone, never on what the cache happened to hold, so the
+        // order is free to follow the cache.
+        collect_targets(tree, ma, mb, radius, targets, dfs);
+        for slot in targets.iter_mut() {
+            let target = slot.0;
             let (x, y) = target;
             let old_len = tree.branch_length(x, y);
             note_split(engine, tree, x, y, pruned.junction);
@@ -130,9 +201,7 @@ pub fn spr_round_with_mode(
             let (_, lnl) =
                 engine.optimize_branch_with_iters(tree, (pruned.junction, pruned.root), 2);
             evaluated += 1;
-            if best.is_none_or(|(b, _)| lnl > b) {
-                best = Some((lnl, target));
-            }
+            slot.1 = lnl;
             // Undo: prune again and restore the target edge length exactly.
             // (The insertion-branch length tweaked by the lazy Newton is
             // discarded with the prune; regrafting always reuses the
@@ -142,7 +211,7 @@ pub fn spr_round_with_mode(
             tree.set_branch_length(x, y, old_len);
         }
 
-        match best {
+        match select_winner(targets) {
             Some((lnl, target)) if lnl > current + epsilon => {
                 let (x, y) = target;
                 note_split(engine, tree, x, y, pruned.junction);
@@ -150,8 +219,10 @@ pub fn spr_round_with_mode(
                 // Lazy local optimization of the three branches the move
                 // created (RAxML's lazy SPR refinement).
                 let v_node = pruned.junction;
-                let locals: Vec<Edge> =
-                    tree.neighbors_of(v_node).map(|(n, _)| edge(v_node, n)).collect();
+                let mut locals = [edge(v_node, v_node); 3];
+                for (local, (n, _)) in locals.iter_mut().zip(tree.neighbors_of(v_node)) {
+                    *local = edge(v_node, n);
+                }
                 for e in locals {
                     if !reuse {
                         engine.invalidate_all();
@@ -163,6 +234,10 @@ pub fn spr_round_with_mode(
                 }
                 current = engine.log_likelihood(tree);
                 applied += 1;
+                // Validated where the topology changed; putting a subtree
+                // back (below) restores slots and lengths exactly, and an
+                // allocating walk there would sit in every scan iteration.
+                debug_assert!(tree.validate().is_ok());
             }
             _ => {
                 // Put the subtree back exactly where it was.
@@ -170,9 +245,9 @@ pub fn spr_round_with_mode(
                 tree.undo_prune(&pruned).expect("undo information is consistent");
             }
         }
-        debug_assert!(tree.validate().is_ok());
     }
 
+    *engine.spr_scratch_mut() = scratch;
     SprRoundStats { applied, evaluated, log_likelihood: current }
 }
 
@@ -235,23 +310,87 @@ mod tests {
         }
     }
 
-    /// Candidate scoring must be cheap: roughly one newview per candidate,
-    /// not a full traversal (this is what makes the SPR "lazy").
+    /// `newview` calls per scored candidate over one round in which nothing
+    /// is applied (epsilon too large), from a branch-optimized start.
+    fn newviews_per_candidate(aln: &PatternAlignment, mut tree: Tree, radius: usize) -> f64 {
+        let mut eng = engine(aln);
+        eng.optimize_all_branches(&mut tree, 2);
+        let nv_before = eng.trace().counters().newview_calls;
+        let stats = spr_round(&mut eng, &mut tree, radius, 1e9);
+        let nv_after = eng.trace().counters().newview_calls;
+        assert!(stats.evaluated > 0);
+        (nv_after - nv_before) as f64 / stats.evaluated as f64
+    }
+
+    /// Candidate scoring must be cheap: a few newviews per candidate, not a
+    /// full traversal (this is what makes the SPR "lazy"). Measured: 2.64
+    /// and 2.62; scoring the same targets in edge-id order cost 3.67 and
+    /// 6.31, so the bound also fails a scan that stops following the tree.
     #[test]
     fn candidate_scoring_is_lazy() {
         let w = SimulationConfig::new(12, 400, 21).generate();
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut tree = Tree::random(12, 0.1, &mut rng).unwrap();
-        let mut eng = engine(&w.alignment);
-        eng.optimize_all_branches(&mut tree, 2);
-        let nv_before = eng.trace().counters().newview_calls;
-        let stats = spr_round(&mut eng, &mut tree, 4, 1e9); // epsilon so big nothing applies
-        let nv_after = eng.trace().counters().newview_calls;
-        let per_candidate = (nv_after - nv_before) as f64 / stats.evaluated.max(1) as f64;
-        assert!(
-            per_candidate < 6.0,
-            "expected ~1–3 newviews per candidate, got {per_candidate:.1}"
-        );
+        let tree = Tree::random(12, 0.1, &mut StdRng::seed_from_u64(4)).unwrap();
+        let small = newviews_per_candidate(&w.alignment, tree, 4);
+        assert!(small < 3.0, "12 taxa, radius 4: {small:.2} newviews per candidate");
+
+        let w = SimulationConfig::aln42().generate();
+        let tree = Tree::random(42, 0.1, &mut StdRng::seed_from_u64(4)).unwrap();
+        let paper = newviews_per_candidate(&w.alignment, tree, 10);
+        assert!(paper < 3.0, "42 taxa, radius 10: {paper:.2} newviews per candidate");
+    }
+
+    /// Two targets whose scores are equal to the bit: the smaller edge wins,
+    /// whichever was scored first; a strictly better score beats both.
+    #[test]
+    fn ties_go_to_the_smallest_edge() {
+        let x = -1234.5678_f64;
+        let (lo, hi) = (edge(2, 7), edge(4, 9));
+        assert_eq!(select_winner(&[(hi, x), (lo, x)]), Some((x, lo)));
+        assert_eq!(select_winner(&[(lo, x), (hi, x)]), Some((x, lo)));
+        assert_eq!(select_winner(&[(lo, x), (hi, x + 1e-9)]), Some((x + 1e-9, hi)));
+        assert_eq!(select_winner(&[(hi, x + 1e-9), (lo, x)]), Some((x + 1e-9, hi)));
+        assert_eq!(select_winner(&[]), None);
+    }
+
+    /// The topological scan visits exactly the branches the breadth-first
+    /// enumeration it replaced produced — each once, parents before the
+    /// branches behind them.
+    #[test]
+    fn scan_order_covers_the_radius_neighbourhood_once() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let (mut targets, mut dfs) = (Vec::new(), Vec::new());
+        for n_taxa in [5usize, 9, 16, 30] {
+            let mut tree = Tree::random(n_taxa, 0.1, &mut rng).unwrap();
+            for (s, v) in tree.edges().into_iter().flat_map(|(a, b)| [(a, b), (b, a)]) {
+                if tree.is_tip(v) {
+                    continue;
+                }
+                let pruned = tree.prune(s, v).unwrap();
+                let (ma, mb) = pruned.merged_edge;
+                for radius in [0usize, 1, 2, 5, 40] {
+                    let mut want = tree.edges_within_radius(ma, radius, &[]);
+                    want.extend(tree.edges_within_radius(mb, radius, &[]));
+                    want.sort_unstable();
+                    want.dedup();
+                    want.retain(|&t| t != edge(ma, mb));
+
+                    collect_targets(&tree, ma, mb, radius, &mut targets, &mut dfs);
+                    let scan: Vec<Edge> = targets.iter().map(|&(t, _)| t).collect();
+                    let mut got = scan.clone();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "{n_taxa} taxa, prune ({s}, {v}), radius {radius}");
+                    // Pre-order: every target hangs off the merged edge or
+                    // off a target already listed.
+                    for (i, &(a, b)) in scan.iter().enumerate() {
+                        let anchored = |n: NodeId| {
+                            n == ma || n == mb || scan[..i].iter().any(|&(c, d)| c == n || d == n)
+                        };
+                        assert!(anchored(a) || anchored(b), "target {i} of {scan:?} floats");
+                    }
+                }
+                tree.undo_prune(&pruned).unwrap();
+            }
+        }
     }
 
     #[test]

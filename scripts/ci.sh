@@ -213,6 +213,16 @@ EOF
     rm -rf "$scale_dir"
 fi
 
+# Benchmark gate: the standalone `benchmark/` package (its own workspace and
+# lock file, so the root `cargo test --workspace` never sees it) — its unit
+# tests, then its smoke pass: all seven workloads at reduced sizes with every
+# check on (likelihood re-scored under the baseline config, the hand-replayed
+# search bit-equal to `run_inference`, farm batch 0 bit-equal on one worker,
+# served jobs settled exactly once). A failed check exits non-zero, which
+# `set -e` turns into a failed CI run.
+run cargo test --release --offline --manifest-path benchmark/Cargo.toml
+run cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
+
 # Migration gate: the deprecated infer_ml_tree_* shims and bench::arg_value
 # must not be used anywhere in shipping code (bins, examples, libs).
 # Equivalence tests opt in explicitly with #[allow(deprecated)].

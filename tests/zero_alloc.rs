@@ -3,8 +3,9 @@
 //! The workspace-arena redesign promises that after warm-up, the complete
 //! `newview` → `evaluate` → `makenewz` cycle — traversal compilation, fused
 //! kernel execution, sum-table construction, Newton iteration and partial
-//! invalidation — touches the heap zero times. This test wraps the system
-//! allocator in a counting shim and asserts exactly that.
+//! invalidation — touches the heap zero times, and so do a whole in-place
+//! NNI round and a whole steady-state SPR round built on it. This test
+//! wraps the system allocator in a counting shim and asserts exactly that.
 //!
 //! It is the only test in this file on purpose: a `#[global_allocator]`
 //! counts every allocation in the process, and a concurrently running test
@@ -122,6 +123,36 @@ fn steady_state_hot_path_does_not_touch_the_heap() {
         after.1 - before.1,
         after.2 - before.2,
         edges.len(),
+    );
+
+    // A steady-state SPR round: prune, topological target scan, lazy
+    // scoring of every regraft, exact restore — all out of workspace-owned
+    // scratch. Warm up by climbing until a round applies nothing; the next
+    // round then scores the same candidates on the same tree. (An *applied*
+    // move is allocation-free too in release builds; debug builds validate
+    // the rearranged tree, which allocates.)
+    let spr = |engine: &mut LikelihoodEngine<'_>, tree: &mut Tree| {
+        phylo::search::spr::spr_round(engine, tree, 5, 1e-4)
+    };
+    let converged = (0..10).any(|_| spr(&mut engine, &mut tree).applied == 0);
+    assert!(converged, "the warm-up climb must reach a round that applies nothing");
+
+    let before = heap_counters();
+    let round = spr(&mut engine, &mut tree);
+    let after = heap_counters();
+    black_box(round);
+
+    assert!(round.evaluated > 100, "the measured round must score candidates: {round:?}");
+    assert_eq!(round.applied, 0);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+        (0, 0, 0),
+        "a steady-state SPR round must not allocate: +{} allocs, +{} deallocs, \
+         +{} reallocs over {} candidates",
+        after.0 - before.0,
+        after.1 - before.1,
+        after.2 - before.2,
+        round.evaluated,
     );
 
     // Sanity: the counting allocator is actually live.
