@@ -3,14 +3,14 @@
 //! * `llp/*` — rayon loop-level parallelism over site patterns (the paper's
 //!   third parallelization layer / the RAxML-OMP analogue) on a multi-gene-
 //!   sized alignment, where the paper says it "scales particularly well".
-//! * `task_level/*` — the master–worker bootstrap scheme (§3.1) at
-//!   different worker counts.
+//! * `task_level/*` — the master–worker bootstrap scheme (§3.1) on the
+//!   inference farm at different worker counts.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use phylo::farm::run_batch;
 use phylo::likelihood::engine::LikelihoodEngine;
 use phylo::likelihood::LikelihoodConfig;
 use phylo::model::{GammaRates, SubstModel};
-use phylo::parallel::run_master_worker;
 use phylo::search::{run_inference, InferenceOptions, InferenceRequest, SearchConfig};
 use phylo::simulate::SimulationConfig;
 use phylo::tree::Tree;
@@ -58,7 +58,7 @@ fn bench_task_level(c: &mut Criterion) {
         group.bench_function(format!("bootstraps8/workers{workers}"), |b| {
             b.iter(|| {
                 let jobs: Vec<u64> = (0..8).collect();
-                run_master_worker(jobs, workers, |_, seed| {
+                run_batch(jobs, workers, |_, seed| {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let rep = aln.bootstrap_replicate(&mut rng);
                     let request = InferenceRequest::new(search.clone(), seed);

@@ -10,27 +10,23 @@
 //! tiers up to 10k taxa, and reports the likelihood-workspace memory
 //! estimate for each tier (the admission-control number).
 //!
-//! Headline metrics (the `_per_sec` / `_p99` names, enrolled in the
-//! advisory regression gate) come from the fixed **reference tier**
-//! (1000 taxa × 2000 sites), which both `--quick` and full runs measure —
-//! so the gate always compares like against like. Larger tiers are
-//! recorded under `_<taxa>x<sites>` suffixes, informational only; scaling
-//! is judged by comparing them across the sweep (throughput should stay
-//! roughly flat as sites grow: time ~linear in sites).
+//! Both `--quick` and full runs measure the fixed **reference tier**
+//! (1000 taxa × 2000 sites), so two runs always share one comparable row.
+//! Scaling is judged by comparing tiers across the sweep (throughput should
+//! stay roughly flat as sites grow: time ~linear in sites). This is the one
+//! host-side study the `benchmark/` package has no workload for; it prints
+//! text only.
 //!
 //! Flags:
 //!   --smoke        self-check suite (compress round trip, PHYLIP round
 //!                  trip, checkpoint round trip, memory-budget admission,
-//!                  compression-cost linearity, envelope round trip)
+//!                  compression-cost linearity)
 //!   --quick        reference tier + 100-taxa tier only
-//!   --format F     text (default) or json (print the envelope)
-//!   --no-artifact  skip writing BENCH_scale.json
 
 use std::hint::black_box;
 use std::io::BufReader;
 use std::time::Instant;
 
-use bench::artifact::{bench_artifact_path, Envelope, OutputFormat};
 use bench::cli::StudyArgs;
 use phylo::alignment::{Alignment, PatternAlignment};
 use phylo::alphabet::DnaCode;
@@ -59,12 +55,11 @@ impl Tier {
     }
 }
 
-/// The tier both quick and full runs measure; all gated headline metrics
-/// come from here so the advisory gate compares identical workloads.
+/// The tier both quick and full runs measure.
 const REFERENCE: Tier = Tier { taxa: 1000, sites: 2000 };
 
 fn main() {
-    let args = StudyArgs::parse();
+    let args = StudyArgs::parse("scale_study [--smoke] [--quick]", &[], &["--smoke", "--quick"]);
     if args.smoke {
         match smoke() {
             Ok(()) => {
@@ -90,20 +85,12 @@ fn main() {
         ]
     };
 
-    let mut envelope = Envelope::new("scale")
-        .with_config("rates", N_RATES)
-        .with_config("reference_taxa", REFERENCE.taxa)
-        .with_config("reference_sites", REFERENCE.sites)
-        .with_config("workers", std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .with_config("latency_unit", "ns");
-
-    if args.format.is_text() {
-        println!("large-alignment scaling ({} tiers)", tiers.len());
-        println!(
-            "{:>14} {:>10} {:>16} {:>16} {:>16} {:>14}",
-            "tier", "patterns", "compress site/s", "load site/s", "newview pat/s", "clv est MB"
-        );
-    }
+    println!("large-alignment scaling ({} tiers)", tiers.len());
+    println!(
+        "{:>14} {:>10} {:>16} {:>16} {:>16} {:>14}",
+        "tier", "patterns", "compress site/s", "load site/s", "newview pat/s", "clv est MB"
+    );
+    let mut checkpoint_p99_ns = 0.0;
     for tier in &tiers {
         let m = match measure_tier(*tier, args.quick) {
             Ok(m) => m,
@@ -112,47 +99,24 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let suffix = tier.label();
-        envelope.push_metric(&format!("compress_sites_per_sec_{suffix}"), m.compress_sites_per_sec);
-        envelope.push_metric(&format!("load_sites_per_sec_{suffix}"), m.load_sites_per_sec);
-        envelope
-            .push_metric(&format!("newview_patterns_per_sec_{suffix}"), m.newview_patterns_per_sec);
-        envelope.push_metric(&format!("n_patterns_{suffix}"), m.n_patterns as f64);
-        envelope.push_metric(&format!("clv_estimate_bytes_{suffix}"), m.clv_estimate_bytes as f64);
+        println!(
+            "{:>14} {:>10} {:>16.0} {:>16.0} {:>16.0} {:>14.1}",
+            tier.label(),
+            m.n_patterns,
+            m.compress_sites_per_sec,
+            m.load_sites_per_sec,
+            m.newview_patterns_per_sec,
+            m.clv_estimate_bytes as f64 / (1024.0 * 1024.0),
+        );
         if tier.taxa == REFERENCE.taxa && tier.sites == REFERENCE.sites {
-            // Gated headlines: stable names, fixed workload.
-            envelope.push_metric("compress_sites_per_sec", m.compress_sites_per_sec);
-            envelope.push_metric("load_sites_per_sec", m.load_sites_per_sec);
-            envelope.push_metric("newview_patterns_per_sec", m.newview_patterns_per_sec);
-            envelope.push_metric("checkpoint_write_p99", m.checkpoint_write_p99_ns);
-        }
-        if args.format.is_text() {
-            println!(
-                "{:>14} {:>10} {:>16.0} {:>16.0} {:>16.0} {:>14.1}",
-                suffix,
-                m.n_patterns,
-                m.compress_sites_per_sec,
-                m.load_sites_per_sec,
-                m.newview_patterns_per_sec,
-                m.clv_estimate_bytes as f64 / (1024.0 * 1024.0),
-            );
+            checkpoint_p99_ns = m.checkpoint_write_p99_ns;
         }
     }
-    if args.format.is_text() {
-        let p99 = envelope.metric("checkpoint_write_p99").unwrap_or(0.0);
-        println!("checkpoint write p99 ({} taxa tree): {:.2} ms", REFERENCE.taxa, p99 / 1e6);
-    }
-
-    if !args.no_artifact {
-        let path = bench_artifact_path("scale");
-        bench::or_exit(envelope.write(&path));
-        if args.format.is_text() {
-            println!("wrote {}", path.display());
-        }
-    }
-    if args.format == OutputFormat::Json {
-        print!("{}", envelope.to_json());
-    }
+    println!(
+        "checkpoint write p99 ({} taxa tree): {:.2} ms",
+        REFERENCE.taxa,
+        checkpoint_p99_ns / 1e6
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -255,8 +219,8 @@ fn measure_tier(tier: Tier, quick: bool) -> Result<TierMeasurement, String> {
 
     let clv_estimate_bytes = LikelihoodWorkspace::estimate_bytes(tier.taxa, n_patterns, N_RATES);
 
-    // Checkpoint latency only matters (and is only gated) at the
-    // reference tier; skip the Tree::random cost elsewhere.
+    // Checkpoint latency is only reported at the reference tier; skip the
+    // Tree::random cost elsewhere.
     let checkpoint_write_p99_ns = if tier.taxa == REFERENCE.taxa && tier.sites == REFERENCE.sites {
         checkpoint_p99(tier.taxa, if quick { 15 } else { 40 })?
     } else {
@@ -356,10 +320,9 @@ fn smoke() -> Result<(), String> {
     smoke_checkpoint_round_trip()?;
     smoke_memory_budget()?;
     smoke_compression_linearity()?;
-    smoke_envelope_round_trip()?;
     println!(
         "scale smoke: compress/expand + phylip + checkpoint round trips, budget admission, \
-         linearity, envelope all OK"
+         linearity all OK"
     );
     Ok(())
 }
@@ -452,20 +415,6 @@ fn smoke_compression_linearity() -> Result<(), String> {
     let ratio = t_large / t_small;
     if ratio > 10.0 {
         return Err(format!("4x sites cost {ratio:.1}x time — compression is superlinear"));
-    }
-    Ok(())
-}
-
-/// The envelope this study writes round-trips through its own JSON.
-fn smoke_envelope_round_trip() -> Result<(), String> {
-    let mut e = Envelope::new("scale").with_config("rates", N_RATES);
-    e.push_metric("compress_sites_per_sec", 1e6);
-    e.push_metric("checkpoint_write_p99", 4e6);
-    let back = Envelope::from_json(&e.to_json())?;
-    if back.metric("compress_sites_per_sec") != Some(1e6)
-        || back.metric("checkpoint_write_p99") != Some(4e6)
-    {
-        return Err("envelope metrics lost in round trip".to_string());
     }
     Ok(())
 }

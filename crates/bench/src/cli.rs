@@ -1,111 +1,79 @@
-//! Typed command-line handling shared by every study binary.
+//! Command-line handling shared by the `paper` and `scale_study` binaries.
 //!
-//! Each study used to scan `std::env::args()` ad hoc (via the now
-//! deprecated [`crate::arg_value`]); this module centralizes the common
-//! surface once, with validation:
+//! Each binary declares the subcommands and flags it accepts; anything else
+//! — an unknown subcommand, an unknown flag, a `--out` whose value is
+//! missing or is itself a flag — is a diagnosed error, so a typo can never
+//! silently select a different (and much slower) run.
 //!
-//! * the shared boolean flags `--smoke`, `--quick`, `--no-artifact`;
-//! * `--format text|json` (rejecting anything else up front);
-//! * `--out DIR` with a per-study default;
-//! * typed lookups for study-specific `--flag value` pairs, where a
-//!   malformed value is a diagnosed error instead of a silently ignored
-//!   `None`.
-//!
-//! Binaries call [`StudyArgs::parse`], which exits with a diagnosis on
-//! invalid input; the fallible [`StudyArgs::from_vec`] is the testable
-//! core.
+//! Binaries call [`StudyArgs::parse`], which prints the diagnosis plus the
+//! usage line and exits 2; the fallible [`StudyArgs::from_vec`] is the
+//! testable core.
 
-use crate::artifact::OutputFormat;
 use std::path::PathBuf;
 
-/// The parsed command line of a study binary.
-#[derive(Debug, Clone)]
+/// The parsed command line of a bench binary.
+#[derive(Debug, Clone, Default)]
 pub struct StudyArgs {
-    /// `--smoke`: tiny run plus self-checks, no root artifact.
+    /// The subcommand; empty for a binary that takes none.
+    pub subcommand: String,
+    /// `--smoke`: tiny run plus self-checks.
     pub smoke: bool,
     /// `--quick`: reduced workload.
     pub quick: bool,
-    /// `--no-artifact`: skip writing the root `BENCH_*.json`.
-    pub no_artifact: bool,
-    /// `--format text|json` (default text).
-    pub format: OutputFormat,
-    args: Vec<String>,
+    /// `--out DIR`.
+    pub out: Option<PathBuf>,
 }
 
 impl StudyArgs {
-    /// Parse the process arguments; print a diagnosis and exit 2 on
-    /// invalid input (e.g. an unknown `--format`).
-    pub fn parse() -> StudyArgs {
-        match StudyArgs::from_vec(std::env::args().skip(1).collect()) {
+    /// Parse the process arguments; on invalid input print the diagnosis and
+    /// `usage` to stderr and exit 2.
+    pub fn parse(usage: &str, subcommands: &[&str], flags: &[&str]) -> StudyArgs {
+        match StudyArgs::from_vec(std::env::args().skip(1).collect(), subcommands, flags) {
             Ok(args) => args,
             Err(message) => {
-                eprintln!("error: {message}");
+                eprintln!("error: {message}\nusage: {usage}");
                 std::process::exit(2);
             }
         }
     }
 
     /// The testable core of [`parse`](StudyArgs::parse); `args` excludes
-    /// the program name.
-    pub fn from_vec(args: Vec<String>) -> Result<StudyArgs, String> {
-        let mut parsed = StudyArgs {
-            smoke: false,
-            quick: false,
-            no_artifact: false,
-            format: OutputFormat::Text,
-            args,
-        };
-        parsed.smoke = parsed.flag("--smoke");
-        parsed.quick = parsed.flag("--quick");
-        parsed.no_artifact = parsed.flag("--no-artifact");
-        parsed.format = match parsed.value("--format") {
-            None | Some("text") => OutputFormat::Text,
-            Some("json") => OutputFormat::Json,
-            Some(other) => return Err(format!("--format must be text or json, got {other:?}")),
-        };
+    /// the program name. `subcommands` empty means the binary takes none;
+    /// otherwise exactly one is required. `flags` lists which of `--smoke`,
+    /// `--quick`, `--out` this binary accepts.
+    pub fn from_vec(
+        args: Vec<String>,
+        subcommands: &[&str],
+        flags: &[&str],
+    ) -> Result<StudyArgs, String> {
+        let mut parsed = StudyArgs::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                if !parsed.subcommand.is_empty() || !subcommands.contains(&arg.as_str()) {
+                    return Err(format!("unknown subcommand {arg:?}"));
+                }
+                parsed.subcommand = arg;
+                continue;
+            }
+            if !flags.contains(&arg.as_str()) {
+                return Err(format!("unknown flag {arg:?}"));
+            }
+            match arg.as_str() {
+                "--smoke" => parsed.smoke = true,
+                "--quick" => parsed.quick = true,
+                "--out" => match args.next() {
+                    Some(dir) if !dir.starts_with("--") => parsed.out = Some(PathBuf::from(dir)),
+                    Some(flag) => return Err(format!("--out wants a directory, got {flag:?}")),
+                    None => return Err("--out wants a directory".to_string()),
+                },
+                other => unreachable!("binary accepts {other}, which the parser does not know"),
+            }
+        }
+        if !subcommands.is_empty() && parsed.subcommand.is_empty() {
+            return Err("missing subcommand".to_string());
+        }
         Ok(parsed)
-    }
-
-    /// True when the bare flag is present.
-    pub fn flag(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
-    }
-
-    /// The value following a `--flag value` pair.
-    pub fn value(&self, name: &str) -> Option<&str> {
-        self.args
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
-    }
-
-    /// A `--flag N` pair as a `usize`; a malformed value is an error, not a
-    /// silent default.
-    pub fn usize_value(&self, name: &str) -> Result<Option<usize>, String> {
-        match self.value(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{name} wants a non-negative integer, got {v:?}")),
-        }
-    }
-
-    /// A `--flag N` pair as a `u64`.
-    pub fn u64_value(&self, name: &str) -> Result<Option<u64>, String> {
-        match self.value(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{name} wants a non-negative integer, got {v:?}")),
-        }
-    }
-
-    /// The `--out` directory, or the study's default.
-    pub fn out_dir(&self, default: &str) -> PathBuf {
-        PathBuf::from(self.value("--out").unwrap_or(default))
     }
 }
 
@@ -113,43 +81,48 @@ impl StudyArgs {
 mod tests {
     use super::*;
 
+    const SUBCOMMANDS: [&str; 2] = ["table1", "traces"];
+    const FLAGS: [&str; 2] = ["--quick", "--out"];
+
     fn parse(args: &[&str]) -> Result<StudyArgs, String> {
-        StudyArgs::from_vec(args.iter().map(|s| s.to_string()).collect())
+        StudyArgs::from_vec(args.iter().map(|s| s.to_string()).collect(), &SUBCOMMANDS, &FLAGS)
     }
 
     #[test]
     fn shared_flags_and_defaults() {
-        let a = parse(&[]).unwrap();
-        assert!(!a.smoke && !a.quick && !a.no_artifact);
-        assert!(a.format.is_text());
-        assert_eq!(a.out_dir("target/x"), PathBuf::from("target/x"));
+        let a = parse(&["table1"]).unwrap();
+        assert_eq!(a.subcommand, "table1");
+        assert!(!a.smoke && !a.quick);
+        assert_eq!(a.out, None);
 
-        let a = parse(&["--smoke", "--quick", "--no-artifact", "--format", "json"]).unwrap();
-        assert!(a.smoke && a.quick && a.no_artifact);
-        assert_eq!(a.format, OutputFormat::Json);
+        let a = parse(&["--quick", "traces", "--out", "somewhere"]).unwrap();
+        assert_eq!(a.subcommand, "traces");
+        assert!(a.quick);
+        assert_eq!(a.out, Some(PathBuf::from("somewhere")));
+
+        let a = StudyArgs::from_vec(vec!["--smoke".to_string()], &[], &["--smoke"]).unwrap();
+        assert!(a.smoke && a.subcommand.is_empty());
     }
 
     #[test]
-    fn typed_lookups_diagnose_bad_values() {
-        let a = parse(&["--jobs", "24", "--out", "somewhere", "--seed", "9"]).unwrap();
-        assert_eq!(a.usize_value("--jobs").unwrap(), Some(24));
-        assert_eq!(a.u64_value("--seed").unwrap(), Some(9));
-        assert_eq!(a.usize_value("--workers").unwrap(), None);
-        assert_eq!(a.out_dir("target/x"), PathBuf::from("somewhere"));
-
-        let a = parse(&["--jobs", "many"]).unwrap();
-        assert!(a.usize_value("--jobs").is_err());
+    fn unknown_or_missing_subcommand_is_rejected() {
+        assert!(parse(&["nosuch"]).unwrap_err().contains("unknown subcommand"));
+        assert!(parse(&["table1", "traces"]).unwrap_err().contains("unknown subcommand"));
+        assert!(parse(&["--quick"]).unwrap_err().contains("missing subcommand"));
+        // A binary without subcommands takes no positional argument at all.
+        assert!(StudyArgs::from_vec(vec!["table1".to_string()], &[], &FLAGS).is_err());
     }
 
     #[test]
-    fn unknown_format_is_rejected() {
-        assert!(parse(&["--format", "xml"]).is_err());
+    fn unknown_flag_is_rejected() {
+        assert!(parse(&["table1", "--quik"]).unwrap_err().contains("unknown flag"));
+        // `--smoke` is a real flag, but not one this binary declared.
+        assert!(parse(&["table1", "--smoke"]).unwrap_err().contains("unknown flag"));
     }
 
     #[test]
-    fn value_at_end_of_args_is_none() {
-        let a = parse(&["--jobs"]).unwrap();
-        assert_eq!(a.value("--jobs"), None);
-        assert_eq!(a.usize_value("--jobs").unwrap(), None);
+    fn out_wants_a_directory_not_a_flag() {
+        assert!(parse(&["traces", "--out", "--quick"]).unwrap_err().contains("--out wants"));
+        assert!(parse(&["traces", "--out"]).unwrap_err().contains("--out wants"));
     }
 }

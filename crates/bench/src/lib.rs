@@ -1,14 +1,16 @@
-//! Shared fixtures and report printers for the benchmark suite and the
-//! table/figure regeneration binaries.
+//! Shared fixtures and report printers for the Criterion benches and the
+//! `paper` table/figure regeneration binary.
+//!
+//! Everything rendered here is simulated Cell cycles priced from a captured
+//! kernel trace — deterministic for a given workload, so there are no
+//! baselines and no gate. Host-side measurement lives in the standalone
+//! `benchmark/` package.
 //!
 //! Every helper that runs an experiment driver propagates its
 //! [`ExperimentError`]; the binaries funnel through [`or_exit`] so a bad
 //! workload prints a diagnosis and exits nonzero instead of unwinding.
 
-pub mod artifact;
 pub mod cli;
-pub mod gate;
-pub mod metrics_run;
 
 use cellsim::cost::CostModel;
 use raxml_cell::error::ExperimentError;
@@ -18,6 +20,7 @@ use raxml_cell::experiment::{
 };
 use raxml_cell::report::{format_comparison, shape_deviation, PAPER_PROFILE};
 use raxml_cell::sched::DesParams;
+use std::path::Path;
 
 /// Unwrap a driver result in a binary: print the error and exit nonzero.
 pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
@@ -28,19 +31,6 @@ pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
             std::process::exit(1);
         }
     }
-}
-
-/// Value following a `--flag value` pair on the process command line
-/// (shared by every study binary).
-#[deprecated(since = "0.2.0", note = "use `cli::StudyArgs`, which validates the shared flags")]
-pub fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
 }
 
 /// Capture the `42_SC`-equivalent workload (a full traced inference on the
@@ -330,9 +320,7 @@ pub fn figure3_text_for(workload: &Workload) -> Result<String, ExperimentError> 
 
 /// Sweep uniform fault rates and a dead-SPE scenario across the DES
 /// schedulers, returning the structured rows: `(rate_sweep, spe_deaths)`.
-/// [`fault_study_text`] renders these as tables; the `--format json` path
-/// of the `fault_study` binary flattens them into an envelope.
-pub fn fault_study_rows(
+fn fault_study_rows(
     workload: &Workload,
     n_jobs: usize,
 ) -> (Vec<raxml_cell::report::FaultRow>, Vec<raxml_cell::report::FaultRow>) {
@@ -409,16 +397,225 @@ pub fn fault_study_text(workload: &Workload, n_jobs: usize) -> String {
     out
 }
 
-/// Standard binary entry point: captures the workload (reduced when
-/// `--quick` is passed) and returns it together with its label.
-pub fn workload_from_args() -> Result<(Workload, &'static str), ExperimentError> {
-    let quick = std::env::args().any(|a| a == "--quick");
+/// Ablation of the five SPE-code optimizations: each applied alone to the
+/// naive offload, and each removed from the fully optimized build.
+fn ablation_text(workload: &Workload) -> Result<String, ExperimentError> {
+    use std::fmt::Write;
+    let rows = raxml_cell::experiment::run_ablation(workload, &CostModel::paper_calibrated())?;
+    let mut out = String::from("\nablation of the SPE optimizations (1 worker × 1 bootstrap):\n\n");
+    let _ = writeln!(
+        out,
+        "  {:<34} {:>10} {:>10} | {:>12} {:>10}",
+        "optimization", "alone [s]", "gain", "without [s]", "loss"
+    );
+    for r in &rows {
+        let _ = writeln!(
+            out,
+            "  {:<34} {:>10.2} {:>9.1}% | {:>12.2} {:>9.1}%",
+            r.name,
+            r.alone_seconds,
+            r.alone_gain * 100.0,
+            r.without_seconds,
+            r.without_loss * 100.0
+        );
+    }
+    out.push_str(
+        "\n'gain' = improvement over the naive offload when applied in isolation;\n\
+         'loss' = slowdown when removed from the fully optimized configuration.\n\
+         Differences between columns are interaction effects (e.g. double\n\
+         buffering matters more after the compute it hides behind shrinks).\n",
+    );
+    Ok(out)
+}
+
+/// Contribution III of the paper: the EDTLP vs LLP crossover that motivates
+/// the dynamic MGPS scheduler — "three layers of parallelism \[win\] for
+/// workloads with a low degree (≤4) of task-level parallelism; two layers
+/// for large and realistic workloads".
+fn multilevel_text(workload: &Workload) -> Result<String, ExperimentError> {
+    use std::fmt::Write;
+    let rows = raxml_cell::experiment::run_multilevel_study(
+        workload,
+        &CostModel::paper_calibrated(),
+        &DesParams::default(),
+    )?;
+    let mut out =
+        String::from("\nEDTLP (2 layers) vs LLP (3 layers) vs dynamic MGPS [seconds]:\n\n");
+    let _ = writeln!(
+        out,
+        "  {:>10} {:>10} {:>10} {:>10}   winner",
+        "bootstraps", "EDTLP", "LLP", "MGPS"
+    );
+    for r in &rows {
+        let winner = if r.llp_seconds < r.edtlp_seconds { "LLP" } else { "EDTLP" };
+        let _ = writeln!(
+            out,
+            "  {:>10} {:>10.2} {:>10.2} {:>10.2}   {winner}",
+            r.n_bootstraps, r.edtlp_seconds, r.llp_seconds, r.mgps_seconds
+        );
+    }
+    out.push_str(
+        "\nThe crossover reproduces the paper's Contribution III: LLP wins at low\n\
+         task-level parallelism, EDTLP wins once ≥8 independent bootstraps exist,\n\
+         and MGPS tracks whichever is better — 'no single model performs best in\n\
+         all cases' (§5.3).\n",
+    );
+    Ok(out)
+}
+
+/// Projection: MGPS throughput vs SPE count (1 → 16 SPEs, including the
+/// dual-Cell blade's 16-SPE / 4-PPE-thread configuration the paper's
+/// hardware offered but its software never used).
+fn scaling_text(workload: &Workload) -> Result<String, ExperimentError> {
+    use std::fmt::Write;
+    let rows =
+        raxml_cell::experiment::run_scaling_study(workload, &CostModel::paper_calibrated(), 32)?;
+    let mut out = String::from("\nMGPS scaling at 32 bootstraps:\n\n");
+    let _ = writeln!(
+        out,
+        "  {:>6} {:>12} {:>14} {:>10} {:>10}",
+        "SPEs", "PPE threads", "makespan [s]", "speedup", "SPE util"
+    );
+    for r in &rows {
+        let _ = writeln!(
+            out,
+            "  {:>6} {:>12} {:>14.2} {:>9.2}× {:>9.1}%",
+            r.n_spes,
+            r.ppe_threads,
+            r.makespan_seconds,
+            r.speedup,
+            r.spe_utilization * 100.0
+        );
+    }
+    out.push_str(
+        "\nThe last two rows compare a 16-SPE machine behind the Cell's 2 PPE\n\
+         threads against one with 4 (a dual-Cell blade): where they differ, the\n\
+         PPE is the scaling bottleneck the paper's EDTLP design works around.\n",
+    );
+    Ok(out)
+}
+
+/// The §5.2.4 counterfactual: what would code overlays have cost if the
+/// three kernels had not fit the SPE local store?
+fn overlay_text(workload: &Workload) -> Result<String, ExperimentError> {
+    use std::fmt::Write;
+    let rows = raxml_cell::experiment::run_overlay_study(workload, &CostModel::paper_calibrated())?;
+    let mut out =
+        String::from("\ncode-overlay what-if (one bootstrap, fully optimized config):\n\n");
+    let _ = writeln!(
+        out,
+        "  {:>10} {:>12} {:>12} {:>14} {:>14}",
+        "budget", "faults", "fault rate", "overhead [s]", "bootstrap [s]"
+    );
+    for r in &rows {
+        let _ = writeln!(
+            out,
+            "  {:>7} KB {:>12} {:>11.1}% {:>14.3} {:>14.2}",
+            r.budget / 1024,
+            r.faults,
+            r.fault_rate * 100.0,
+            r.overhead_seconds,
+            r.bootstrap_seconds
+        );
+    }
+    out.push_str(
+        "\nThe paper kept the kernel footprint at 117 KB so the whole module set\n\
+         stays resident (3 cold faults). Below that, calls alternate between\n\
+         newview and makenewz/evaluate and the LRU set thrashes.\n",
+    );
+    Ok(out)
+}
+
+/// Simulate one SPR round under EDTLP, LLP/2 and MGPS with event tracing
+/// on, cross-check each trace against the DES's own accounting, write a
+/// Perfetto-loadable Chrome trace and a JSONL metrics snapshot per
+/// scheduler into `out_dir`, and report the trace-derived timeline.
+fn traces_text(workload: &Workload, out_dir: &Path) -> Result<String, String> {
+    let profiles = profile_spr_round(workload, 16);
+    let mut out = format!("{} SPR rounds marked\n", workload.rounds.len());
+    std::fs::create_dir_all(out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
+    for p in &profiles {
+        check_profile(p).map_err(|e| format!("trace/stats cross-check failed: {e}"))?;
+        let slug = p.label.to_lowercase().replace('/', "");
+        for (suffix, payload) in
+            [("trace.json", &p.chrome_json), ("metrics.jsonl", &p.metrics_jsonl)]
+        {
+            let path = out_dir.join(format!("round0_{slug}.{suffix}"));
+            std::fs::write(&path, payload).map_err(|e| format!("write {}: {e}", path.display()))?;
+            out.push_str(&format!("wrote {}\n", path.display()));
+        }
+    }
+    out.push_str(&profile_report_text(&profiles, CostModel::paper_calibrated().clock_hz));
+    Ok(out)
+}
+
+/// Capture the workload a binary runs on (reduced when `quick`) and return
+/// it together with its label.
+pub fn workload_for(quick: bool) -> Result<(Workload, &'static str), ExperimentError> {
     if quick {
         Ok((quick_workload()?, "test_mid (quick)"))
     } else {
         eprintln!("capturing the 42_SC-equivalent workload (a real traced inference)…");
         Ok((aln42_workload()?, "42_SC-equivalent (ALN42)"))
     }
+}
+
+/// The `paper` binary's subcommands, in usage order.
+pub const PAPER_SUBCOMMANDS: [&str; 17] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "table8",
+    "figure3",
+    "profile",
+    "all",
+    "ablation",
+    "multilevel",
+    "scaling",
+    "overlay",
+    "fault",
+    "traces",
+];
+
+/// Render one `paper` subcommand on `workload`. Only `traces` writes files
+/// (into `out_dir`); every other subcommand ignores it.
+pub fn paper_text(
+    subcommand: &str,
+    workload: &Workload,
+    out_dir: &Path,
+) -> Result<String, Box<dyn std::error::Error>> {
+    Ok(match subcommand {
+        // Table 1 is two ladder levels: (a) PPE-only, (b) naive offload.
+        "table1" => {
+            format!("{}\n{}\n", ladder_level_text(workload, 0)?, ladder_level_text(workload, 1)?)
+        }
+        // Tables 2–7 are ladder levels 2–7.
+        "table2" | "table3" | "table4" | "table5" | "table6" | "table7" => {
+            let level = usize::from(subcommand.as_bytes()[5] - b'0');
+            format!("{}\n", ladder_level_text(workload, level)?)
+        }
+        "table8" => {
+            let mut out = format!("{}\n", table8_text(workload)?);
+            for n in [1usize, 8, 32] {
+                out.push_str(&format!("{}\n", mgps_utilization_text(workload, n)));
+            }
+            out
+        }
+        "figure3" => format!("{}\n", figure3_text_for(workload)?),
+        "profile" => format!("{}\n", profile_text(workload, &CostModel::paper_calibrated())?),
+        "all" => format!("{}\n", run_all_tables(workload)?),
+        "ablation" => ablation_text(workload)?,
+        "multilevel" => multilevel_text(workload)?,
+        "scaling" => scaling_text(workload)?,
+        "overlay" => overlay_text(workload)?,
+        "fault" => fault_study_text(workload, 16),
+        "traces" => traces_text(workload, out_dir)?,
+        other => return Err(format!("unknown subcommand {other:?}").into()),
+    })
 }
 
 #[cfg(test)]
@@ -433,6 +630,16 @@ mod tests {
         assert!(text.contains("Table 8"));
         assert!(text.contains("Figure 3"));
         assert!(text.contains("newview"));
+
+        let dir = std::env::temp_dir().join(format!("raxml-cell-paper-{}", std::process::id()));
+        for sub in PAPER_SUBCOMMANDS {
+            let text = paper_text(sub, &w, &dir).unwrap_or_else(|e| panic!("paper {sub}: {e}"));
+            assert!(!text.trim().is_empty(), "paper {sub} rendered nothing");
+        }
+        let written = std::fs::read_dir(&dir).expect("traces wrote its exports").count();
+        assert_eq!(written, 6, "a Chrome trace and a metrics snapshot per scheduler");
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(paper_text("nosuch", &w, &dir).is_err());
     }
 
     #[test]

@@ -130,18 +130,9 @@ impl Spe {
     }
 
     /// Start a task of the given duration at time `now` (which must not be
-    /// before the current busy horizon). Returns the completion time.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_run_task`, which reports a dead SPE as `SpeDead`"
-    )]
-    pub fn run_task(&mut self, now: Cycles, duration: Cycles) -> Cycles {
-        self.try_run_task(now, duration).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// As [`Spe::run_task`], but a dead SPE returns [`SpeDead`] instead of
-    /// accepting work. Overlapping tasks still panic: that is a scheduler
-    /// bug, not a runtime condition.
+    /// before the current busy horizon) and return its completion time. A
+    /// dead SPE returns [`SpeDead`] instead of accepting work. Overlapping
+    /// tasks panic: that is a scheduler bug, not a runtime condition.
     pub fn try_run_task(&mut self, now: Cycles, duration: Cycles) -> Result<Cycles, SpeDead> {
         if !self.alive {
             return Err(SpeDead { id: self.id });
@@ -301,17 +292,6 @@ mod tests {
         assert!(!spe.is_alive());
         assert_eq!(spe.try_run_task(20, 10), Err(SpeDead { id: 2 }));
         assert_eq!(spe.tasks(), 1, "the rejected task must not be counted");
-    }
-
-    /// The deprecated panicking wrapper must keep its contract while it
-    /// survives as a shim.
-    #[test]
-    #[should_panic(expected = "SPE4 is dead")]
-    fn run_task_panics_on_dead_spe() {
-        let mut spe = Spe::new(4);
-        spe.kill();
-        #[allow(deprecated)]
-        spe.run_task(0, 10);
     }
 
     #[test]

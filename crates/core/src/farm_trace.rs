@@ -4,7 +4,7 @@
 //! Layering: `phylo` cannot depend on `cellsim`, so the farm exposes the
 //! neutral [`phylo::farm::FarmObserver`] trait and this crate adapts it —
 //! farm-tier runs export the same Chrome-trace / JSONL metric artifacts as
-//! the simulator (`profile_study`-grade observability for the task tier).
+//! the simulator (`paper traces`-grade observability for the task tier).
 //!
 //! The farm timestamps events in wall nanoseconds; the trace log speaks
 //! simulated cycles. The tracer converts at a caller-chosen `clock_hz` —

@@ -1,9 +1,9 @@
-//! A minimal JSON value parser for the benchmark artifacts.
+//! A minimal JSON value parser.
 //!
 //! The build environment has no serde; `cellsim::tracelog` hand-rolls a
 //! *validator* for the exporters, and this module is the complementary
-//! *reader* the regression gate needs to load two `BENCH_*.json` envelopes
-//! and compare their metric maps. Same recursive-descent grammar, but it
+//! *reader* behind the service's wire protocol, journal and event log and
+//! the benchmark's result files. Same recursive-descent grammar, but it
 //! builds a [`Json`] tree instead of only checking well-formedness.
 
 /// A parsed JSON value. Object keys keep insertion order.

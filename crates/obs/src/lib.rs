@@ -20,8 +20,8 @@
 //!   [`Registry::to_jsonl`] (line-delimited JSON snapshots in the same
 //!   spirit as `cellsim::tracelog::to_metrics_jsonl`, checked in CI by the
 //!   same hand-rolled validator).
-//! * [`json`] — the minimal JSON reader the benchmark regression gate
-//!   uses to load `BENCH_*.json` envelopes.
+//! * [`json`] — the minimal JSON reader behind the service's wire
+//!   protocol, journal and event log.
 //!
 //! ## Overhead contract
 //!
@@ -244,13 +244,8 @@ impl Registry {
     }
 
     fn shard_of(&self, name: &str) -> &Mutex<Vec<(String, Metric)>> {
-        // FNV-1a; stable across runs so exports shard identically.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        &self.shards[(h % N_SHARDS as u64) as usize]
+        // Stable across runs so exports shard identically.
+        &self.shards[(trace::fnv1a(name.as_bytes()) % N_SHARDS as u64) as usize]
     }
 
     fn get_or_register(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {

@@ -300,13 +300,6 @@ impl BootstrapAnalysis {
         }
     }
 
-    /// Run the full analysis on an alignment, panicking if any job fails
-    /// (see [`BootstrapAnalysis::try_run`] for the fallible form).
-    #[deprecated(since = "0.2.0", note = "use `try_run`, which reports failures as `PhyloError`")]
-    pub fn run(&self, aln: &PatternAlignment) -> AnalysisResult {
-        self.try_run(aln).unwrap_or_else(|e| panic!("bootstrap analysis failed: {e}"))
-    }
-
     /// Run the full analysis on an alignment. A job that panics inside the
     /// farm surfaces as [`PhyloError::Farm`] naming the failed job, without
     /// discarding the other jobs' completed work inside the farm.

@@ -2,8 +2,8 @@
 //! for embarrassingly parallel phylogenetic jobs (bootstraps, multiple
 //! inferences, workload captures).
 //!
-//! This replaces the single-mutex master–worker of [`crate::parallel`] as
-//! the §3.1 task-level layer. Design points:
+//! This is the §3.1 task-level layer (the paper's MPI master–worker
+//! scheme). Design points:
 //!
 //! * **Per-worker deques, stealing from the back.** Each worker owns a
 //!   deque; the master distributes jobs round-robin, owners pop from the
@@ -293,9 +293,8 @@ impl<R> FarmOutcome<R> {
     }
 }
 
-/// Render a panic payload as text (shared with
-/// [`crate::parallel::run_master_worker`]'s propagation path).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Render a panic payload as text.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -878,8 +877,8 @@ where
 }
 
 /// The common case: a materialized job list, stateless workers, no hooks.
-/// The farm analogue of [`crate::parallel::run_master_worker`], returning
-/// typed per-job failures instead of propagating panics.
+/// A panicking job surfaces as a typed per-job failure, not a propagated
+/// panic.
 pub fn run_batch<J, R, F>(jobs: Vec<J>, n_workers: usize, work: F) -> FarmOutcome<R>
 where
     J: Send,

@@ -97,13 +97,6 @@ pub mod prelude {
         run_inference, InferenceOptions, InferenceOutcome, InferenceRequest, SearchConfig,
         SearchConfigBuilder, SearchResult,
     };
-    // Deprecated variant family, re-exported so existing downstream `use
-    // phylo::prelude::*` code keeps compiling during the migration window.
-    #[allow(deprecated)]
-    pub use crate::search::{
-        infer_ml_tree, infer_ml_tree_checked, infer_ml_tree_checkpointed, infer_ml_tree_pooled,
-        infer_ml_tree_traced,
-    };
     pub use crate::simulate::SimulationConfig;
     pub use crate::trace::Trace;
     pub use crate::tree::{NodeId, Tree};

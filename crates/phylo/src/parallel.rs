@@ -4,8 +4,7 @@
 //!
 //! 1. **Task level** — embarrassingly parallel bootstraps/inferences under a
 //!    master–worker scheme (§3.1). Here: [`crate::farm`], the work-stealing
-//!    inference farm (the MPI analogue); [`run_master_worker`] is the
-//!    original single-queue form, kept for comparison and simple callers.
+//!    inference farm (the MPI analogue).
 //! 2. **Loop level** — the likelihood loops distributed across processors
 //!    (the RAxML-OMP / LLP-across-SPEs layer). Here: rayon-chunked kernel
 //!    dispatchers ([`newview_dispatch`], [`evaluate_dispatch`],
@@ -367,75 +366,6 @@ fn newton_blocks(
     partials.iter().fold((0.0, 0.0, 0.0), |a, p| (a.0 + p[0], a.1 + p[1], a.2 + p[2]))
 }
 
-/// Task-level master–worker: distributes `jobs` across `n_workers` OS
-/// threads through a shared queue and collects results in job order — the
-/// thread analogue of the paper's MPI master–worker scheme for bootstraps
-/// and multiple inferences (§3.1).
-///
-/// Superseded by [`crate::farm`] (work-stealing deques, backpressure,
-/// typed per-job failures); kept as the simple single-queue form for
-/// callers that want all-or-nothing semantics.
-///
-/// # Panics
-///
-/// If a job panics, the *original* panic payload is re-raised on the
-/// calling thread once the remaining workers have stopped — the caller
-/// sees the real failure, not a poisoned-mutex or missing-result artifact.
-pub fn run_master_worker<J, R, F>(jobs: Vec<J>, n_workers: usize, worker: F) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(usize, J) -> R + Sync,
-{
-    assert!(n_workers >= 1, "need at least one worker");
-    let n_jobs = jobs.len();
-    let queue: std::sync::Mutex<std::collections::VecDeque<(usize, J)>> =
-        std::sync::Mutex::new(jobs.into_iter().enumerate().collect());
-    let results: std::sync::Mutex<Vec<Option<R>>> =
-        std::sync::Mutex::new((0..n_jobs).map(|_| None).collect());
-    // First panic payload from any worker; re-raised after the scope ends.
-    let panic_slot: std::sync::Mutex<Option<Box<dyn std::any::Any + Send>>> =
-        std::sync::Mutex::new(None);
-
-    let worker = &worker;
-    std::thread::scope(|s| {
-        for _ in 0..n_workers.min(n_jobs.max(1)) {
-            s.spawn(|| loop {
-                let job = queue.lock().unwrap().pop_front();
-                match job {
-                    Some((idx, j)) => {
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            worker(idx, j)
-                        }));
-                        match run {
-                            Ok(r) => results.lock().unwrap()[idx] = Some(r),
-                            Err(payload) => {
-                                let mut slot = panic_slot.lock().unwrap();
-                                if slot.is_none() {
-                                    *slot = Some(payload);
-                                }
-                                break;
-                            }
-                        }
-                    }
-                    None => break,
-                }
-            });
-        }
-    });
-
-    if let Some(payload) = panic_slot.into_inner().unwrap() {
-        std::panic::resume_unwind(payload);
-    }
-
-    results
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|r| r.expect("worker completed every job"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,7 +376,6 @@ mod tests {
     use crate::tree::Tree;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// The rayon-chunked dispatchers only engage above MIN_CHUNK patterns;
     /// this exercises them on a large-pattern alignment and checks exact
@@ -727,56 +656,5 @@ mod tests {
         assert_eq!(granule_blocks(1), 1);
         // Huge inputs hit the cap regardless of worker count.
         assert_eq!(granule_blocks(100_000_000), 32);
-    }
-
-    #[test]
-    fn master_worker_preserves_job_order() {
-        let jobs: Vec<u64> = (0..100).collect();
-        let results = run_master_worker(jobs, 4, |_, j| j * j);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(*r, (i * i) as u64);
-        }
-    }
-
-    #[test]
-    fn master_worker_runs_every_job_once() {
-        let counter = AtomicUsize::new(0);
-        let results =
-            run_master_worker(vec![(); 57], 8, |_, ()| counter.fetch_add(1, Ordering::SeqCst));
-        assert_eq!(results.len(), 57);
-        assert_eq!(counter.load(Ordering::SeqCst), 57);
-    }
-
-    #[test]
-    fn master_worker_single_worker_is_sequential() {
-        let results = run_master_worker(vec![1, 2, 3], 1, |idx, j| (idx, j));
-        assert_eq!(results, vec![(0, 1), (1, 2), (2, 3)]);
-    }
-
-    #[test]
-    fn master_worker_more_workers_than_jobs() {
-        let results = run_master_worker(vec![7], 16, |_, j: i32| j + 1);
-        assert_eq!(results, vec![8]);
-    }
-
-    /// Regression: a panicking job used to surface as the unrelated
-    /// `expect("worker completed every job")` (after poisoning the result
-    /// mutex); the caller must see the job's own panic payload.
-    #[test]
-    fn master_worker_propagates_original_panic_payload() {
-        let caught = std::panic::catch_unwind(|| {
-            run_master_worker((0..20u32).collect(), 4, |_, j| {
-                if j == 9 {
-                    panic!("job nine failed in a specific way");
-                }
-                j
-            })
-        });
-        let payload = caught.expect_err("worker panic must propagate");
-        let message = crate::farm::panic_message(payload.as_ref());
-        assert!(
-            message.contains("job nine failed in a specific way"),
-            "wrong payload propagated: {message}"
-        );
     }
 }

@@ -225,11 +225,11 @@ impl InferenceRequest {
     }
 }
 
-/// How to execute one inference: the orthogonal execution concerns that the
-/// historical `infer_ml_tree{,_traced,_pooled,_checked,_checkpointed}`
-/// family hard-wired into separate entry points. All options compose; every
-/// combination produces bit-identical trees, log-likelihoods, and Γ shapes
-/// (only the kernel [`Trace`] differs across trace/checkpoint settings).
+/// How to execute one inference: the orthogonal execution concerns
+/// (tracing, workspace reuse, checkpointing, memory budget). All options
+/// compose; every combination produces bit-identical trees,
+/// log-likelihoods, and Γ shapes (only the kernel [`Trace`] differs across
+/// trace/checkpoint settings).
 #[derive(Default)]
 pub struct InferenceOptions<'a> {
     /// Record the full kernel event trace (needed by the Cell simulator
@@ -295,8 +295,7 @@ pub struct InferenceOutcome {
 }
 
 /// Run one full ML inference: stepwise-addition start, branch and model
-/// optimization, SPR hill climbing — the unified entry point behind the
-/// deprecated `infer_ml_tree_*` family. Fails with
+/// optimization, SPR hill climbing. Fails with
 /// [`crate::error::PhyloError::Numerical`] when the likelihood goes
 /// non-finite beyond what forced conservative re-evaluation can repair,
 /// [`crate::error::PhyloError::Interrupted`] when a checkpoint abort policy
@@ -317,73 +316,6 @@ pub fn run_inference(
     let workspace = workspace.unwrap_or_default();
     run_search(aln, &request.config, request.seed, record_events, workspace, checkpoint)
         .map(|(result, workspace)| InferenceOutcome { result, workspace })
-}
-
-/// Run one full ML inference with the default options.
-#[deprecated(since = "0.2.0", note = "use `run_inference(aln, &InferenceRequest, options)`")]
-pub fn infer_ml_tree(aln: &PatternAlignment, config: &SearchConfig, seed: u64) -> SearchResult {
-    run_inference(aln, &InferenceRequest::new(config.clone(), seed), InferenceOptions::new())
-        .expect("un-checkpointed search on finite data cannot fail; use run_inference")
-        .result
-}
-
-/// As [`infer_ml_tree`], optionally recording the full kernel event trace.
-#[deprecated(since = "0.2.0", note = "use `run_inference` with `InferenceOptions::traced()`")]
-pub fn infer_ml_tree_traced(
-    aln: &PatternAlignment,
-    config: &SearchConfig,
-    seed: u64,
-    record_events: bool,
-) -> SearchResult {
-    let options = InferenceOptions { record_events, ..InferenceOptions::new() };
-    run_inference(aln, &InferenceRequest::new(config.clone(), seed), options)
-        .expect("un-checkpointed search on finite data cannot fail; use run_inference")
-        .result
-}
-
-/// As [`infer_ml_tree_traced`], running the engine on a caller-supplied
-/// (typically pooled) workspace arena and handing the arena back.
-#[deprecated(since = "0.2.0", note = "use `run_inference` with `InferenceOptions::with_workspace`")]
-pub fn infer_ml_tree_pooled(
-    aln: &PatternAlignment,
-    config: &SearchConfig,
-    seed: u64,
-    record_events: bool,
-    workspace: LikelihoodWorkspace,
-) -> (SearchResult, LikelihoodWorkspace) {
-    let options =
-        InferenceOptions { record_events, workspace: Some(workspace), ..InferenceOptions::new() };
-    let outcome = run_inference(aln, &InferenceRequest::new(config.clone(), seed), options)
-        .expect("un-checkpointed search on finite data cannot fail; use run_inference");
-    (outcome.result, outcome.workspace)
-}
-
-/// As [`infer_ml_tree`], but returning `Err` instead of panicking on a
-/// numerical failure.
-#[deprecated(since = "0.2.0", note = "use `run_inference`, which is fallible by construction")]
-pub fn infer_ml_tree_checked(
-    aln: &PatternAlignment,
-    config: &SearchConfig,
-    seed: u64,
-) -> Result<SearchResult> {
-    run_inference(aln, &InferenceRequest::new(config.clone(), seed), InferenceOptions::new())
-        .map(|o| o.result)
-}
-
-/// As [`infer_ml_tree`], persisting a snapshot to `ckpt` after every SPR
-/// round and resuming bit-identically from an existing snapshot.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run_inference` with `InferenceOptions::with_checkpoint`"
-)]
-pub fn infer_ml_tree_checkpointed(
-    aln: &PatternAlignment,
-    config: &SearchConfig,
-    seed: u64,
-    ckpt: &mut SearchCheckpointer,
-) -> Result<SearchResult> {
-    let request = InferenceRequest::new(config.clone(), seed);
-    run_inference(aln, &request, InferenceOptions::new().with_checkpoint(ckpt)).map(|o| o.result)
 }
 
 fn run_search(

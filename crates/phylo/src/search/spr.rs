@@ -455,12 +455,26 @@ mod tests {
             let mut t_reuse = start.clone();
             let mut eng = engine(&w.alignment);
             eng.optimize_all_branches(&mut t_reuse, 1);
+            eng.reset_reuse_stats();
             let s_reuse = spr_round_with_mode(&mut eng, &mut t_reuse, 4, 1e-4, true);
+            let r_reuse = eng.reuse_stats();
 
             let mut t_full = start;
             let mut eng = engine(&w.alignment);
             eng.optimize_all_branches(&mut t_full, 1);
+            eng.reset_reuse_stats();
             let s_full = spr_round_with_mode(&mut eng, &mut t_full, 4, 1e-4, false);
+            let r_full = eng.reuse_stats();
+
+            // Same answer, less work: the reuse mode must actually skip
+            // traversal entries and execute fewer newview descriptors.
+            assert!(r_reuse.partials_reused > 0, "seed {seed}: nothing reused");
+            assert!(
+                r_reuse.partials_recomputed < r_full.partials_recomputed,
+                "seed {seed}: reuse recomputed {} vs full {}",
+                r_reuse.partials_recomputed,
+                r_full.partials_recomputed
+            );
 
             assert_eq!(s_reuse.applied, s_full.applied, "seed {seed}");
             assert_eq!(s_reuse.evaluated, s_full.evaluated, "seed {seed}");

@@ -3,8 +3,8 @@
 //! `/jobs`, `/trace/<job>`) and a reconnecting [`RetryClient`] with
 //! exactly-once submit semantics and an optional structured
 //! [`EventLog`](crate::events::EventLog) recording every reconnect and
-//! backoff. Used by the integration tests, the
-//! `serve_study`/`chaos_study`/`trace_study` benchmarks, and scripting.
+//! backoff. Used by the integration tests, the benchmark's serve
+//! workloads, and scripting.
 
 use crate::events::{EventLog, Level};
 use crate::wire::{self, JobSpec, JobStatusWire, RejectReason, Request, Response, StatsWire};

@@ -13,14 +13,15 @@
 //! Determinism is the point: a chaos run that loses a job is only
 //! debuggable if the same plan replays the same faults bit-exactly.
 //! [`ServeFaultPlan::sequence_fingerprint`] collapses the full decision
-//! sequence over a site grid into one u64 so studies can assert replay
-//! identity cheaply (`chaos_study` does exactly that).
+//! sequence over a site grid into one u64 so tests can assert replay
+//! identity cheaply.
 //!
 //! Injected faults surface as `io::Error`s of ordinary kinds
 //! (`ConnectionReset`, `WouldBlock`-free stalls are plain sleeps), so the
 //! code under test cannot tell chaos from a hostile network — which is the
 //! property the exactly-once retry machinery must survive.
 
+use obs::trace::splitmix64;
 use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -107,9 +108,10 @@ impl ServeFaultPlan {
     }
 
     /// An aggressive mix for stress tests: frequent corruption and stalls,
-    /// occasional drops and torn frames. (`chaos_study` uses a custom mix
-    /// without corruption, whose silent bit flips belong to the wire fuzz
-    /// tests rather than an accounting study.)
+    /// occasional drops and torn frames. (The restart test in
+    /// `tests/serve_chaos.rs` uses a custom mix without corruption, whose
+    /// silent bit flips belong to the wire fuzz tests rather than an
+    /// accounting check.)
     pub fn aggressive(seed: u64) -> ServeFaultPlan {
         ServeFaultPlan {
             seed,
@@ -371,14 +373,6 @@ impl<S: Write> Write for FaultyStream<S> {
     fn flush(&mut self) -> std::io::Result<()> {
         self.inner.flush()
     }
-}
-
-/// The splitmix64 finalizer — the same mixing `cellsim::fault` uses.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

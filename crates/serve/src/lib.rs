@@ -30,7 +30,7 @@
 //! * **Fault injection** ([`fault`]): deterministic wire-level chaos
 //!   (drops, truncation, corruption, stalls) from counter-mode splitmix64
 //!   draws, replayable bit-exactly — the service-tier mirror of
-//!   `cellsim::fault`, exercised end to end by `bench --bin chaos_study`.
+//!   `cellsim::fault`, exercised end to end by `tests/serve_chaos.rs`.
 //! * **Event log** ([`events`]): structured JSONL incident stream (client
 //!   reconnects and backoff, server deadline evictions, drains) keyed by
 //!   tenant / job / trace id so operational incidents join against both

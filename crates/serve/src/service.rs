@@ -120,7 +120,7 @@ pub struct ServiceConfig {
     /// [`RejectReason::MemoryBudget`] — it could only end in an OOM kill.
     pub memory_budget: Option<u64>,
     /// Collect per-job trace spans (see [`obs::trace`]). On by default; the
-    /// `trace_study` benchmark pins the enabled-vs-disabled overhead.
+    /// benchmark's `obs.trace_overhead_pct` is the enabled-vs-disabled cost.
     pub tracing: bool,
 }
 

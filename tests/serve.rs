@@ -218,6 +218,29 @@ fn health_probes_track_service_state() {
     assert!(text.contains("serve_http_readyz_total 2"), "missing readyz counter:\n{text}");
 }
 
+/// The introspection routes on a live traced server: `/jobs` lists the
+/// tenants, `/trace/<job>` serves the job's span tree as a Chrome trace,
+/// and an unknown job is a 404 rather than an empty document.
+#[test]
+fn introspection_routes_serve_job_overview_and_traces() {
+    let service = Arc::new(InferenceService::start(ServiceConfig::new(1)).unwrap());
+    service.register_dataset("demo", small_alignment(36));
+    let server = Server::bind("127.0.0.1:0", service.clone()).unwrap();
+    let addr = server.addr();
+    let mut client = Client::connect(addr).unwrap();
+    let job = client.submit("tenant-a", &spec_for("demo", 4)).unwrap().expect("admitted");
+    client.wait_done(job, WAIT).unwrap();
+
+    let overview = http_get(addr, "/jobs").unwrap();
+    assert!(overview.contains("\"ok\":true"), "malformed overview: {overview}");
+    assert!(overview.contains("\"tenants\":["), "malformed overview: {overview}");
+    let doc = http_get(addr, &format!("/trace/{job}")).unwrap();
+    assert!(doc.starts_with("{\"traceEvents\":["), "malformed trace export: {doc}");
+    assert!(doc.contains("\"name\":\"job\""), "trace export lacks the root span: {doc}");
+    let (status, _) = http_get_status(addr, "/trace/999999999").unwrap();
+    assert!(status.starts_with("HTTP/1.1 404"), "unknown job answered {status:?}");
+}
+
 /// Kill-and-restart: a checkpointing job interrupted mid-search (via the
 /// abort-after-saves hook modelling a crash between SPR rounds) resumes on
 /// the restarted service and lands on exactly the bits of an uninterrupted
@@ -316,9 +339,11 @@ fn concurrent_tenants_complete_exactly_once() {
 
     drop(server);
     let report = service.shutdown().unwrap();
+    assert_eq!(report.stats.accepted, (TENANTS * JOBS) as u64);
     assert_eq!(report.stats.completed, (TENANTS * JOBS) as u64);
     assert_eq!(report.stats.failed, 0);
     assert_eq!(report.dispatched, TENANTS * JOBS);
     assert_eq!(report.farm.n_jobs, TENANTS * JOBS);
     assert_eq!(report.sealed_ok, (TENANTS * JOBS) as u64);
+    assert_eq!(report.sealed_failed, 0);
 }

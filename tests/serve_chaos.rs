@@ -3,17 +3,20 @@
 //! connection cap, exactly-once submit via idempotency keys (including
 //! across a restart and a torn journal tail), job cancellation and per-job
 //! deadlines, journal fsync policy, and deterministic wire fault injection
-//! end to end.
+//! end to end — including a mid-run drain and restart under faults with the
+//! exactly-once books checked three ways.
 
 use phylo::prelude::*;
-use serve::client::Client;
+use serve::client::{AddrCell, Client, RetryClient, RetryPolicy};
 use serve::fault::ServeFaultPlan;
 use serve::server::{Server, ServerConfig};
 use serve::service::{InferenceService, ServiceConfig, SyncPolicy};
-use serve::wire::{JobKind, JobSpec, Preset, WireState};
+use serve::wire::{JobKind, JobSpec, Preset, RejectReason, WireState};
+use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -319,4 +322,152 @@ fn injected_faults_are_survivable_with_idempotent_retry() {
     let report = service.shutdown().unwrap();
     assert_eq!(report.stats.accepted, 1, "every retry deduped to one job");
     assert_eq!(report.stats.completed, 1);
+}
+
+/// Submit through the full resilience stack: `RetryClient` covers transport
+/// faults under one idempotency key; a `ShuttingDown` rejection (the race
+/// against a draining life) is a definitive "not admitted", so it is safe
+/// to retry as a fresh logical submit until the next life is up.
+fn submit_retrying(client: &mut RetryClient, tenant: &str, spec: &JobSpec) -> u64 {
+    for _ in 0..600 {
+        match client.submit(tenant, spec).expect("retry budget covers the injected faults") {
+            Ok(id) => return id,
+            Err(RejectReason::ShuttingDown) => std::thread::sleep(Duration::from_millis(10)),
+            Err(reason) => panic!("{tenant}: rejected: {reason:?}"),
+        }
+    }
+    panic!("{tenant}: server stayed in shutdown");
+}
+
+/// Exactly-once across a kill/restart under wire faults. Every connection
+/// of both lives injects drops, torn frames and stalls from a seeded plan
+/// (no corruption: silent bit flips are the wire fuzz tests' subject).
+/// Halfway through submission the server is drained and the service shut
+/// down, then both restart from the journal on a fresh ephemeral port (std's
+/// `TcpListener` sets no `SO_REUSEADDR`, so the old one may sit in
+/// `TIME_WAIT`); clients follow through an `AddrCell`, replaying
+/// unacknowledged submits under their original idempotency keys. Three
+/// ledgers must then agree integer-exactly: the ids the clients saw settle,
+/// the final life's journal-replayed accounting, and the per-life farm
+/// dispatch totals. One `deadline_ms = 0` job per tenant must settle as a
+/// cancellation — never run, never lost.
+#[test]
+fn restart_under_faults_keeps_three_ledgers_equal() {
+    const TENANTS: usize = 3;
+    const JOBS: usize = 2; // normal jobs per tenant, plus one deadline job each
+    const NORMAL: usize = TENANTS * JOBS;
+    const TOTAL: usize = NORMAL + TENANTS;
+
+    let dir = unique_dir("restart-under-faults");
+    let aln = small_alignment(7);
+    let plan = ServeFaultPlan {
+        seed: 42,
+        drop_rate: 0.02,
+        truncate_rate: 0.02,
+        corrupt_rate: 0.0,
+        stall_rate: 0.04,
+        stall: Duration::from_millis(2),
+    };
+    let start_life = || {
+        let service = Arc::new(
+            InferenceService::start(ServiceConfig::new(4).paused().with_state_dir(&dir)).unwrap(),
+        );
+        service.register_dataset("d", aln.clone());
+        service.resume();
+        let config = ServerConfig::default()
+            .with_fault_plan(plan.clone())
+            .with_drain_deadline(Duration::from_secs(10));
+        let server = Server::bind_with("127.0.0.1:0", service.clone(), config).unwrap();
+        (service, server)
+    };
+
+    let (service1, mut server1) = start_life();
+    let addr1 = server1.addr();
+    let addr_cell = AddrCell::new(addr1);
+    let submitted = AtomicUsize::new(0);
+
+    // One tenant: submit, then observe every job to a terminal state.
+    // Returns (ids seen done, id seen cancelled).
+    let run_tenant = |t: usize| -> (Vec<u64>, u64) {
+        let tenant = format!("tenant-{t}");
+        let policy = RetryPolicy {
+            max_attempts: 120,
+            base_backoff: Duration::from_millis(2),
+            max_backoff: Duration::from_millis(200),
+        };
+        let mut client = RetryClient::new(addr_cell.clone(), &format!("c{t}")).with_policy(policy);
+        let mut normal = Vec::new();
+        for j in 0..JOBS {
+            normal.push(submit_retrying(&mut client, &tenant, &quick_spec((t * 1000 + j) as u64)));
+            submitted.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // A zero budget has always expired by dispatch time.
+        let deadline_job = submit_retrying(
+            &mut client,
+            &tenant,
+            &quick_spec(999_000 + t as u64).with_deadline_ms(0),
+        );
+        for &id in &normal {
+            let status = client.wait_done(id, WAIT).unwrap();
+            assert_eq!(status.state, WireState::Done, "{tenant}: job {id}: {:?}", status.error);
+        }
+        let status = client.wait_done(deadline_job, WAIT).unwrap();
+        assert_eq!(status.state, WireState::Cancelled, "{tenant}: deadline job must not run");
+        (normal, deadline_job)
+    };
+
+    let (outcomes, drain1, report1, (service2, mut server2)) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..TENANTS).map(|t| scope.spawn(move || run_tenant(t))).collect();
+        // The kill: once half the normal jobs are in, drain the server, shut
+        // the service down, and restart both. Clients ride it out.
+        while submitted.load(Ordering::Relaxed) < NORMAL / 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let drain1 = server1.stop();
+        let report1 = service1.shutdown().expect("first shutdown");
+        let life2 = start_life();
+        addr_cell.set(life2.1.addr());
+        let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        (outcomes, drain1, report1, life2)
+    });
+    assert_ne!(server2.addr(), addr1, "the second life binds a fresh port");
+
+    // Ledger 1, the client view: every logical submit observed terminal
+    // exactly once — deadline jobs cancelled, everything else done.
+    let mut seen = HashSet::new();
+    for (done, cancelled) in &outcomes {
+        assert_eq!(done.len(), JOBS);
+        for &id in done.iter().chain([cancelled]) {
+            assert!(seen.insert(id), "job id {id} observed terminal twice");
+        }
+    }
+    assert_eq!(seen.len(), TOTAL, "a submit was lost or duplicated");
+
+    let faults = server1.fault_tally().total() + server2.fault_tally().total();
+    assert!(faults > 0, "the plan injected nothing, so the run proved nothing");
+    let drain2 = server2.stop();
+    let report2 = service2.shutdown().expect("second shutdown");
+    assert_eq!((drain1.leaked, drain2.leaked), (0, 0), "a drain leaked handler threads");
+
+    // Ledger 2, the service view: the final life replayed the journal, so
+    // its accounting covers every logical job across both lives.
+    let s = report2.stats;
+    assert_eq!(s.accepted, TOTAL as u64, "{s:?}");
+    assert_eq!(s.completed, NORMAL as u64, "{s:?}");
+    assert_eq!(s.cancelled, TENANTS as u64, "{s:?}");
+    assert_eq!((s.failed, s.queued, s.running), (0, 0, 0), "{s:?}");
+
+    // Ledger 3, the farm view: per life every dispatch reached the farm and
+    // sealed; across lives each job was dispatched exactly once (the
+    // deadline jobs are dispatched, then cancelled at the dispatch check).
+    for (life, report) in [("life1", &report1), ("life2", &report2)] {
+        assert_eq!(report.dispatched, report.farm.n_jobs, "{life}");
+        assert_eq!(report.sealed_ok + report.sealed_failed, report.dispatched as u64, "{life}");
+    }
+    assert_eq!(
+        report1.dispatched + report2.dispatched,
+        TOTAL,
+        "a job ran twice or never across the restart"
+    );
 }
