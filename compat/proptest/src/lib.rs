@@ -141,7 +141,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Lengths acceptable to [`vec`]: a fixed size or a range of sizes.
+    /// Lengths acceptable to [`vec()`]: a fixed size or a range of sizes.
     pub trait IntoSizeRange {
         fn pick_len(&self, rng: &mut TestRng) -> usize;
     }

@@ -3,11 +3,15 @@
 //! reproduction*, useful when scaling to bigger traces or sweeps.
 
 use cellsim::cost::CostModel;
+use cellsim::fault::FaultPlan;
+use cellsim::tracelog::TraceLog;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use phylo::trace::{CallParent, KernelEvent, KernelOp};
-use raxml_cell::config::OptConfig;
+use raxml_cell::config::{OptConfig, Scheduler};
 use raxml_cell::offload::price_trace;
-use raxml_cell::sched::{compress_phases, des, mgps_makespan, simulate_task_parallel, DesParams};
+use raxml_cell::sched::{
+    compress_phases, des, schedule_makespan, simulate_task_parallel, DesParams,
+};
 
 fn synthetic_trace(n: usize) -> Vec<KernelEvent> {
     (0..n)
@@ -55,11 +59,17 @@ fn bench_des(c: &mut Criterion) {
 
     let phases = des::phases_for(&priced, 1, model.llp_dispatch, model.edtlp_context_switch, 1.0);
     let compressed = compress_phases(&phases, 4096);
+    let jobs = vec![compressed.as_slice(); 32];
+    let (plan, mut off) = (FaultPlan::none(), TraceLog::disabled());
     group.bench_function("edtlp/32_jobs_4096_phases", |b| {
-        b.iter(|| simulate_task_parallel(black_box(&compressed), 32, 8, 1, &params).makespan)
+        b.iter(|| simulate_task_parallel(black_box(&jobs), 8, 1, &params, &plan, &mut off).makespan)
     });
     group.bench_function("mgps/128_jobs_end_to_end", |b| {
-        b.iter(|| mgps_makespan(black_box(&priced), 128, &model, &params).makespan)
+        b.iter(|| {
+            let priced = black_box(&priced);
+            schedule_makespan(Scheduler::Mgps, priced, 128, &model, &params, &plan, &mut off)
+                .makespan
+        })
     });
     group.finish();
 }

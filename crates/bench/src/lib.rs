@@ -148,13 +148,14 @@ pub fn table8_text(workload: &Workload) -> Result<String, ExperimentError> {
 pub fn mgps_utilization_text(workload: &Workload, n_bootstraps: usize) -> String {
     use cellsim::fault::FaultPlan;
     use cellsim::tracelog::TraceLog;
-    use raxml_cell::config::OptConfig;
+    use raxml_cell::config::{OptConfig, Scheduler};
     use raxml_cell::offload::price_trace;
-    use raxml_cell::sched::mgps_makespan_traced;
+    use raxml_cell::sched::schedule_makespan;
     let model = CostModel::paper_calibrated();
     let priced = price_trace(&workload.events, &model, &OptConfig::fully_optimized());
     let mut tlog = TraceLog::enabled();
-    let out = mgps_makespan_traced(
+    let out = schedule_makespan(
+        Scheduler::Mgps,
         &priced,
         n_bootstraps,
         &model,
@@ -207,7 +208,7 @@ pub fn profile_spr_round(workload: &Workload, n_jobs: usize) -> Vec<RoundProfile
     use cellsim::tracelog::TraceLog;
     use raxml_cell::config::{OptConfig, Scheduler};
     use raxml_cell::offload::price_trace;
-    use raxml_cell::sched::schedule_makespan_traced;
+    use raxml_cell::sched::schedule_makespan;
 
     let model = CostModel::paper_calibrated();
     let params = DesParams::default();
@@ -225,7 +226,7 @@ pub fn profile_spr_round(workload: &Workload, n_jobs: usize) -> Vec<RoundProfile
         .iter()
         .map(|&(sched, label)| {
             let mut tlog = TraceLog::enabled();
-            let outcome = schedule_makespan_traced(
+            let outcome = schedule_makespan(
                 sched,
                 &priced,
                 n_jobs,
@@ -286,9 +287,9 @@ pub fn check_profile(p: &RoundProfile) -> Result<(), String> {
             ));
         }
     }
-    cellsim::tracelog::validate_json(&p.chrome_json)
+    obs::json::parse(&p.chrome_json)
         .map_err(|e| format!("{}: chrome trace invalid: {e}", p.label))?;
-    cellsim::tracelog::validate_jsonl(&p.metrics_jsonl)
+    obs::json::parse_lines(&p.metrics_jsonl)
         .map_err(|e| format!("{}: metrics jsonl invalid: {e}", p.label))?;
     Ok(())
 }
@@ -325,14 +326,18 @@ fn fault_study_rows(
     n_jobs: usize,
 ) -> (Vec<raxml_cell::report::FaultRow>, Vec<raxml_cell::report::FaultRow>) {
     use cellsim::fault::FaultPlan;
+    use cellsim::tracelog::TraceLog;
     use raxml_cell::config::{OptConfig, Scheduler};
     use raxml_cell::offload::price_trace;
     use raxml_cell::report::FaultRow;
-    use raxml_cell::sched::{schedule_makespan, schedule_makespan_with_faults};
+    use raxml_cell::sched::schedule_makespan;
 
     let model = CostModel::paper_calibrated();
     let params = DesParams::default();
     let priced = price_trace(&workload.events, &model, &OptConfig::fully_optimized());
+    let run = |sched, plan: &FaultPlan| {
+        schedule_makespan(sched, &priced, n_jobs, &model, &params, plan, &mut TraceLog::disabled())
+    };
     let schedulers: [(Scheduler, &str); 3] = [
         (Scheduler::Edtlp, "EDTLP"),
         (Scheduler::Llp { workers: 2 }, "LLP/2"),
@@ -341,16 +346,9 @@ fn fault_study_rows(
 
     let mut sweep = Vec::new();
     for &(sched, label) in &schedulers {
-        let clean = schedule_makespan(sched, &priced, n_jobs, &model, &params);
+        let clean = run(sched, &FaultPlan::none()).makespan;
         for rate in [0.01, 0.05, 0.2] {
-            let o = schedule_makespan_with_faults(
-                sched,
-                &priced,
-                n_jobs,
-                &model,
-                &params,
-                &FaultPlan::uniform(29, rate),
-            );
+            let o = run(sched, &FaultPlan::uniform(29, rate));
             sweep.push(FaultRow {
                 scheduler: label.to_string(),
                 fault_rate: rate,
@@ -363,9 +361,9 @@ fn fault_study_rows(
 
     let mut deaths = Vec::new();
     for &(sched, label) in &schedulers {
-        let clean = schedule_makespan(sched, &priced, n_jobs, &model, &params);
+        let clean = run(sched, &FaultPlan::none()).makespan;
         let plan = FaultPlan::none().with_death(0, clean / 4).with_death(3, clean / 2);
-        let o = schedule_makespan_with_faults(sched, &priced, n_jobs, &model, &params, &plan);
+        let o = run(sched, &plan);
         deaths.push(FaultRow {
             scheduler: label.to_string(),
             fault_rate: 0.0,

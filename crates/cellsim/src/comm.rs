@@ -7,9 +7,7 @@
 //! with the number of active SPEs because the offloaded functions are
 //! fine-grained (71 µs average for `newview`).
 
-use crate::fault::FaultPlan;
 use crate::time::Cycles;
-use crate::tracelog::TraceLog;
 
 /// How the PPE and an SPE signal each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,165 +50,6 @@ impl CommCosts {
     }
 }
 
-/// A functional model of the mailbox/flag handshake, used to validate the
-/// protocol logic the schedulers assume (signal → run → complete → ack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChannelState {
-    /// No request pending.
-    #[default]
-    Idle,
-    /// PPE has posted work; SPE has not picked it up.
-    Posted,
-    /// SPE is executing.
-    Running,
-    /// SPE finished; result not yet consumed by the PPE.
-    Complete,
-}
-
-/// One PPE↔SPE signalling channel.
-#[derive(Debug, Clone, Default)]
-pub struct Channel {
-    state: ChannelState,
-    posted: u64,
-    completed: u64,
-}
-
-impl Channel {
-    /// PPE posts a work item. Returns false if the channel is busy (the
-    /// paper's design never double-posts: one outstanding offload per SPE).
-    pub fn post(&mut self) -> bool {
-        if self.state != ChannelState::Idle {
-            return false;
-        }
-        self.state = ChannelState::Posted;
-        self.posted += 1;
-        true
-    }
-
-    /// SPE picks up the posted work.
-    pub fn accept(&mut self) -> bool {
-        if self.state != ChannelState::Posted {
-            return false;
-        }
-        self.state = ChannelState::Running;
-        true
-    }
-
-    /// SPE completes the work.
-    pub fn complete(&mut self) -> bool {
-        if self.state != ChannelState::Running {
-            return false;
-        }
-        self.state = ChannelState::Complete;
-        self.completed += 1;
-        true
-    }
-
-    /// PPE consumes the result, freeing the channel.
-    pub fn consume(&mut self) -> bool {
-        if self.state != ChannelState::Complete {
-            return false;
-        }
-        self.state = ChannelState::Idle;
-        true
-    }
-
-    /// Current protocol state.
-    pub fn state(&self) -> ChannelState {
-        self.state
-    }
-
-    /// Items posted / completed so far.
-    pub fn counts(&self) -> (u64, u64) {
-        (self.posted, self.completed)
-    }
-}
-
-/// Outcome of a fault-aware signal round trip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SignalOutcome {
-    /// Total cycles: every attempt plus detection and backoff on faults.
-    pub cycles: Cycles,
-    /// Round trips attempted (1 on the fault-free path).
-    pub attempts: u32,
-    /// Signals lost or corrupted along the way.
-    pub faults: u32,
-}
-
-/// A signal that never got through: all retry attempts faulted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SignalError {
-    pub attempts: u32,
-    pub cycles: Cycles,
-}
-
-impl std::fmt::Display for SignalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "signal lost after {} attempts ({} cycles spent)", self.attempts, self.cycles)
-    }
-}
-
-impl std::error::Error for SignalError {}
-
-/// One offload signal round trip under a [`FaultPlan`]: dropped signals are
-/// detected by timeout and resent after backoff; corrupted ones are caught
-/// by payload validation and likewise retried. With an inert plan this is
-/// exactly one [`CommCosts::roundtrip`].
-pub fn roundtrip_with_faults(
-    costs: &CommCosts,
-    kind: SignalKind,
-    plan: &FaultPlan,
-    stream: u64,
-    index: u64,
-) -> Result<SignalOutcome, SignalError> {
-    let per_attempt = costs.roundtrip(kind);
-    let mut cycles: Cycles = 0;
-    let mut faults = 0u32;
-    let max = plan.backoff.max_attempts.max(1);
-    for attempt in 0..max {
-        cycles += per_attempt;
-        match plan.signal_fault(stream, index, attempt) {
-            None => return Ok(SignalOutcome { cycles, attempts: attempt + 1, faults }),
-            Some(f) => {
-                faults += 1;
-                cycles += plan.detect_cost(f) + plan.backoff.delay(attempt);
-            }
-        }
-    }
-    Err(SignalError { attempts: max, cycles })
-}
-
-/// [`roundtrip_with_faults`] that also records the round trip into a
-/// [`TraceLog`]: the full signal span (retries included) starting at
-/// simulated time `at`, plus one `signal_fault` instant per faulted
-/// attempt. With a disabled log this is bit-identical to the untraced call.
-pub fn roundtrip_with_faults_traced(
-    costs: &CommCosts,
-    kind: SignalKind,
-    plan: &FaultPlan,
-    stream: u64,
-    index: u64,
-    at: Cycles,
-    tlog: &mut TraceLog,
-) -> Result<SignalOutcome, SignalError> {
-    let result = roundtrip_with_faults(costs, kind, plan, stream, index);
-    if tlog.is_enabled() {
-        match &result {
-            Ok(out) => {
-                tlog.signal(at, stream, out.cycles, out.attempts);
-                for _ in 0..out.faults {
-                    tlog.fault(at, "signal_fault", stream as usize);
-                }
-            }
-            Err(err) => {
-                tlog.signal(at, stream, err.cycles, err.attempts);
-                tlog.fault(at, "signal_lost", stream as usize);
-            }
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,111 +58,5 @@ mod tests {
     fn direct_memory_is_much_cheaper() {
         let c = CommCosts::default();
         assert!(c.roundtrip(SignalKind::DirectMemory) * 10 < c.roundtrip(SignalKind::Mailbox));
-    }
-
-    #[test]
-    fn channel_happy_path() {
-        let mut ch = Channel::default();
-        assert!(ch.post());
-        assert!(ch.accept());
-        assert!(ch.complete());
-        assert!(ch.consume());
-        assert_eq!(ch.counts(), (1, 1));
-        assert_eq!(ch.state(), ChannelState::Idle);
-    }
-
-    #[test]
-    fn channel_rejects_out_of_order_transitions() {
-        let mut ch = Channel::default();
-        assert!(!ch.accept(), "nothing posted yet");
-        assert!(!ch.complete());
-        assert!(!ch.consume());
-        assert!(ch.post());
-        assert!(!ch.post(), "no double posting");
-        assert!(!ch.complete(), "must accept first");
-        assert!(ch.accept());
-        assert!(!ch.consume(), "must complete first");
-        assert!(ch.complete());
-        assert!(!ch.accept());
-        assert!(ch.consume());
-    }
-
-    #[test]
-    fn faultless_signal_is_one_roundtrip() {
-        let c = CommCosts::default();
-        let out =
-            roundtrip_with_faults(&c, SignalKind::DirectMemory, &FaultPlan::none(), 0, 0).unwrap();
-        assert_eq!(out, SignalOutcome { cycles: c.direct_roundtrip, attempts: 1, faults: 0 });
-    }
-
-    #[test]
-    fn dropped_signals_are_retried_deterministically() {
-        let c = CommCosts::default();
-        let mut plan = FaultPlan::uniform(9, 0.0);
-        plan.signal_drop_rate = 0.5;
-        let run = |idx| roundtrip_with_faults(&c, SignalKind::Mailbox, &plan, 4, idx);
-        let retried = (0..100).filter_map(|i| run(i).ok()).find(|o| o.faults > 0).unwrap();
-        assert!(retried.attempts > 1);
-        assert!(retried.cycles > retried.attempts as u64 * c.mailbox_roundtrip);
-        for i in 0..100 {
-            assert_eq!(run(i), run(i), "replays must be identical");
-        }
-    }
-
-    #[test]
-    fn certain_drops_exhaust_the_signal() {
-        let c = CommCosts::default();
-        let mut plan = FaultPlan::uniform(2, 0.0);
-        plan.signal_drop_rate = 1.0;
-        let err = roundtrip_with_faults(&c, SignalKind::Mailbox, &plan, 0, 0).unwrap_err();
-        assert_eq!(err.attempts, plan.backoff.max_attempts);
-        assert!(err.cycles > 0);
-    }
-
-    #[test]
-    fn traced_signal_matches_untraced_and_records_span() {
-        use crate::tracelog::{EventData, TraceLog};
-        let c = CommCosts::default();
-        let plan = FaultPlan::none();
-
-        let mut off = TraceLog::disabled();
-        let traced =
-            roundtrip_with_faults_traced(&c, SignalKind::DirectMemory, &plan, 2, 7, 100, &mut off)
-                .unwrap();
-        assert_eq!(
-            traced,
-            roundtrip_with_faults(&c, SignalKind::DirectMemory, &plan, 2, 7).unwrap()
-        );
-        assert!(off.is_empty());
-
-        let mut on = TraceLog::enabled();
-        let out =
-            roundtrip_with_faults_traced(&c, SignalKind::DirectMemory, &plan, 2, 7, 100, &mut on)
-                .unwrap();
-        assert_eq!(on.len(), 1);
-        assert_eq!(
-            on.events()[0].data,
-            EventData::Signal { stream: 2, dur: out.cycles, attempts: 1 }
-        );
-
-        // A lost signal records the wasted span plus a fault instant.
-        let mut on = TraceLog::enabled();
-        let mut lossy = FaultPlan::uniform(2, 0.0);
-        lossy.signal_drop_rate = 1.0;
-        assert!(roundtrip_with_faults_traced(&c, SignalKind::Mailbox, &lossy, 0, 0, 0, &mut on)
-            .is_err());
-        assert!(on
-            .events()
-            .iter()
-            .any(|e| matches!(e.data, EventData::Fault { kind: "signal_lost", .. })));
-    }
-
-    #[test]
-    fn counts_accumulate_over_many_offloads() {
-        let mut ch = Channel::default();
-        for _ in 0..100 {
-            assert!(ch.post() && ch.accept() && ch.complete() && ch.consume());
-        }
-        assert_eq!(ch.counts(), (100, 100));
     }
 }

@@ -12,9 +12,7 @@
 //! next chunk transfers while the current one is processed — §5.2.4 removed
 //! an 11.4% stall this way).
 
-use crate::fault::FaultPlan;
 use crate::time::Cycles;
-use crate::tracelog::TraceLog;
 
 /// Maximum size of a single DMA request.
 pub const MAX_TRANSFER: usize = 16 * 1024;
@@ -139,104 +137,6 @@ pub fn stream_stall_double_buffered(
     per_chunk_dma + (n_chunks - 1) * hidden_deficit
 }
 
-/// Outcome of a fault-aware transfer: total cycles including retries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransferOutcome {
-    /// Total cycles charged: every attempt, detection, and backoff delay.
-    pub cycles: Cycles,
-    /// Attempts made (1 on the fault-free path).
-    pub attempts: u32,
-    /// Faults injected along the way.
-    pub faults: u32,
-}
-
-/// Why a fault-aware transfer did not complete.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferError {
-    /// The request violates the architecture's size/alignment rules.
-    Illegal(DmaError),
-    /// Every retry attempt faulted; the cycles were still spent.
-    Exhausted { attempts: u32, cycles: Cycles },
-}
-
-impl std::fmt::Display for TransferError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransferError::Illegal(e) => write!(f, "illegal transfer: {e}"),
-            TransferError::Exhausted { attempts, cycles } => {
-                write!(f, "transfer failed after {attempts} attempts ({cycles} cycles lost)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TransferError {}
-
-/// One transfer under a [`FaultPlan`]: validate, then retry until success
-/// or until the plan's attempt budget is exhausted. Each attempt pays the
-/// full transfer latency; faulted attempts add the detection cost and the
-/// capped-exponential backoff delay. With an inert plan this is exactly one
-/// attempt of [`transfer_cycles`].
-pub fn transfer_with_faults(
-    bytes: usize,
-    addr: u64,
-    costs: &DmaCosts,
-    plan: &FaultPlan,
-    stream: u64,
-    index: u64,
-) -> Result<TransferOutcome, TransferError> {
-    validate_transfer(bytes, addr).map_err(TransferError::Illegal)?;
-    let per_attempt = transfer_cycles(bytes, costs);
-    let mut cycles: Cycles = 0;
-    let mut faults = 0u32;
-    let max = plan.backoff.max_attempts.max(1);
-    for attempt in 0..max {
-        cycles += per_attempt;
-        match plan.dma_fault(stream, index, attempt) {
-            None => return Ok(TransferOutcome { cycles, attempts: attempt + 1, faults }),
-            Some(kind) => {
-                faults += 1;
-                cycles += plan.detect_cost(kind) + plan.backoff.delay(attempt);
-            }
-        }
-    }
-    Err(TransferError::Exhausted { attempts: max, cycles })
-}
-
-/// [`transfer_with_faults`] that also records the transfer into a
-/// [`TraceLog`]: the full transfer span (retries included) starting at
-/// simulated time `at`, plus one `dma_fault` instant per faulted attempt.
-/// With a disabled log this is bit-identical to the untraced call.
-#[allow(clippy::too_many_arguments)]
-pub fn transfer_with_faults_traced(
-    bytes: usize,
-    addr: u64,
-    costs: &DmaCosts,
-    plan: &FaultPlan,
-    stream: u64,
-    index: u64,
-    at: Cycles,
-    tlog: &mut TraceLog,
-) -> Result<TransferOutcome, TransferError> {
-    let result = transfer_with_faults(bytes, addr, costs, plan, stream, index);
-    if tlog.is_enabled() {
-        match &result {
-            Ok(out) => {
-                tlog.dma_transfer(at, stream, bytes as u64, out.cycles, out.attempts);
-                for _ in 0..out.faults {
-                    tlog.fault(at, "dma_fault", stream as usize);
-                }
-            }
-            Err(TransferError::Exhausted { attempts, cycles }) => {
-                tlog.dma_transfer(at, stream, bytes as u64, *cycles, *attempts);
-                tlog.fault(at, "dma_exhausted", stream as usize);
-            }
-            Err(TransferError::Illegal(_)) => {}
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,86 +200,6 @@ mod tests {
         // No compute at all: double buffering degenerates to blocking-ish.
         let stall = stream_stall_double_buffered(8192, 2048, 0, &c);
         assert_eq!(stall, 4 * transfer_cycles(2048, &c));
-    }
-
-    #[test]
-    fn faultless_transfer_costs_exactly_one_attempt() {
-        let c = DmaCosts::default();
-        let out = transfer_with_faults(2048, 0, &c, &FaultPlan::none(), 0, 0).unwrap();
-        assert_eq!(
-            out,
-            TransferOutcome { cycles: transfer_cycles(2048, &c), attempts: 1, faults: 0 }
-        );
-    }
-
-    #[test]
-    fn faulty_transfer_retries_and_charges_backoff() {
-        let c = DmaCosts::default();
-        let mut plan = FaultPlan::none();
-        plan.dma_failure_rate = 0.4;
-        plan.seed = 11;
-        // Scan until a seed/index combination faults at least once but
-        // eventually succeeds — deterministic, so the scan is stable.
-        let hit = (0..200)
-            .filter_map(|i| transfer_with_faults(2048, 0, &c, &plan, 1, i).ok())
-            .find(|o| o.faults > 0)
-            .expect("40% failure rate must fault somewhere in 200 transfers");
-        assert!(hit.attempts > 1);
-        assert!(
-            hit.cycles > hit.attempts as u64 * transfer_cycles(2048, &c),
-            "retries must charge more than the raw attempts"
-        );
-    }
-
-    #[test]
-    fn certain_faults_exhaust_the_transfer() {
-        let c = DmaCosts::default();
-        let plan = FaultPlan::uniform(3, 1.0);
-        let err = transfer_with_faults(2048, 0, &c, &plan, 0, 0).unwrap_err();
-        match err {
-            TransferError::Exhausted { attempts, cycles } => {
-                assert_eq!(attempts, plan.backoff.max_attempts);
-                assert!(cycles >= attempts as u64 * transfer_cycles(2048, &c));
-            }
-            other => panic!("expected exhaustion, got {other}"),
-        }
-        // Illegal requests fail fast regardless of the plan.
-        assert!(matches!(
-            transfer_with_faults(3, 0, &c, &plan, 0, 0),
-            Err(TransferError::Illegal(DmaError::BadSize(3)))
-        ));
-    }
-
-    #[test]
-    fn traced_transfer_matches_untraced_and_records_span() {
-        use crate::tracelog::{EventData, TraceLog};
-        let c = DmaCosts::default();
-        let plan = FaultPlan::none();
-
-        // Disabled log: same outcome, nothing recorded.
-        let mut off = TraceLog::disabled();
-        let traced = transfer_with_faults_traced(2048, 0, &c, &plan, 3, 0, 500, &mut off).unwrap();
-        assert_eq!(traced, transfer_with_faults(2048, 0, &c, &plan, 3, 0).unwrap());
-        assert!(off.is_empty());
-
-        // Enabled log: one span with the exact cycles and attempts.
-        let mut on = TraceLog::enabled();
-        let out = transfer_with_faults_traced(2048, 0, &c, &plan, 3, 0, 500, &mut on).unwrap();
-        assert_eq!(on.len(), 1);
-        assert_eq!(on.events()[0].at, 500);
-        assert_eq!(
-            on.events()[0].data,
-            EventData::DmaTransfer { stream: 3, bytes: 2048, dur: out.cycles, attempts: 1 }
-        );
-
-        // Exhausted transfers still record their wasted span plus a fault.
-        let mut on = TraceLog::enabled();
-        let certain = FaultPlan::uniform(3, 1.0);
-        assert!(transfer_with_faults_traced(2048, 0, &c, &certain, 0, 0, 0, &mut on).is_err());
-        assert!(on
-            .events()
-            .iter()
-            .any(|e| matches!(e.data, EventData::Fault { kind: "dma_exhausted", .. })));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! determinism tests in `tests/robustness.rs` lock down.
 
 use crate::time::Cycles;
+use obs::trace::splitmix64;
 
 /// The kinds of fault the plan can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -330,14 +331,6 @@ impl FaultReport {
     pub fn is_clean(&self) -> bool {
         *self == FaultReport::default()
     }
-}
-
-/// The splitmix64 finalizer: a fast, well-mixed 64-bit hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -2,19 +2,22 @@
 //!
 //! The RAxML-Cell paper (Blagojevic et al., IPPS 2007) runs on a real
 //! dual-Cell blade. This crate is the reproduction's hardware substitute: a
-//! discrete-event performance model of one Cell processor —
+//! performance model of one Cell processor (a 2-way SMT PPE running the
+//! control program, eight SPEs), kept to the parts a printed number or an
+//! architecture rule needs —
 //!
-//! * a PPE (64-bit PowerPC, 2-way SMT) that runs the control program,
-//! * eight SPEs, each with a 256 KB software-managed local store
-//!   ([`localstore`]), a decrementer, and a Memory Flow Controller,
-//! * MFC DMA transfers with the architecture's size/alignment rules and a
-//!   double-buffering pipeline model ([`dma`]),
-//! * the Element Interconnect Bus with its 204.8 GB/s aggregate bandwidth
-//!   ([`eib`]),
-//! * PPE↔SPE signalling via mailboxes or direct memory-to-memory writes
-//!   ([`comm`]),
-//! * and a calibrated per-operation cycle cost model ([`cost`]) that prices
-//!   real kernel-invocation traces recorded by the `phylo` crate.
+//! * a calibrated per-operation cycle cost model ([`cost`]) that prices
+//!   real kernel-invocation traces recorded by the `phylo` crate,
+//! * what it charges: MFC DMA stream stalls, blocking or double-buffered,
+//!   next to the architecture's transfer size/alignment/list rules
+//!   ([`dma`]); PPE↔SPE signalling via mailboxes or direct
+//!   memory-to-memory writes ([`comm`]); Element Interconnect Bus
+//!   contention under its 204.8 GB/s aggregate bandwidth ([`eib`]); code
+//!   overlay residency ([`overlay`]),
+//! * the 256 KB software-managed local-store budget ([`localstore`]),
+//! * the event queue ([`engine`]), deterministic fault plan ([`fault`]),
+//!   utilization accounting ([`stats`]) and event log ([`tracelog`]) the
+//!   scheduler simulation in `raxml-cell` runs on.
 //!
 //! The simulator does **not** execute SPE code; it *prices* the actual
 //! likelihood workload. The `phylo` engine records every `newview` /
@@ -40,9 +43,7 @@ pub mod eib;
 pub mod engine;
 pub mod fault;
 pub mod localstore;
-pub mod machine;
 pub mod overlay;
-pub mod spe;
 pub mod stats;
 pub mod time;
 pub mod tracelog;
@@ -51,6 +52,5 @@ pub use comm::SignalKind;
 pub use cost::{CondKind, CostModel, ExecutionFlags, ExpKind, KernelCost, Location};
 pub use engine::EventQueue;
 pub use fault::{FaultKind, FaultPlan, FaultReport, SpeDeath};
-pub use machine::MachineConfig;
 pub use time::Cycles;
 pub use tracelog::{EventData, TraceEvent, TraceLog, TraceSummary};

@@ -1,9 +1,8 @@
-//! Unified structured event sink for the whole simulation stack.
+//! Structured event sink for the scheduling simulation.
 //!
-//! Every layer — the discrete-event scheduler core, the DMA/EIB/comm
-//! models, the EDTLP/LLP/MGPS schedulers, and the phylo search drivers —
-//! emits timestamped spans and counters into one [`TraceLog`]. Two
-//! exporters turn a log into artifacts:
+//! The discrete-event scheduler core, the EDTLP/LLP/MGPS schedulers and
+//! the round-trace driver emit timestamped spans and counters into one
+//! [`TraceLog`]. Two exporters turn a log into artifacts:
 //!
 //! * [`TraceLog::to_chrome_trace`] — Chrome trace-event JSON, loadable in
 //!   Perfetto / `chrome://tracing` for a per-SPE timeline view,
@@ -40,13 +39,9 @@ pub enum EventData {
     TaskStart { worker: u32, job: u32 },
     /// Worker `worker` finished job `job`.
     TaskComplete { worker: u32, job: u32 },
-    /// One DMA transfer (including retries) on stream `stream`.
-    DmaTransfer { stream: u32, bytes: u64, dur: Cycles, attempts: u32 },
-    /// One PPE↔SPE signalling round trip (including retries).
-    Signal { stream: u32, dur: Cycles, attempts: u32 },
     /// A fault-machinery event: `kind` is one of `"retry"`, `"redispatch"`,
-    /// `"blacklist"`, `"degradation"`, `"dma_fault"`, `"signal_fault"`;
-    /// `unit` is the SPE/worker/stream it concerns.
+    /// `"blacklist"`, `"degradation"`, `"spe_death"`; `unit` is the
+    /// SPE/worker it concerns.
     Fault { kind: &'static str, unit: u32 },
     /// A named scheduler phase (e.g. an MGPS EDTLP batch) spanning `dur`.
     PhaseSpan { name: &'static str, dur: Cycles },
@@ -179,35 +174,6 @@ impl TraceLog {
         self.emit(at, EventData::TaskComplete { worker: worker as u32, job: job as u32 });
     }
 
-    /// A task that completed *without* producing a result (panicked or was
-    /// failed by fault injection) — recorded as a `"job-failure"` fault
-    /// instant on `worker`, so failed jobs show up in the fault lane and in
-    /// [`TraceSummary::faults`]. Emitted by the farm-tier bridge alongside
-    /// the ordinary [`TraceLog::task_complete`].
-    #[inline]
-    pub fn task_failed(&mut self, at: Cycles, worker: usize) {
-        self.emit(at, EventData::Fault { kind: "job-failure", unit: worker as u32 });
-    }
-
-    /// A DMA transfer span.
-    #[inline]
-    pub fn dma_transfer(
-        &mut self,
-        at: Cycles,
-        stream: u64,
-        bytes: u64,
-        dur: Cycles,
-        attempts: u32,
-    ) {
-        self.emit(at, EventData::DmaTransfer { stream: stream as u32, bytes, dur, attempts });
-    }
-
-    /// A signalling round-trip span.
-    #[inline]
-    pub fn signal(&mut self, at: Cycles, stream: u64, dur: Cycles, attempts: u32) {
-        self.emit(at, EventData::Signal { stream: stream as u32, dur, attempts });
-    }
-
     /// A fault-machinery instant.
     #[inline]
     pub fn fault(&mut self, at: Cycles, kind: &'static str, unit: usize) {
@@ -257,10 +223,7 @@ impl TraceLog {
                     s.ppe_busy += dur;
                     s.end = s.end.max(ev.at + dur);
                 }
-                EventData::DmaTransfer { dur, .. }
-                | EventData::Signal { dur, .. }
-                | EventData::PhaseSpan { dur, .. }
-                | EventData::RoundSpan { dur, .. } => {
+                EventData::PhaseSpan { dur, .. } | EventData::RoundSpan { dur, .. } => {
                     s.end = s.end.max(ev.at + dur);
                 }
                 EventData::Fault { .. } => {
@@ -292,7 +255,7 @@ impl TraceLog {
     /// Timestamps convert from cycles to microseconds at `clock_hz`.
     ///
     /// Lane layout: tid 0..n = SPEs, tid 100+w = PPE grants per worker,
-    /// tid 200+s = DMA/signal streams, tid 900+ = phases, rounds, faults.
+    /// tid 900+ = phases, rounds, faults, counters.
     pub fn to_chrome_trace(&self, clock_hz: f64) -> String {
         let us = |cycles: Cycles| cycles as f64 / clock_hz * 1e6;
         let mut out = String::with_capacity(256 + self.events.len() * 96);
@@ -341,18 +304,6 @@ impl TraceLog {
                 EventData::TaskComplete { worker, job } => {
                     out.push_str(&format!(
                         "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"complete job {job}\",\"args\":{{\"worker\":{worker}}}}}"
-                    ));
-                }
-                EventData::DmaTransfer { bytes, dur, attempts, .. } => {
-                    out.push_str(&format!(
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"dur\":{},\"name\":\"dma\",\"args\":{{\"bytes\":{bytes},\"attempts\":{attempts}}}}}",
-                        us(dur)
-                    ));
-                }
-                EventData::Signal { dur, attempts, .. } => {
-                    out.push_str(&format!(
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"dur\":{},\"name\":\"signal\",\"args\":{{\"attempts\":{attempts}}}}}",
-                        us(dur)
                     ));
                 }
                 EventData::Fault { kind, unit } => {
@@ -430,7 +381,6 @@ fn lane_of(data: &EventData) -> u32 {
         EventData::PpeSpan { worker, .. }
         | EventData::TaskStart { worker, .. }
         | EventData::TaskComplete { worker, .. } => 100 + worker,
-        EventData::DmaTransfer { stream, .. } | EventData::Signal { stream, .. } => 200 + stream,
         EventData::PhaseSpan { .. } => 900,
         EventData::RoundSpan { .. } => 901,
         EventData::Fault { .. } => 902,
@@ -443,7 +393,6 @@ fn lane_name(tid: u32) -> String {
     match tid {
         0..=99 => format!("SPE{tid}"),
         100..=199 => format!("PPE worker {}", tid - 100),
-        200..=899 => format!("stream {}", tid - 200),
         900 => "phases".to_string(),
         901 => "SPR rounds".to_string(),
         902 => "faults".to_string(),
@@ -514,171 +463,6 @@ impl TraceSummary {
     }
 }
 
-/// Validate that `text` is one well-formed JSON value (with optional
-/// trailing whitespace). A minimal recursive-descent checker — the build
-/// environment has no JSON dependency, and the exporters above hand-roll
-/// their output, so CI uses this to prove the artifacts actually parse.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = skip_ws(bytes, 0);
-    pos = parse_value(bytes, pos, 0)?;
-    pos = skip_ws(bytes, pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(())
-}
-
-/// Validate line-delimited JSON: every non-empty line is one JSON value.
-pub fn validate_jsonl(text: &str) -> Result<(), String> {
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        validate_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-    }
-    Ok(())
-}
-
-const MAX_DEPTH: usize = 64;
-
-fn skip_ws(b: &[u8], mut pos: usize) -> usize {
-    while pos < b.len() && matches!(b[pos], b' ' | b'\t' | b'\n' | b'\r') {
-        pos += 1;
-    }
-    pos
-}
-
-fn parse_value(b: &[u8], pos: usize, depth: usize) -> Result<usize, String> {
-    if depth > MAX_DEPTH {
-        return Err("nesting too deep".to_string());
-    }
-    match b.get(pos) {
-        None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'{') => parse_object(b, pos, depth),
-        Some(b'[') => parse_array(b, pos, depth),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if *c == b'-' || c.is_ascii_digit() => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {:?} at {pos}", *c as char)),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: usize, lit: &[u8]) -> Result<usize, String> {
-    if b.len() >= pos + lit.len() && &b[pos..pos + lit.len()] == lit {
-        Ok(pos + lit.len())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_string(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    pos += 1; // opening quote
-    while pos < b.len() {
-        match b[pos] {
-            b'"' => return Ok(pos + 1),
-            b'\\' => {
-                match b.get(pos + 1) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => pos += 2,
-                    Some(b'u') => {
-                        if b.len() < pos + 6
-                            || !b[pos + 2..pos + 6].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {pos}"));
-                        }
-                        pos += 6;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                };
-            }
-            0x00..=0x1f => return Err(format!("raw control character in string at byte {pos}")),
-            _ => pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    let start = pos;
-    if b.get(pos) == Some(&b'-') {
-        pos += 1;
-    }
-    let int_start = pos;
-    while pos < b.len() && b[pos].is_ascii_digit() {
-        pos += 1;
-    }
-    if pos == int_start {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(pos) == Some(&b'.') {
-        pos += 1;
-        let frac_start = pos;
-        while pos < b.len() && b[pos].is_ascii_digit() {
-            pos += 1;
-        }
-        if pos == frac_start {
-            return Err(format!("bad number at byte {start}"));
-        }
-    }
-    if matches!(b.get(pos), Some(b'e' | b'E')) {
-        pos += 1;
-        if matches!(b.get(pos), Some(b'+' | b'-')) {
-            pos += 1;
-        }
-        let exp_start = pos;
-        while pos < b.len() && b[pos].is_ascii_digit() {
-            pos += 1;
-        }
-        if pos == exp_start {
-            return Err(format!("bad number at byte {start}"));
-        }
-    }
-    Ok(pos)
-}
-
-fn parse_object(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos + 1);
-    if b.get(pos) == Some(&b'}') {
-        return Ok(pos + 1);
-    }
-    loop {
-        if b.get(pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        pos = parse_string(b, pos)?;
-        pos = skip_ws(b, pos);
-        if b.get(pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        pos = skip_ws(b, pos + 1);
-        pos = parse_value(b, pos, depth + 1)?;
-        pos = skip_ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
-            Some(b'}') => return Ok(pos + 1),
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos + 1);
-    if b.get(pos) == Some(&b']') {
-        return Ok(pos + 1);
-    }
-    loop {
-        pos = parse_value(b, pos, depth + 1)?;
-        pos = skip_ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
-            Some(b']') => return Ok(pos + 1),
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,8 +473,6 @@ mod tests {
         log.ppe_span(0, 0, 100, false);
         log.spe_burst(100, 0, 0, 900, 800, 100);
         log.spe_burst(100, 1, 0, 900, 800, 100);
-        log.dma_transfer(150, 3, 2048, 928, 1);
-        log.signal(1080, 3, 960, 1);
         log.fault(500, "retry", 1);
         log.phase_span(0, "EDTLP", 1000);
         log.round_span(0, 0, 1000);
@@ -733,7 +515,7 @@ mod tests {
         assert_eq!(s.spe_bursts[0], 1);
         assert_eq!(s.ppe_busy, 100);
         assert_eq!(s.faults, 1);
-        assert_eq!(s.end, 1080 + 960);
+        assert_eq!(s.end, 1000);
         assert!(s.utilization(0) > 0.0);
         assert!(s.mean_utilization() > 0.0);
         assert_eq!(log.last_counter("eib_contention"), Some(1.5));
@@ -769,7 +551,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_expected_shape() {
         let text = sample_log().to_chrome_trace(3.2e9);
-        validate_json(&text).expect("chrome trace must parse");
+        obs::json::parse(&text).expect("chrome trace must parse");
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("\"ph\":\"X\""));
         assert!(text.contains("\"ph\":\"i\""));
@@ -783,7 +565,7 @@ mod tests {
     #[test]
     fn metrics_jsonl_is_valid_and_complete() {
         let text = sample_log().to_metrics_jsonl(3.2e9, 8);
-        validate_jsonl(&text).expect("jsonl must parse");
+        obs::json::parse_lines(&text).expect("jsonl must parse");
         // 8 SPE lines + 1 PPE + 1 counter + 1 totals.
         assert_eq!(text.lines().count(), 11);
         assert!(text.contains("\"metric\":\"totals\""));
@@ -793,59 +575,8 @@ mod tests {
     #[test]
     fn empty_log_exports_cleanly() {
         let log = TraceLog::enabled();
-        validate_json(&log.to_chrome_trace(3.2e9)).unwrap();
-        validate_jsonl(&log.to_metrics_jsonl(3.2e9, 8)).unwrap();
-    }
-
-    #[test]
-    fn json_validator_accepts_and_rejects() {
-        for good in [
-            "{}",
-            "[]",
-            "null",
-            "true",
-            "-12.5e-3",
-            "\"a\\u00e9\\n\"",
-            "{\"a\":[1,2,{\"b\":null}],\"c\":\"x\"}",
-            "  [1, 2, 3]  ",
-        ] {
-            assert!(validate_json(good).is_ok(), "{good}");
-        }
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "nul",
-            "1.2.3",
-            "\"unterminated",
-            "{} extra",
-            "01a",
-            "[1 2]",
-            "{'a':1}",
-        ] {
-            assert!(validate_json(bad).is_err(), "{bad}");
-        }
-        assert!(validate_jsonl("{\"a\":1}\n{\"b\":2}\n").is_ok());
-        assert!(validate_jsonl("{\"a\":1}\noops\n").is_err());
-    }
-
-    #[test]
-    fn task_failed_lands_in_the_fault_lane() {
-        let mut log = TraceLog::enabled();
-        log.task_start(0, 2, 5);
-        log.task_failed(10, 2);
-        log.task_complete(10, 2, 5);
-        let s = log.summary(1);
-        assert_eq!(s.faults, 1);
-        let text = log.to_chrome_trace(3.2e9);
-        validate_json(&text).unwrap();
-        assert!(text.contains("job-failure"));
-        // Disabled logs stay inert.
-        let mut off = TraceLog::disabled();
-        off.task_failed(0, 0);
-        assert!(off.is_empty());
+        obs::json::parse(&log.to_chrome_trace(3.2e9)).unwrap();
+        obs::json::parse_lines(&log.to_metrics_jsonl(3.2e9, 8)).unwrap();
     }
 
     #[test]

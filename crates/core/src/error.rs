@@ -20,9 +20,6 @@ pub enum ExperimentError {
     NonFiniteLikelihood(f64),
     /// A study parameter was out of its valid domain.
     InvalidParameter { name: &'static str, value: usize, reason: &'static str },
-    /// An input file could not be read (the I/O error is flattened to a
-    /// string so the enum stays `Clone + PartialEq`).
-    Io { path: String, message: String },
     /// An underlying phylogenetic-inference error.
     Phylo(phylo::error::PhyloError),
     /// An inference-farm job failed (panicked, injected fault, or lost its
@@ -48,9 +45,6 @@ impl fmt::Display for ExperimentError {
             }
             ExperimentError::InvalidParameter { name, value, reason } => {
                 write!(f, "invalid value {value} for parameter {name}: {reason}")
-            }
-            ExperimentError::Io { path, message } => {
-                write!(f, "cannot read {path}: {message}")
             }
             ExperimentError::Phylo(e) => write!(f, "phylogenetic inference failed: {e}"),
             ExperimentError::Farm { job, message } => {

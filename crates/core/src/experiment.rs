@@ -8,12 +8,16 @@
 //! the priced invocations over the simulated machine.
 
 use crate::config::OptConfig;
+use crate::config::Scheduler;
 use crate::error::{ExperimentError, Result};
 use crate::offload::price_trace;
+use crate::offload::PricedTrace;
 use crate::platform::PlatformModel;
 use crate::report::{Comparison, FIGURE3_BOOTSTRAPS, PAPER_LADDER, PAPER_TABLE_8, TABLE_ROWS};
-use crate::sched::{mgps_makespan, sync_workers_makespan, DesParams};
+use crate::sched::{schedule_makespan, sync_workers_makespan, DesParams, SimOutcome};
 use cellsim::cost::CostModel;
+use cellsim::fault::FaultPlan;
+use cellsim::tracelog::TraceLog;
 use phylo::search::{run_inference, InferenceOptions, InferenceRequest, SearchConfig};
 use phylo::simulate::SimulationConfig;
 use phylo::trace::{KernelEvent, KernelOp, TraceCounters};
@@ -157,47 +161,16 @@ pub fn capture_workloads(specs: &[WorkloadSpec], n_workers: usize) -> Result<Vec
         .collect()
 }
 
-/// Load an alignment from disk, detecting the format from the extension
-/// (`.fa`/`.fasta` → FASTA, `.nwk` aside, everything else sniffed: a leading
-/// `>` means FASTA, otherwise relaxed PHYLIP — RAxML's own input format).
-///
-/// Unreadable files surface as [`ExperimentError::Io`]; malformed contents
-/// as the parser's typed [`phylo::error::PhyloError`] wrapped in
-/// [`ExperimentError::Phylo`], so drivers print a line/column diagnosis and
-/// exit nonzero instead of panicking on corrupt input.
-pub fn load_alignment(path: &std::path::Path) -> Result<phylo::alignment::Alignment> {
-    use std::io::{BufRead, BufReader, Read};
-    let io_err = |e: std::io::Error| ExperimentError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    };
-    let mut reader = BufReader::new(std::fs::File::open(path).map_err(io_err)?);
-    let ext = path.extension().and_then(|e| e.to_str()).map(|e| e.to_ascii_lowercase());
-    let is_fasta = match ext.as_deref() {
-        Some("fa" | "fasta") => true,
-        Some("phy" | "phylip") => false,
-        // Sniff the buffered head: a leading `>` (after whitespace) means
-        // FASTA. No full-file read needed to decide.
-        _ => {
-            let head = reader.fill_buf().map_err(io_err)?;
-            head.iter().find(|b| !b.is_ascii_whitespace()) == Some(&b'>')
-        }
-    };
-    let aln = if is_fasta {
-        let mut text = String::new();
-        reader.read_to_string(&mut text).map_err(io_err)?;
-        phylo::io::parse_fasta(&text)?
-    } else {
-        // PHYLIP streams line by line: peak memory is the encoded rows,
-        // not text + rows, which matters at the 1k–10k-taxon tier.
-        phylo::io::parse_phylip_reader(reader).map_err(|e| match e {
-            phylo::error::PhyloError::Io { message, .. } => {
-                ExperimentError::Io { path: path.display().to_string(), message }
-            }
-            other => ExperimentError::from(other),
-        })?
-    };
-    Ok(aln)
+/// The fault-free, untraced schedule every table and figure prices.
+fn clean_schedule(
+    scheduler: Scheduler,
+    priced: &PricedTrace,
+    n_jobs: usize,
+    model: &CostModel,
+    params: &DesParams,
+) -> SimOutcome {
+    let (plan, mut off) = (FaultPlan::none(), TraceLog::disabled());
+    schedule_makespan(scheduler, priced, n_jobs, model, params, &plan, &mut off)
 }
 
 /// Reject workloads whose trace has nothing to price.
@@ -256,7 +229,8 @@ pub fn run_table8(
         .map(|&(n, paper)| Comparison {
             label: format!("{n} bootstrap{}", if n == 1 { "" } else { "s" }),
             paper_seconds: paper,
-            simulated_seconds: model.seconds(mgps_makespan(&priced, n, model, params).makespan),
+            simulated_seconds: model
+                .seconds(clean_schedule(Scheduler::Mgps, &priced, n, model, params).makespan),
         })
         .collect())
 }
@@ -271,7 +245,7 @@ pub fn run_table8_varied(
     model: &CostModel,
     params: &DesParams,
 ) -> Result<Vec<Comparison>> {
-    use crate::sched::{compress_phases, des, simulate_task_parallel_jobs, DEFAULT_GRANULARITY};
+    use crate::sched::{compress_phases, des, simulate_task_parallel, DEFAULT_GRANULARITY};
     if workloads.is_empty() {
         return Err(ExperimentError::NoWorkloads);
     }
@@ -297,7 +271,8 @@ pub fn run_table8_varied(
             let jobs: Vec<&[des::Phase]> =
                 (0..n).map(|i| phase_sets[i % phase_sets.len()].as_slice()).collect();
             let workers = n.min(params.n_spes);
-            let out = simulate_task_parallel_jobs(&jobs, workers, 1, params);
+            let (plan, mut off) = (FaultPlan::none(), TraceLog::disabled());
+            let out = simulate_task_parallel(&jobs, workers, 1, params, &plan, &mut off);
             Comparison {
                 label: format!("{n} varied bootstrap{}", if n == 1 { "" } else { "s" }),
                 paper_seconds: paper,
@@ -333,7 +308,8 @@ pub fn run_figure3(workload: &Workload, model: &CostModel, params: &DesParams) -
         xeon: Vec::new(),
     };
     for &n in &FIGURE3_BOOTSTRAPS {
-        fig.cell.push(model.seconds(mgps_makespan(&optimized, n, model, params).makespan));
+        let mgps = clean_schedule(Scheduler::Mgps, &optimized, n, model, params);
+        fig.cell.push(model.seconds(mgps.makespan));
         fig.power5.push(power5.makespan_seconds(ppe_bootstrap_seconds, n));
         fig.xeon.push(xeon.makespan_seconds(ppe_bootstrap_seconds, n));
     }
@@ -482,19 +458,19 @@ pub fn run_multilevel_study(
     model: &CostModel,
     params: &DesParams,
 ) -> Result<Vec<MultilevelPoint>> {
-    use crate::sched::{edtlp_makespan, llp_makespan, mgps_makespan};
     check_workload(workload)?;
     let priced = price_trace(&workload.events, model, &OptConfig::fully_optimized());
     Ok([1usize, 2, 3, 4, 6, 8, 12, 16, 32]
         .into_iter()
         .map(|n| {
-            let llp_workers = n.min(4);
+            let seconds = |scheduler| {
+                model.seconds(clean_schedule(scheduler, &priced, n, model, params).makespan)
+            };
             MultilevelPoint {
                 n_bootstraps: n,
-                edtlp_seconds: model.seconds(edtlp_makespan(&priced, n, model, params).makespan),
-                llp_seconds: model
-                    .seconds(llp_makespan(&priced, n, llp_workers, model, params).makespan),
-                mgps_seconds: model.seconds(mgps_makespan(&priced, n, model, params).makespan),
+                edtlp_seconds: seconds(Scheduler::Edtlp),
+                llp_seconds: seconds(Scheduler::Llp { workers: n.min(4) }),
+                mgps_seconds: seconds(Scheduler::Mgps),
             }
         })
         .collect())
@@ -521,7 +497,6 @@ pub fn run_scaling_study(
     model: &CostModel,
     n_bootstraps: usize,
 ) -> Result<Vec<ScalingPoint>> {
-    use crate::sched::mgps_makespan;
     check_workload(workload)?;
     if n_bootstraps == 0 {
         return Err(ExperimentError::InvalidParameter {
@@ -531,13 +506,13 @@ pub fn run_scaling_study(
         });
     }
     let priced = price_trace(&workload.events, model, &OptConfig::fully_optimized());
-    let baseline = model.seconds(crate::sched::sync_workers_makespan(&priced, n_bootstraps, 1));
+    let baseline = model.seconds(sync_workers_makespan(&priced, n_bootstraps, 1));
 
     Ok([(1usize, 2usize), (2, 2), (4, 2), (8, 2), (16, 2), (16, 4)]
         .into_iter()
         .map(|(n_spes, ppe_threads)| {
             let params = DesParams { n_spes, n_ppe_threads: ppe_threads, ..DesParams::default() };
-            let out = mgps_makespan(&priced, n_bootstraps, model, &params);
+            let out = clean_schedule(Scheduler::Mgps, &priced, n_bootstraps, model, &params);
             let makespan_seconds = model.seconds(out.makespan);
             ScalingPoint {
                 n_spes,
@@ -610,43 +585,6 @@ mod tests {
     fn workload() -> &'static Workload {
         static CACHE: OnceLock<Workload> = OnceLock::new();
         CACHE.get_or_init(|| capture_workload(&WorkloadSpec::test_mid()).expect("capture"))
-    }
-
-    #[test]
-    fn load_alignment_routes_typed_errors() {
-        let dir = std::env::temp_dir().join("raxml-cell-load-aln-test");
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // Missing file → Io.
-        let missing = dir.join("does-not-exist.phy");
-        match load_alignment(&missing) {
-            Err(ExperimentError::Io { path, .. }) => assert!(path.contains("does-not-exist")),
-            other => panic!("expected Io error, got {other:?}"),
-        }
-
-        // Corrupt PHYLIP → typed parse error with a line number.
-        let bad = dir.join("bad.phy");
-        std::fs::write(&bad, "2 4\nalpha ACGTTTTT\n").unwrap();
-        match load_alignment(&bad) {
-            Err(ExperimentError::Phylo(phylo::error::PhyloError::Parse {
-                format, line, ..
-            })) => {
-                assert_eq!(format, "PHYLIP");
-                assert!(line > 0);
-            }
-            other => panic!("expected Phylo(Parse) error, got {other:?}"),
-        }
-
-        // Good FASTA sniffed by content even with a neutral extension.
-        let good = dir.join("good.txt");
-        std::fs::write(&good, ">a\nACGT\n>b\nACGA\n").unwrap();
-        let aln = load_alignment(&good).unwrap();
-        assert_eq!((aln.n_taxa(), aln.n_sites()), (2, 4));
-
-        // Good PHYLIP by extension.
-        let phy = dir.join("good.phy");
-        std::fs::write(&phy, "2 4\nalpha ACGT\nbeta  ACGA\n").unwrap();
-        assert_eq!(load_alignment(&phy).unwrap().n_taxa(), 2);
     }
 
     #[test]

@@ -26,15 +26,11 @@
 //!   figure of the paper from a real captured workload trace.
 //! * [`error`] — the [`ExperimentError`] type every driver returns instead
 //!   of panicking; the table/figure binaries print it and exit nonzero.
-//! * [`farm_trace`] — bridges the `phylo::farm` inference farm's observer
-//!   events into the `cellsim` trace log, so task-tier runs export the
-//!   same Chrome-trace/JSONL artifacts as the simulator.
 //! * [`report`] — the paper's published numbers and table formatting.
 
 pub mod config;
 pub mod error;
 pub mod experiment;
-pub mod farm_trace;
 pub mod offload;
 pub mod platform;
 pub mod report;
@@ -43,4 +39,3 @@ pub mod sched;
 pub use config::{OffloadStage, OptConfig, Scheduler};
 pub use error::ExperimentError;
 pub use experiment::{capture_workload, capture_workloads, Workload, WorkloadSpec};
-pub use farm_trace::{bridge_counters_to_gauges, FarmTracer};

@@ -10,16 +10,15 @@
 //!
 //! ## Fault model
 //!
-//! [`simulate_task_parallel_jobs_with_faults`] runs the same simulation
-//! under a [`FaultPlan`]: every SPE burst walks the plan's offload
-//! retry/backoff state machine (extra cycles are charged to the burst and
-//! recorded in a [`FaultReport`]), offloads that exhaust their attempts are
-//! re-dispatched, repeatedly failing SPE sets have members blacklisted,
-//! scheduled SPE deaths shrink a worker's set mid-run (in-flight work is
-//! lost and re-dispatched), and a worker whose whole set is dead degrades
-//! to PPE-only execution of its remaining SPE phases. With an inert plan
-//! the event sequence — and therefore every makespan and statistic — is
-//! bit-identical to the fault-free simulator.
+//! [`simulate_task_parallel`] runs under a [`FaultPlan`]: every SPE burst
+//! walks the plan's offload retry/backoff state machine (extra cycles are
+//! charged to the burst and recorded in a [`FaultReport`]), offloads that
+//! exhaust their attempts are re-dispatched, repeatedly failing SPE sets
+//! have members blacklisted, scheduled SPE deaths shrink a worker's set
+//! mid-run (in-flight work is lost and re-dispatched), and a worker whose
+//! whole set is dead degrades to PPE-only execution of its remaining SPE
+//! phases. With an inert plan the event sequence — and therefore every
+//! makespan and statistic — is the fault-free one, bit for bit.
 
 use crate::offload::PricedTrace;
 use cellsim::fault::{FaultPlan, FaultReport};
@@ -387,79 +386,20 @@ impl Sim<'_> {
     }
 }
 
-/// Simulate `n_jobs` identical jobs (each the given phase list) over
-/// `n_workers` workers, each owning `spes_per_worker` SPEs, sharing
-/// `params.n_ppe_threads` PPE threads with switch-on-offload.
+/// Simulate `jobs` (one phase list each — real bootstrap replicates differ
+/// in search length, so the lists may differ) over `n_workers` workers, each
+/// owning `spes_per_worker` SPEs, sharing `params.n_ppe_threads` PPE threads
+/// with switch-on-offload.
+///
+/// An inert `plan` reproduces the fault-free event sequence bit-exactly; a
+/// live one charges retries, backoff, re-dispatches, and PPE-fallback
+/// degradation into the makespan and reports them. Every scheduling
+/// decision is emitted into `tlog`: one `SpeBurst` span per alive SPE of
+/// every burst (carrying the exact busy/DMA-stall shares charged to
+/// [`SimStats`]), one `PpeSpan` per hardware-thread grant, task
+/// start/complete instants, and fault/retry/blacklist/degradation instants.
+/// With a disabled log the emit calls early-return before any work.
 pub fn simulate_task_parallel(
-    job_phases: &[Phase],
-    n_jobs: usize,
-    n_workers: usize,
-    spes_per_worker: usize,
-    params: &DesParams,
-) -> SimOutcome {
-    let jobs: Vec<&[Phase]> = (0..n_jobs).map(|_| job_phases).collect();
-    simulate_task_parallel_jobs(&jobs, n_workers, spes_per_worker, params)
-}
-
-/// As [`simulate_task_parallel`], under a fault plan.
-pub fn simulate_task_parallel_with_faults(
-    job_phases: &[Phase],
-    n_jobs: usize,
-    n_workers: usize,
-    spes_per_worker: usize,
-    params: &DesParams,
-    plan: &FaultPlan,
-) -> SimOutcome {
-    let jobs: Vec<&[Phase]> = (0..n_jobs).map(|_| job_phases).collect();
-    simulate_task_parallel_jobs_with_faults(&jobs, n_workers, spes_per_worker, params, plan)
-}
-
-/// As [`simulate_task_parallel`], with an explicit (possibly different)
-/// phase list per job — real bootstrap replicates differ in search length,
-/// and this entry point lets callers schedule genuinely varied traces.
-pub fn simulate_task_parallel_jobs(
-    jobs: &[&[Phase]],
-    n_workers: usize,
-    spes_per_worker: usize,
-    params: &DesParams,
-) -> SimOutcome {
-    simulate_task_parallel_jobs_with_faults(
-        jobs,
-        n_workers,
-        spes_per_worker,
-        params,
-        &FaultPlan::none(),
-    )
-}
-
-/// The full simulator: [`simulate_task_parallel_jobs`] under a
-/// [`FaultPlan`]. An inert plan reproduces the fault-free event sequence
-/// bit-exactly; a live plan charges retries, backoff, re-dispatches, and
-/// PPE-fallback degradation into the makespan and reports them.
-pub fn simulate_task_parallel_jobs_with_faults(
-    jobs: &[&[Phase]],
-    n_workers: usize,
-    spes_per_worker: usize,
-    params: &DesParams,
-    plan: &FaultPlan,
-) -> SimOutcome {
-    simulate_task_parallel_jobs_traced(
-        jobs,
-        n_workers,
-        spes_per_worker,
-        params,
-        plan,
-        &mut TraceLog::disabled(),
-    )
-}
-
-/// As [`simulate_task_parallel_jobs_with_faults`], emitting every scheduling
-/// decision into `tlog`: one `SpeBurst` span per alive SPE of every burst
-/// (carrying the exact busy/DMA-stall shares charged to [`SimStats`]), one
-/// `PpeSpan` per hardware-thread grant, task start/complete instants, and
-/// fault/retry/blacklist/degradation instants. With a disabled log this *is*
-/// the untraced simulator — the emit calls early-return before any work.
-pub fn simulate_task_parallel_jobs_traced(
     jobs: &[&[Phase]],
     n_workers: usize,
     spes_per_worker: usize,
@@ -529,10 +469,38 @@ mod tests {
         DesParams { n_ppe_threads: 2, smt_penalty: 1.0, n_spes: 8 }
     }
 
+    /// `n_jobs` copies of one phase list under `plan`, untraced.
+    fn run_faulty(
+        phases: &[Phase],
+        n_jobs: usize,
+        n_workers: usize,
+        k: usize,
+        params: &DesParams,
+        plan: &FaultPlan,
+    ) -> SimOutcome {
+        let jobs = vec![phases; n_jobs];
+        simulate_task_parallel(&jobs, n_workers, k, params, plan, &mut TraceLog::disabled())
+    }
+
+    fn run(
+        phases: &[Phase],
+        n_jobs: usize,
+        n_workers: usize,
+        k: usize,
+        p: &DesParams,
+    ) -> SimOutcome {
+        run_faulty(phases, n_jobs, n_workers, k, p, &FaultPlan::none())
+    }
+
+    fn run_jobs(jobs: &[&[Phase]], n_workers: usize) -> SimOutcome {
+        let (plan, mut off) = (FaultPlan::none(), TraceLog::disabled());
+        simulate_task_parallel(jobs, n_workers, 1, &params(), &plan, &mut off)
+    }
+
     #[test]
     fn single_worker_is_sequential() {
         let phases = vec![Phase { ppe: 100, spe: 900, dma: 0 }; 10];
-        let out = simulate_task_parallel(&phases, 1, 1, 1, &params());
+        let out = run(&phases, 1, 1, 1, &params());
         assert_eq!(out.makespan, 10 * 1000);
         assert_eq!(out.stats.spes[0].busy(), 9000);
         assert_eq!(out.stats.ppe_busy, 1000);
@@ -542,7 +510,7 @@ mod tests {
     #[test]
     fn multiple_jobs_on_one_worker_serialize() {
         let phases = vec![Phase { ppe: 50, spe: 50, dma: 0 }];
-        let out = simulate_task_parallel(&phases, 5, 1, 1, &params());
+        let out = run(&phases, 5, 1, 1, &params());
         assert_eq!(out.makespan, 5 * 100);
     }
 
@@ -550,8 +518,8 @@ mod tests {
     fn spe_bound_workload_scales_with_workers() {
         // Tiny PPE phases: 8 workers ≈ 8× throughput.
         let phases = vec![Phase { ppe: 1, spe: 10_000, dma: 0 }; 20];
-        let one = simulate_task_parallel(&phases, 8, 1, 1, &params()).makespan;
-        let eight = simulate_task_parallel(&phases, 8, 8, 1, &params()).makespan;
+        let one = run(&phases, 8, 1, 1, &params()).makespan;
+        let eight = run(&phases, 8, 8, 1, &params()).makespan;
         let speedup = one as f64 / eight as f64;
         assert!(speedup > 7.5, "speedup {speedup}");
     }
@@ -560,8 +528,8 @@ mod tests {
     fn ppe_bound_workload_caps_at_two_threads() {
         // Pure PPE phases: 8 workers can use only 2 threads.
         let phases = vec![Phase { ppe: 1000, spe: 1, dma: 0 }; 10];
-        let one_worker = simulate_task_parallel(&phases, 8, 1, 1, &params()).makespan;
-        let eight = simulate_task_parallel(&phases, 8, 8, 1, &params()).makespan;
+        let one_worker = run(&phases, 8, 1, 1, &params()).makespan;
+        let eight = run(&phases, 8, 8, 1, &params()).makespan;
         let speedup = one_worker as f64 / eight as f64;
         assert!((1.8..=2.1).contains(&speedup), "PPE-bound speedup must cap at ~2: {speedup}");
     }
@@ -570,9 +538,9 @@ mod tests {
     fn smt_penalty_inflates_ppe_work_only_with_contention() {
         let phases = vec![Phase { ppe: 1000, spe: 1000, dma: 0 }; 4];
         let p = DesParams { smt_penalty: 1.5, ..params() };
-        let solo = simulate_task_parallel(&phases, 1, 1, 1, &p).makespan;
+        let solo = run(&phases, 1, 1, 1, &p).makespan;
         assert_eq!(solo, 4 * 2000, "single worker pays no SMT penalty");
-        let duo = simulate_task_parallel(&phases, 2, 2, 1, &p).makespan;
+        let duo = run(&phases, 2, 2, 1, &p).makespan;
         assert!(duo > solo / 2, "two jobs in parallel but inflated PPE");
         // Each worker: 4 phases of (1500 PPE + 1000 SPE) = 10000, with
         // plenty of PPE capacity (2 threads, 2 workers).
@@ -583,7 +551,7 @@ mod tests {
     fn queueing_delays_appear_when_ppe_oversubscribed() {
         // 4 workers, 2 threads, PPE-heavy: makespan ≥ total PPE / 2.
         let phases = vec![Phase { ppe: 100, spe: 10, dma: 0 }; 50];
-        let out = simulate_task_parallel(&phases, 4, 4, 1, &params());
+        let out = run(&phases, 4, 4, 1, &params());
         let total_ppe: Cycles = 4 * 50 * 100;
         assert!(out.makespan >= total_ppe / 2);
         assert!(out.stats.ppe_busy == total_ppe);
@@ -592,7 +560,7 @@ mod tests {
     #[test]
     fn llp_attributes_busy_across_spe_set() {
         let phases = vec![Phase { ppe: 10, spe: 800, dma: 0 }];
-        let out = simulate_task_parallel(&phases, 1, 1, 8, &params());
+        let out = run(&phases, 1, 1, 8, &params());
         for s in 0..8 {
             assert_eq!(out.stats.spes[s].loop_cycles, 100);
         }
@@ -621,14 +589,14 @@ mod tests {
             Phase { ppe: 0, spe: 20, dma: 0 },
             Phase { ppe: 0, spe: 0, dma: 0 },
         ];
-        let out = simulate_task_parallel(&phases, 2, 2, 1, &params());
+        let out = run(&phases, 2, 2, 1, &params());
         assert_eq!(out.makespan, 30, "phases run back to back per worker");
     }
 
     #[test]
     fn more_workers_than_jobs_is_fine() {
         let phases = vec![Phase { ppe: 10, spe: 100, dma: 0 }];
-        let out = simulate_task_parallel(&phases, 2, 8, 1, &params());
+        let out = run(&phases, 2, 8, 1, &params());
         assert_eq!(out.makespan, 110);
     }
 
@@ -636,7 +604,7 @@ mod tests {
     #[should_panic(expected = "exceed the machine")]
     fn rejects_oversized_spe_sets() {
         let phases = vec![Phase { ppe: 1, spe: 1, dma: 0 }];
-        simulate_task_parallel(&phases, 8, 8, 2, &params());
+        run(&phases, 8, 8, 2, &params());
     }
 
     #[test]
@@ -647,14 +615,14 @@ mod tests {
         let short: Vec<Phase> = vec![Phase { ppe: 10, spe: 100, dma: 0 }; 2];
         let long: Vec<Phase> = vec![Phase { ppe: 10, spe: 100, dma: 0 }; 50];
         let jobs: Vec<&[Phase]> = vec![&long, &short, &short, &short];
-        let out = simulate_task_parallel_jobs(&jobs, 4, 1, &params());
+        let out = run_jobs(&jobs, 4);
         // With 4 workers each job has its own worker: makespan = longest.
         assert_eq!(out.makespan, 50 * 110);
         let total_spe: Cycles = out.stats.spes.iter().map(|s| s.busy()).sum();
         assert_eq!(total_spe, (50 + 3 * 2) * 100);
 
         // One worker: everything serializes.
-        let out = simulate_task_parallel_jobs(&jobs, 1, 1, &params());
+        let out = run_jobs(&jobs, 1);
         assert_eq!(out.makespan, (50 + 3 * 2) * 110);
     }
 
@@ -665,7 +633,7 @@ mod tests {
         let short: Vec<Phase> = vec![Phase { ppe: 0, spe: 100, dma: 0 }; 3];
         let long: Vec<Phase> = vec![Phase { ppe: 0, spe: 100, dma: 0 }; 10];
         let jobs: Vec<&[Phase]> = vec![&long, &short, &short];
-        let out = simulate_task_parallel_jobs(&jobs, 2, 1, &params());
+        let out = run_jobs(&jobs, 2);
         assert_eq!(out.makespan, 1000);
     }
 
@@ -673,8 +641,8 @@ mod tests {
     fn deterministic() {
         let phases: Vec<Phase> =
             (0..500).map(|i| Phase { ppe: 30 + i % 11, spe: 200 + i % 17, dma: 0 }).collect();
-        let a = simulate_task_parallel(&phases, 16, 8, 1, &params()).makespan;
-        let b = simulate_task_parallel(&phases, 16, 8, 1, &params()).makespan;
+        let a = run(&phases, 16, 8, 1, &params()).makespan;
+        let b = run(&phases, 16, 8, 1, &params()).makespan;
         assert_eq!(a, b);
     }
 
@@ -684,9 +652,9 @@ mod tests {
             (0..300).map(|i| Phase { ppe: 40 + i % 13, spe: 300 + i % 23, dma: 0 }).collect();
         let p = DesParams { smt_penalty: 1.407, ..params() };
         for (workers, k) in [(8, 1), (4, 2), (2, 4), (1, 8)] {
-            let clean = simulate_task_parallel(&phases, 16, workers, k, &p);
-            let inert =
-                simulate_task_parallel_with_faults(&phases, 16, workers, k, &p, &FaultPlan::none());
+            let clean = run(&phases, 16, workers, k, &p);
+            // Inert under any seed, not just the one `none()` carries.
+            let inert = run_faulty(&phases, 16, workers, k, &p, &FaultPlan::uniform(9, 0.0));
             assert_eq!(clean.makespan, inert.makespan, "workers={workers} k={k}");
             assert_eq!(clean.stats.ppe_busy, inert.stats.ppe_busy);
             for s in 0..8 {
@@ -699,17 +667,10 @@ mod tests {
     #[test]
     fn fault_rates_stretch_the_makespan_monotonically() {
         let phases = vec![Phase { ppe: 100, spe: 2000, dma: 0 }; 40];
-        let clean = simulate_task_parallel(&phases, 16, 8, 1, &params()).makespan;
+        let clean = run(&phases, 16, 8, 1, &params()).makespan;
         let mut last = clean;
         for rate in [0.01, 0.1, 0.4] {
-            let out = simulate_task_parallel_with_faults(
-                &phases,
-                16,
-                8,
-                1,
-                &params(),
-                &FaultPlan::uniform(7, rate),
-            );
+            let out = run_faulty(&phases, 16, 8, 1, &params(), &FaultPlan::uniform(7, rate));
             assert!(
                 out.makespan >= last,
                 "rate {rate}: makespan {} should not beat {last}",
@@ -726,8 +687,8 @@ mod tests {
     fn fault_injection_is_deterministic() {
         let phases = vec![Phase { ppe: 100, spe: 2000, dma: 0 }; 30];
         let plan = FaultPlan::uniform(99, 0.2).with_death(3, 50_000);
-        let a = simulate_task_parallel_with_faults(&phases, 12, 8, 1, &params(), &plan);
-        let b = simulate_task_parallel_with_faults(&phases, 12, 8, 1, &params(), &plan);
+        let a = run_faulty(&phases, 12, 8, 1, &params(), &plan);
+        let b = run_faulty(&phases, 12, 8, 1, &params(), &plan);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.faults, b.faults);
     }
@@ -737,9 +698,9 @@ mod tests {
         // One worker owning all 8 SPEs; kill one mid-run. The work must
         // complete, with at least one re-dispatch and a longer makespan.
         let phases = vec![Phase { ppe: 10, spe: 8000, dma: 0 }; 10];
-        let clean = simulate_task_parallel(&phases, 1, 1, 8, &params());
+        let clean = run(&phases, 1, 1, 8, &params());
         let plan = FaultPlan::none().with_death(2, clean.makespan / 2);
-        let out = simulate_task_parallel_with_faults(&phases, 1, 1, 8, &params(), &plan);
+        let out = run_faulty(&phases, 1, 1, 8, &params(), &plan);
         assert!(out.makespan > clean.makespan);
         assert_eq!(out.faults.blacklisted, 1);
         assert!(out.faults.redispatches >= 1, "in-flight work on SPE2 must be re-dispatched");
@@ -754,8 +715,8 @@ mod tests {
         for s in 0..8 {
             plan = plan.with_death(s, 0);
         }
-        let out = simulate_task_parallel_with_faults(&phases, 2, 2, 1, &params(), &plan);
-        let clean = simulate_task_parallel(&phases, 2, 2, 1, &params());
+        let out = run_faulty(&phases, 2, 2, 1, &params(), &plan);
+        let clean = run(&phases, 2, 2, 1, &params());
         assert_eq!(out.faults.degradations, 2, "both workers degrade");
         assert_eq!(out.faults.blacklisted, 8);
         assert!(out.makespan > clean.makespan, "PPE fallback is slower");
@@ -772,14 +733,7 @@ mod tests {
         // blacklisted until the worker degrades to the PPE — the simulation
         // must terminate with all work done.
         let phases = vec![Phase { ppe: 10, spe: 500, dma: 0 }; 6];
-        let out = simulate_task_parallel_with_faults(
-            &phases,
-            4,
-            4,
-            2,
-            &params(),
-            &FaultPlan::uniform(5, 1.0),
-        );
+        let out = run_faulty(&phases, 4, 4, 2, &params(), &FaultPlan::uniform(5, 1.0));
         assert!(out.makespan > 0);
         assert!(out.faults.blacklisted > 0);
         assert_eq!(out.faults.degradations, 4, "every worker eventually degrades");

@@ -6,22 +6,20 @@
 //!   up to 8 workers multiplexed over the 2 PPE threads with
 //!   switch-on-offload, each worker owning `k` SPEs (k = 1 is plain EDTLP;
 //!   k > 1 adds loop-level parallelization of each offloaded call — LLP).
-//! * [`mgps_makespan`] — the dynamic multi-grain scheduler: EDTLP batches
-//!   of eight while enough bootstraps remain, LLP for the tail.
+//! * [`schedule_makespan`] — one entry point for all four [`Scheduler`]
+//!   values; `Mgps` is the dynamic multi-grain scheduler: EDTLP batches of
+//!   eight while enough bootstraps remain, LLP for the tail.
 
 pub mod des;
 
-pub use des::{
-    compress_phases, simulate_task_parallel, simulate_task_parallel_jobs,
-    simulate_task_parallel_jobs_traced, simulate_task_parallel_jobs_with_faults,
-    simulate_task_parallel_with_faults, DesParams, Phase, SimOutcome,
-};
+pub use des::{compress_phases, simulate_task_parallel, DesParams, Phase, SimOutcome};
 
 use crate::config::Scheduler;
 use crate::offload::PricedTrace;
 use cellsim::cost::CostModel;
 use cellsim::eib::EibModel;
-use cellsim::fault::FaultPlan;
+use cellsim::fault::{FaultPlan, FaultReport};
+use cellsim::stats::SimStats;
 use cellsim::tracelog::TraceLog;
 use cellsim::Cycles;
 
@@ -46,34 +44,10 @@ pub fn sync_workers_makespan(trace: &PricedTrace, n_jobs: usize, w: usize) -> Cy
     (n_jobs.div_ceil(w)) as Cycles * per_job
 }
 
-/// Makespan under EDTLP: up to eight workers over the shared PPE. When the
-/// PPE is oversubscribed (more workers than hardware threads) every offload
-/// pays the switch-on-offload context switch.
-pub fn edtlp_makespan(
-    trace: &PricedTrace,
-    n_jobs: usize,
-    model: &CostModel,
-    params: &DesParams,
-) -> SimOutcome {
-    edtlp_makespan_with_faults(trace, n_jobs, model, params, &FaultPlan::none())
-}
-
-/// [`edtlp_makespan`] under a fault plan: each worker's offloads pay the
-/// plan's retry/backoff costs and SPE deaths shrink worker sets.
-pub fn edtlp_makespan_with_faults(
-    trace: &PricedTrace,
-    n_jobs: usize,
-    model: &CostModel,
-    params: &DesParams,
-    plan: &FaultPlan,
-) -> SimOutcome {
-    edtlp_makespan_traced(trace, n_jobs, model, params, plan, &mut TraceLog::disabled())
-}
-
-/// [`edtlp_makespan_with_faults`] emitting every scheduling decision into
-/// `tlog`, plus an `EDTLP` phase span covering the run and the priced
-/// trace's component totals as counters (for §5.2-style breakdown tables).
-pub fn edtlp_makespan_traced(
+/// EDTLP: up to eight workers over the shared PPE. When the PPE is
+/// oversubscribed (more workers than hardware threads) every offload pays
+/// the switch-on-offload context switch.
+fn edtlp(
     trace: &PricedTrace,
     n_jobs: usize,
     model: &CostModel,
@@ -81,45 +55,21 @@ pub fn edtlp_makespan_traced(
     plan: &FaultPlan,
     tlog: &mut TraceLog,
 ) -> SimOutcome {
-    let workers = n_jobs.min(params.n_spes);
+    let workers = n_jobs.clamp(1, params.n_spes);
     let ctx = if workers > params.n_ppe_threads { model.edtlp_context_switch } else { 0 };
     let eib = EibModel::default().contention_factor(workers);
     let phases = des::phases_for(trace, 1, model.llp_dispatch, ctx, eib);
     let phases = compress_phases(&phases, DEFAULT_GRANULARITY);
     let jobs: Vec<&[Phase]> = (0..n_jobs).map(|_| phases.as_slice()).collect();
-    let out = simulate_task_parallel_jobs_traced(&jobs, workers, 1, params, plan, tlog);
+    let out = simulate_task_parallel(&jobs, workers, 1, params, plan, tlog);
     annotate_schedule(tlog, "EDTLP", &out, trace, eib);
     out
 }
 
-/// Makespan under LLP with `workers` processes, each splitting its
-/// offloaded loops across `n_spes / workers` SPEs.
-pub fn llp_makespan(
-    trace: &PricedTrace,
-    n_jobs: usize,
-    workers: usize,
-    model: &CostModel,
-    params: &DesParams,
-) -> SimOutcome {
-    llp_makespan_with_faults(trace, n_jobs, workers, model, params, &FaultPlan::none())
-}
-
-/// [`llp_makespan`] under a fault plan. A dead SPE stretches its worker's
-/// loop splits across the survivors; a fully dead set degrades to the PPE.
-pub fn llp_makespan_with_faults(
-    trace: &PricedTrace,
-    n_jobs: usize,
-    workers: usize,
-    model: &CostModel,
-    params: &DesParams,
-    plan: &FaultPlan,
-) -> SimOutcome {
-    llp_makespan_traced(trace, n_jobs, workers, model, params, plan, &mut TraceLog::disabled())
-}
-
-/// [`llp_makespan_with_faults`] emitting into `tlog` (see
-/// [`edtlp_makespan_traced`]).
-pub fn llp_makespan_traced(
+/// LLP with `workers` processes, each splitting its offloaded loops across
+/// `n_spes / workers` SPEs. A dead SPE stretches its worker's loop splits
+/// across the survivors; a fully dead set degrades to the PPE.
+fn llp(
     trace: &PricedTrace,
     n_jobs: usize,
     workers: usize,
@@ -136,43 +86,23 @@ pub fn llp_makespan_traced(
     let phases = des::phases_for(trace, k, model.llp_dispatch, ctx, eib);
     let phases = compress_phases(&phases, DEFAULT_GRANULARITY);
     let jobs: Vec<&[Phase]> = (0..n_jobs).map(|_| phases.as_slice()).collect();
-    let out = simulate_task_parallel_jobs_traced(&jobs, workers, k, params, plan, tlog);
+    let out = simulate_task_parallel(&jobs, workers, k, params, plan, tlog);
     annotate_schedule(tlog, "LLP", &out, trace, eib);
     out
 }
 
-/// Makespan under MGPS: full batches of eight bootstraps run EDTLP; a tail
-/// of fewer than eight switches the surviving workers to LLP (paper §5.3:
-/// "if there is not enough work to keep the eight SPEs busy, the idle MPI
-/// processes are suspended, and the remaining active MPI processes use the
-/// idle SPEs for loop-level parallelization").
-pub fn mgps_makespan(
-    trace: &PricedTrace,
-    n_jobs: usize,
-    model: &CostModel,
-    params: &DesParams,
-) -> SimOutcome {
-    mgps_makespan_with_faults(trace, n_jobs, model, params, &FaultPlan::none())
-}
-
-/// [`mgps_makespan`] under a fault plan. Fault accounting from the EDTLP
-/// batches and the LLP/EDTLP tail is merged into one [`FaultReport`].
-pub fn mgps_makespan_with_faults(
-    trace: &PricedTrace,
-    n_jobs: usize,
-    model: &CostModel,
-    params: &DesParams,
-    plan: &FaultPlan,
-) -> SimOutcome {
-    mgps_makespan_traced(trace, n_jobs, model, params, plan, &mut TraceLog::disabled())
-}
-
-/// [`mgps_makespan_with_faults`] emitting into `tlog`. The EDTLP batch and
-/// the tail are separate DES runs whose clocks both start at zero; the tail
-/// segment is stitched onto the batch's end via the log's timestamp offset,
-/// so the exported timeline shows one contiguous run (with nested `EDTLP` /
-/// `LLP` phase spans marking the regime switch).
-pub fn mgps_makespan_traced(
+/// MGPS: full batches of eight bootstraps run EDTLP; a tail of fewer than
+/// eight switches the surviving workers to LLP (paper §5.3: "if there is
+/// not enough work to keep the eight SPEs busy, the idle MPI processes are
+/// suspended, and the remaining active MPI processes use the idle SPEs for
+/// loop-level parallelization"). Fault accounting from the EDTLP batches
+/// and the tail is merged into one [`FaultReport`].
+///
+/// The EDTLP batch and the tail are separate DES runs whose clocks both
+/// start at zero; the tail segment is stitched onto the batch's end via the
+/// log's timestamp offset, so the exported timeline shows one contiguous
+/// run (with nested `EDTLP` / `LLP` phase spans marking the regime switch).
+fn mgps(
     trace: &PricedTrace,
     n_jobs: usize,
     model: &CostModel,
@@ -186,10 +116,10 @@ pub fn mgps_makespan_traced(
     let base = tlog.offset();
 
     let mut total: Cycles = 0;
-    let mut stats = cellsim::stats::SimStats::new(params.n_spes);
-    let mut faults = cellsim::fault::FaultReport::default();
+    let mut stats = SimStats::new(params.n_spes);
+    let mut faults = FaultReport::default();
     if full_batches > 0 {
-        let out = edtlp_makespan_traced(trace, full_batches * batch, model, params, plan, tlog);
+        let out = edtlp(trace, full_batches * batch, model, params, plan, tlog);
         total += out.makespan;
         stats = out.stats;
         faults = out.faults;
@@ -198,11 +128,11 @@ pub fn mgps_makespan_traced(
         tlog.set_offset(base + total);
         let out = if tail <= 4 {
             // LLP: `tail` workers, 8/tail SPEs each.
-            llp_makespan_traced(trace, tail, tail, model, params, plan, tlog)
+            llp(trace, tail, tail, model, params, plan, tlog)
         } else {
             // 5–7 leftover tasks: not enough SPEs for ≥2-way loop splits;
             // run them EDTLP-style.
-            edtlp_makespan_traced(trace, tail, model, params, plan, tlog)
+            edtlp(trace, tail, model, params, plan, tlog)
         };
         total += out.makespan;
         for (a, b) in stats.spes.iter_mut().zip(&out.stats.spes) {
@@ -250,52 +180,17 @@ fn annotate_schedule(
     tlog.counter(out.makespan, "eib_contention", eib_factor);
 }
 
-/// Dispatch on a [`Scheduler`] value.
-pub fn schedule_makespan(
-    scheduler: Scheduler,
-    trace: &PricedTrace,
-    n_jobs: usize,
-    model: &CostModel,
-    params: &DesParams,
-) -> Cycles {
-    match scheduler {
-        Scheduler::SyncWorkers(w) => sync_workers_makespan(trace, n_jobs, w),
-        Scheduler::Edtlp => edtlp_makespan(trace, n_jobs, model, params).makespan,
-        Scheduler::Llp { workers } => llp_makespan(trace, n_jobs, workers, model, params).makespan,
-        Scheduler::Mgps => mgps_makespan(trace, n_jobs, model, params).makespan,
-    }
-}
-
-/// [`schedule_makespan`] under a fault plan, returning the full
-/// [`SimOutcome`] so callers can read the fault report next to the
-/// makespan.
+/// Run `n_jobs` bootstraps of `trace` under `scheduler`, paying `plan`'s
+/// retry/backoff/death costs and emitting every scheduling decision into
+/// `tlog` (plus a phase span per regime and the priced trace's component
+/// totals as counters). [`FaultPlan::none`] is bit-exact with a fault-free
+/// run and [`TraceLog::disabled`] costs nothing, so those two arguments are
+/// how a caller asks for the plain simulation.
 ///
 /// `SyncWorkers` stays the closed-form wave model: it has no discrete-event
 /// machinery to inject faults into, so the plan is ignored there (the naive
 /// port is only ever used as a fault-free baseline).
-pub fn schedule_makespan_with_faults(
-    scheduler: Scheduler,
-    trace: &PricedTrace,
-    n_jobs: usize,
-    model: &CostModel,
-    params: &DesParams,
-    plan: &FaultPlan,
-) -> SimOutcome {
-    schedule_makespan_traced(
-        scheduler,
-        trace,
-        n_jobs,
-        model,
-        params,
-        plan,
-        &mut TraceLog::disabled(),
-    )
-}
-
-/// [`schedule_makespan_with_faults`] emitting the full scheduling timeline
-/// into `tlog` — the traced entry point the profiling harness uses to
-/// produce Perfetto-loadable traces per scheduler.
-pub fn schedule_makespan_traced(
+pub fn schedule_makespan(
     scheduler: Scheduler,
     trace: &PricedTrace,
     n_jobs: usize,
@@ -307,18 +202,15 @@ pub fn schedule_makespan_traced(
     match scheduler {
         Scheduler::SyncWorkers(w) => {
             let makespan = sync_workers_makespan(trace, n_jobs, w);
-            let mut stats = cellsim::stats::SimStats::new(params.n_spes);
+            let mut stats = SimStats::new(params.n_spes);
             stats.makespan = makespan;
-            let out =
-                SimOutcome { makespan, stats, faults: cellsim::fault::FaultReport::default() };
+            let out = SimOutcome { makespan, stats, faults: FaultReport::default() };
             annotate_schedule(tlog, "SyncWorkers", &out, trace, 1.0);
             out
         }
-        Scheduler::Edtlp => edtlp_makespan_traced(trace, n_jobs, model, params, plan, tlog),
-        Scheduler::Llp { workers } => {
-            llp_makespan_traced(trace, n_jobs, workers, model, params, plan, tlog)
-        }
-        Scheduler::Mgps => mgps_makespan_traced(trace, n_jobs, model, params, plan, tlog),
+        Scheduler::Edtlp => edtlp(trace, n_jobs, model, params, plan, tlog),
+        Scheduler::Llp { workers } => llp(trace, n_jobs, workers, model, params, plan, tlog),
+        Scheduler::Mgps => mgps(trace, n_jobs, model, params, plan, tlog),
     }
 }
 
@@ -360,6 +252,16 @@ mod tests {
         DesParams { n_ppe_threads: 2, smt_penalty: SMT_PENALTY, n_spes: 8 }
     }
 
+    /// `schedule_makespan` on the paper machine with a disabled log.
+    fn run(sched: Scheduler, t: &PricedTrace, n_jobs: usize, plan: &FaultPlan) -> SimOutcome {
+        let model = CostModel::paper_calibrated();
+        schedule_makespan(sched, t, n_jobs, &model, &params(), plan, &mut TraceLog::disabled())
+    }
+
+    fn clean(sched: Scheduler, t: &PricedTrace, n_jobs: usize) -> Cycles {
+        run(sched, t, n_jobs, &FaultPlan::none()).makespan
+    }
+
     #[test]
     fn sync_workers_scale_in_waves() {
         let t = priced();
@@ -374,10 +276,9 @@ mod tests {
 
     #[test]
     fn edtlp_beats_two_sync_workers() {
-        let model = CostModel::paper_calibrated();
         let t = priced();
         let sync2 = sync_workers_makespan(&t, 8, 2);
-        let edtlp = edtlp_makespan(&t, 8, &model, &params()).makespan;
+        let edtlp = clean(Scheduler::Edtlp, &t, 8);
         assert!(
             edtlp < sync2,
             "8 SPEs under EDTLP must beat 2 SPEs under sync: {edtlp} vs {sync2}"
@@ -386,10 +287,9 @@ mod tests {
 
     #[test]
     fn llp_beats_single_worker_on_one_job() {
-        let model = CostModel::paper_calibrated();
         let t = priced();
         let solo = sync_workers_makespan(&t, 1, 1);
-        let llp = llp_makespan(&t, 1, 1, &model, &params()).makespan;
+        let llp = clean(Scheduler::Llp { workers: 1 }, &t, 1);
         assert!(llp < solo, "8-way LLP must beat one SPE: {llp} vs {solo}");
         // But not by more than 8× (Amdahl + dispatch).
         assert!(llp > solo / 8);
@@ -397,22 +297,16 @@ mod tests {
 
     #[test]
     fn mgps_matches_edtlp_on_full_batches() {
-        let model = CostModel::paper_calibrated();
         let t = priced();
-        let p = params();
-        let mgps = mgps_makespan(&t, 16, &model, &p).makespan;
-        let edtlp = edtlp_makespan(&t, 16, &model, &p).makespan;
-        assert_eq!(mgps, edtlp);
+        assert_eq!(clean(Scheduler::Mgps, &t, 16), clean(Scheduler::Edtlp, &t, 16));
     }
 
     #[test]
     fn mgps_is_never_worse_than_pure_strategies() {
-        let model = CostModel::paper_calibrated();
         let t = priced();
-        let p = params();
         for n in [1usize, 2, 3, 4, 8, 9, 12, 16, 20] {
-            let mgps = mgps_makespan(&t, n, &model, &p).makespan;
-            let edtlp = edtlp_makespan(&t, n, &model, &p).makespan;
+            let mgps = clean(Scheduler::Mgps, &t, n);
+            let edtlp = clean(Scheduler::Edtlp, &t, n);
             // Allow a small tolerance: the tail heuristic is not exactly
             // optimal but must be in the same ballpark or better.
             assert!(mgps as f64 <= edtlp as f64 * 1.05, "n={n}: mgps {mgps} vs edtlp {edtlp}");
@@ -421,12 +315,10 @@ mod tests {
 
     #[test]
     fn mgps_scales_linearly_in_full_batches() {
-        let model = CostModel::paper_calibrated();
         let t = priced();
-        let p = params();
-        let m8 = mgps_makespan(&t, 8, &model, &p).makespan;
-        let m16 = mgps_makespan(&t, 16, &model, &p).makespan;
-        let m32 = mgps_makespan(&t, 32, &model, &p).makespan;
+        let m8 = clean(Scheduler::Mgps, &t, 8);
+        let m16 = clean(Scheduler::Mgps, &t, 16);
+        let m32 = clean(Scheduler::Mgps, &t, 32);
         assert!((m16 as f64 / m8 as f64 - 2.0).abs() < 0.1);
         assert!((m32 as f64 / m8 as f64 - 4.0).abs() < 0.2);
     }
@@ -436,40 +328,55 @@ mod tests {
         let model = CostModel::paper_calibrated();
         let t = priced();
         let p = params();
+        let out = run(Scheduler::SyncWorkers(2), &t, 4, &FaultPlan::none());
+        assert_eq!(out.makespan, sync_workers_makespan(&t, 4, 2));
+        assert_eq!(out.stats.makespan, out.makespan);
         assert_eq!(
-            schedule_makespan(Scheduler::SyncWorkers(2), &t, 4, &model, &p),
-            sync_workers_makespan(&t, 4, 2)
-        );
-        assert_eq!(
-            schedule_makespan(Scheduler::Mgps, &t, 9, &model, &p),
-            mgps_makespan(&t, 9, &model, &p).makespan
+            clean(Scheduler::Mgps, &t, 9),
+            mgps(&t, 9, &model, &p, &FaultPlan::none(), &mut TraceLog::disabled()).makespan
         );
     }
 
     #[test]
+    fn zero_jobs_cost_nothing_under_every_scheduler() {
+        let empty = price_trace(&[], &CostModel::paper_calibrated(), &OptConfig::fully_optimized());
+        for t in [&empty, &priced()] {
+            for sched in [
+                Scheduler::SyncWorkers(2),
+                Scheduler::Edtlp,
+                Scheduler::Llp { workers: 2 },
+                Scheduler::Mgps,
+            ] {
+                let out = run(sched, t, 0, &FaultPlan::uniform(5, 0.5));
+                assert_eq!(out.makespan, 0, "{sched:?}");
+                assert!(out.faults.is_clean(), "{sched:?}");
+            }
+        }
+    }
+
+    #[test]
     fn inert_plan_reproduces_every_scheduler_exactly() {
-        let model = CostModel::paper_calibrated();
+        // Any plan that can never inject — whatever its seed — must leave
+        // the event sequence untouched.
         let t = priced();
-        let p = params();
-        let inert = FaultPlan::none();
+        let inert = FaultPlan::uniform(0xfeed, 0.0);
+        assert!(inert.is_inert());
         for sched in [Scheduler::Edtlp, Scheduler::Llp { workers: 2 }, Scheduler::Mgps] {
-            let clean = schedule_makespan(sched, &t, 12, &model, &p);
-            let out = schedule_makespan_with_faults(sched, &t, 12, &model, &p, &inert);
-            assert_eq!(clean, out.makespan, "{sched:?}");
+            let clean = run(sched, &t, 12, &FaultPlan::none());
+            let out = run(sched, &t, 12, &inert);
+            assert_eq!(clean.makespan, out.makespan, "{sched:?}");
+            assert_eq!(clean.stats.ppe_busy, out.stats.ppe_busy, "{sched:?}");
             assert!(out.faults.is_clean());
         }
     }
 
     #[test]
     fn faulty_schedulers_report_and_slow_down() {
-        let model = CostModel::paper_calibrated();
         let t = priced();
-        let p = params();
         let plan = FaultPlan::uniform(11, 0.05);
         for sched in [Scheduler::Edtlp, Scheduler::Llp { workers: 2 }, Scheduler::Mgps] {
-            let clean = schedule_makespan(sched, &t, 12, &model, &p);
-            let out = schedule_makespan_with_faults(sched, &t, 12, &model, &p, &plan);
-            assert!(out.makespan >= clean, "{sched:?}");
+            let out = run(sched, &t, 12, &plan);
+            assert!(out.makespan >= clean(sched, &t, 12), "{sched:?}");
             assert!(out.faults.injected > 0, "{sched:?} must inject");
         }
     }
@@ -485,8 +392,8 @@ mod tests {
         let inert = FaultPlan::none();
         for sched in [Scheduler::Edtlp, Scheduler::Llp { workers: 2 }, Scheduler::Mgps] {
             let mut tlog = TraceLog::enabled();
-            let traced = schedule_makespan_traced(sched, &t, 12, &model, &p, &inert, &mut tlog);
-            let plain = schedule_makespan_with_faults(sched, &t, 12, &model, &p, &inert);
+            let traced = schedule_makespan(sched, &t, 12, &model, &p, &inert, &mut tlog);
+            let plain = run(sched, &t, 12, &inert);
             assert_eq!(traced.makespan, plain.makespan, "{sched:?}");
             assert!(!tlog.is_empty(), "{sched:?} must emit events");
 
@@ -510,14 +417,12 @@ mod tests {
 
     #[test]
     fn mgps_merges_fault_reports_across_batch_and_tail() {
-        let model = CostModel::paper_calibrated();
         let t = priced();
-        let p = params();
         let plan = FaultPlan::uniform(3, 0.3);
         // 11 jobs: one full EDTLP batch of 8 + an LLP tail of 3.
-        let whole = mgps_makespan_with_faults(&t, 11, &model, &p, &plan);
-        let batch = edtlp_makespan_with_faults(&t, 8, &model, &p, &plan);
-        let tail = llp_makespan_with_faults(&t, 3, 3, &model, &p, &plan);
+        let whole = run(Scheduler::Mgps, &t, 11, &plan);
+        let batch = run(Scheduler::Edtlp, &t, 8, &plan);
+        let tail = run(Scheduler::Llp { workers: 3 }, &t, 3, &plan);
         let mut merged = batch.faults;
         merged.merge(&tail.faults);
         assert_eq!(whole.faults, merged);

@@ -1,10 +1,10 @@
 //! A minimal JSON value parser.
 //!
-//! The build environment has no serde; `cellsim::tracelog` hand-rolls a
-//! *validator* for the exporters, and this module is the complementary
-//! *reader* behind the service's wire protocol, journal and event log and
-//! the benchmark's result files. Same recursive-descent grammar, but it
-//! builds a [`Json`] tree instead of only checking well-formedness.
+//! The build environment has no serde; this module is the one *reader*
+//! behind the service's wire protocol, journal and event log, the
+//! benchmark's result files, and the tests that prove the hand-rolled
+//! exporters' artifacts parse. Recursive descent (RFC 8259) into a [`Json`]
+//! tree.
 
 /// A parsed JSON value. Object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +58,16 @@ pub fn parse(text: &str) -> Result<Json, String> {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(value)
+}
+
+/// Parse line-delimited JSON: one value per non-blank line. An error names
+/// the 1-based line it came from.
+pub fn parse_lines(text: &str) -> Result<Vec<Json>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| parse(line).map_err(|e| format!("line {}: {e}", i + 1)))
+        .collect()
 }
 
 const MAX_DEPTH: usize = 64;
@@ -180,7 +190,8 @@ fn parse_number(b: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
     while pos < b.len() && b[pos].is_ascii_digit() {
         pos += 1;
     }
-    if pos == int_start {
+    // RFC 8259 §6: the integer part is `0` or starts with a nonzero digit.
+    if pos == int_start || (b[int_start] == b'0' && pos - int_start > 1) {
         return Err(format!("bad number at byte {start}"));
     }
     if b.get(pos) == Some(&b'.') {
@@ -284,8 +295,48 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "nul", "1.2.3", "\"x", "{} extra", "{'a':1}"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "{\"a\" 1}",
+            "nul",
+            "1.2.3",
+            "\"x",
+            "\"unterminated",
+            "{} extra",
+            "01a",
+            "[1 2]",
+            "{'a':1}",
+            // Leading zeros are not JSON (python3's json.load rejects them).
+            "01",
+            "-01",
+            "-007",
+            "[00]",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn accepts_every_value_form() {
+        for good in [
+            "{}",
+            "[]",
+            "null",
+            "true",
+            "-12.5e-3",
+            "\"a\\u00e9\\n\"",
+            "{\"a\":[1,2,{\"b\":null}],\"c\":\"x\"}",
+            "  [1, 2, 3]  ",
+            "0",
+            "-0",
+            "0.5",
+            "10",
+            "1e05",
+        ] {
+            assert!(parse(good).is_ok(), "{good:?}");
         }
     }
 
@@ -293,5 +344,16 @@ mod tests {
     fn numbers_parse_exactly() {
         assert_eq!(parse("-12.5e-3").unwrap().as_f64(), Some(-0.0125));
         assert_eq!(parse("0").unwrap().as_f64(), Some(0.0));
+        assert_eq!(parse("1e05").unwrap().as_f64(), Some(100_000.0));
+    }
+
+    #[test]
+    fn parse_lines_skips_blanks_and_names_the_bad_line() {
+        let docs = parse_lines("{\"a\":1}\n\n  \n{\"b\":2}\n").unwrap();
+        assert_eq!(docs.len(), 2);
+        assert_eq!(docs[1].get("b").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(parse_lines("").unwrap(), vec![]);
+        let err = parse_lines("{\"a\":1}\noops\n").unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 }

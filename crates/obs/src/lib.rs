@@ -376,8 +376,8 @@ impl Registry {
 
     /// Export as line-delimited JSON: one object per metric (histograms
     /// carry their deterministic quantile estimates), plus a trailer line
-    /// with the registry-wide metric count. Validated in CI by
-    /// `cellsim::tracelog::validate_jsonl`.
+    /// with the registry-wide metric count. Tests re-read it with
+    /// [`json::parse_lines`].
     pub fn to_jsonl(&self) -> String {
         let snapshot = self.snapshot();
         let mut out = String::new();
@@ -454,9 +454,8 @@ fn is_valid_metric_name(name: &str) -> bool {
 /// Validate Prometheus text exposition format: every non-empty line is a
 /// comment (`# TYPE`/`# HELP`) or a `name[{labels}] value` sample with a
 /// legal metric name and a parseable value. `# HELP` lines must name a
-/// legal metric and carry a non-empty description. The export-side
-/// analogue of `cellsim::tracelog::validate_json` — CI proves the
-/// artifact parses.
+/// legal metric and carry a non-empty description — what [`json::parse`]
+/// is for the JSON exports: the tests' proof that the artifact parses.
 pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
     for (lineno, line) in text.lines().enumerate() {
         let n = lineno + 1;

@@ -38,8 +38,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// SplitMix64: the one-shot mixer used across the workspace for
-/// deterministic, stateless ID derivation (same constants as
-/// `cellsim::fault`).
+/// deterministic, stateless ID derivation (also the hash behind
+/// `cellsim::fault`'s counter-mode draws).
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -7,16 +7,19 @@
 //! phylo-ml score    data.phy best.nwk --alpha 0.6
 //! ```
 //!
-//! Formats are auto-detected (`>` ⇒ FASTA, otherwise PHYLIP). All runs are
-//! deterministic given `--seed`.
+//! Formats are auto-detected (by extension, else `>` ⇒ FASTA, otherwise
+//! PHYLIP). All runs are deterministic given `--seed`.
 
+use phylo::alignment::PatternAlignment;
 use phylo::bootstrap::BootstrapAnalysis;
-use phylo::io::{parse_fasta, parse_newick, parse_phylip, write_phylip};
+use phylo::error::PhyloError;
+use phylo::io::{load_alignment, parse_newick, write_phylip};
 use phylo::likelihood::engine::LikelihoodEngine;
 use phylo::likelihood::LikelihoodConfig;
 use phylo::model::{GammaRates, SubstModel};
 use phylo::search::{run_inference, InferenceOptions, InferenceRequest, SearchConfig};
 use phylo::simulate::SimulationConfig;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -100,11 +103,14 @@ impl Args {
     }
 }
 
-fn load_alignment(path: &str) -> Result<phylo::alignment::Alignment, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let parsed =
-        if text.trim_start().starts_with('>') { parse_fasta(&text) } else { parse_phylip(&text) };
-    parsed.map_err(|e| format!("cannot parse {path:?}: {e}"))
+/// Load and pattern-compress an alignment; the error names the file.
+fn load_compressed(path: &str) -> Result<PatternAlignment, String> {
+    match load_alignment(Path::new(path)) {
+        Ok(aln) => Ok(aln.compress()),
+        // An I/O error already carries the path; a parse error does not.
+        Err(e @ PhyloError::Io { .. }) => Err(e.to_string()),
+        Err(e) => Err(format!("cannot parse {path:?}: {e}")),
+    }
 }
 
 fn write_out(path: Option<&str>, content: &str) -> Result<(), String> {
@@ -163,7 +169,7 @@ fn cmd_simulate(raw: &[String]) -> Result<(), String> {
 fn cmd_infer(raw: &[String]) -> Result<(), String> {
     let a = Args::parse(raw, &["no-alpha-opt", "parallel"])?;
     let path = a.positional.first().ok_or("infer needs an alignment file")?;
-    let aln = load_alignment(path)?.compress();
+    let aln = load_compressed(path)?;
     let cfg = search_config(&a)?;
     let seed: u64 = a.get_parse("seed", 1)?;
 
@@ -192,7 +198,7 @@ fn cmd_infer(raw: &[String]) -> Result<(), String> {
 fn cmd_analyze(raw: &[String]) -> Result<(), String> {
     let a = Args::parse(raw, &["no-alpha-opt", "parallel", "consensus"])?;
     let path = a.positional.first().ok_or("analyze needs an alignment file")?;
-    let aln = load_alignment(path)?.compress();
+    let aln = load_compressed(path)?;
     let analysis = BootstrapAnalysis {
         n_inferences: a.get_parse("inferences", 4)?,
         n_bootstraps: a.get_parse("bootstraps", 100)?,
@@ -273,7 +279,7 @@ fn cmd_score(raw: &[String]) -> Result<(), String> {
     let a = Args::parse(raw, &[])?;
     let aln_path = a.positional.first().ok_or("score needs an alignment file")?;
     let tree_path = a.positional.get(1).ok_or("score needs a Newick tree file")?;
-    let aln = load_alignment(aln_path)?.compress();
+    let aln = load_compressed(aln_path)?;
     let tree_text = std::fs::read_to_string(tree_path)
         .map_err(|e| format!("cannot read {tree_path:?}: {e}"))?;
     let tree = parse_newick(&tree_text, aln.taxon_names()).map_err(|e| e.to_string())?;

@@ -324,13 +324,13 @@ impl BootstrapAnalysis {
         fp.finish()
     }
 
-    /// As [`BootstrapAnalysis::run`], persisting every completed job to an
+    /// As [`BootstrapAnalysis::try_run`], persisting every completed job to an
     /// append-only store and resuming from it when one already exists.
     ///
     /// Job seeds are derived from the job index, never from execution
     /// order, so a run killed partway and resumed — even with a different
     /// `chunk_size` or worker count — produces trees and log-likelihoods
-    /// bit-identical to an uninterrupted [`BootstrapAnalysis::run`]. The
+    /// bit-identical to an uninterrupted [`BootstrapAnalysis::try_run`]. The
     /// one exception is [`AnalysisResult::trace`]: it only counts kernels
     /// the *current* process executed (jobs restored from disk are not
     /// re-run, so their kernel work is genuinely absent).

@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::io::{parse_fasta, parse_newick, parse_phylip, write_phylip};
     pub use crate::likelihood::engine::LikelihoodEngine;
     pub use crate::likelihood::{
-        LikelihoodConfig, LikelihoodWorkspace, TraversalOps, WorkspaceOptions, WorkspacePool,
+        LikelihoodConfig, LikelihoodWorkspace, TraversalOps, WorkspaceOptions,
     };
     pub use crate::model::{GammaRates, SubstModel};
     pub use crate::search::{

@@ -382,7 +382,7 @@ impl<'a> LikelihoodEngine<'a> {
     /// scaling checks, `libm` exp, no parallelism — with every cached
     /// partial invalidated so rescaling is applied from scratch. If even
     /// that is non-finite, the alignment/model combination is genuinely
-    /// degenerate and a typed [`PhyloError::Numerical`] is returned.
+    /// degenerate and a typed [`crate::error::PhyloError::Numerical`] is returned.
     pub fn try_log_likelihood(&mut self, tree: &Tree) -> crate::error::Result<f64> {
         let mut lnl = self.log_likelihood(tree);
         if self.poison_numerics {

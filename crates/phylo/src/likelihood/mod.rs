@@ -21,9 +21,7 @@ pub mod kernels;
 pub mod reference;
 pub mod workspace;
 
-pub use workspace::{
-    LikelihoodWorkspace, TraversalOp, TraversalOps, WorkspaceOptions, WorkspacePool,
-};
+pub use workspace::{LikelihoodWorkspace, TraversalOp, TraversalOps, WorkspaceOptions};
 
 /// RAxML's `minlikelihood`: partials below this threshold (for every state
 /// and rate category of a site) are rescaled to avoid numerical underflow.

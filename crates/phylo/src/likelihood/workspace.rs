@@ -12,14 +12,11 @@
 //!
 //! Workspaces outlive engines: [`crate::likelihood::engine::LikelihoodEngine::into_workspace`]
 //! recovers the arena when an engine is dropped. Arenas are recycled across
-//! bootstrap replicates two ways: the [`crate::farm`] inference farm hands
-//! each worker a workspace as its per-worker shard (no lock per job), and
-//! the lock-per-checkout [`WorkspacePool`] remains for callers that share
-//! arenas across ad-hoc threads.
+//! bootstrap replicates: the [`crate::farm`] inference farm hands each
+//! worker a workspace as its per-worker shard (no lock per job).
 
 use super::kernels::{tiled_len, Mat4, NewtonScratch, TipTable16};
 use crate::tree::{Edge, NodeId};
-use std::sync::Mutex;
 
 /// Engine-level switches for the workspace/dispatch layer, threaded through
 /// [`crate::search::SearchConfig`].
@@ -139,12 +136,12 @@ pub(crate) struct SprScratch {
 }
 
 /// Every buffer the likelihood hot path touches, allocated once and reused
-/// across all kernel calls, SPR candidates and (via [`WorkspacePool`])
-/// bootstrap replicates. Geometry (`n_taxa`, `n_patterns`, `n_rates`) is
-/// re-validated by [`LikelihoodWorkspace::ensure`] whenever an engine
-/// adopts the workspace; buffers only grow or shrink in *length*, their
-/// capacity is retained, so a recycled workspace reaches its steady state
-/// with no new allocations.
+/// across all kernel calls, SPR candidates and (via the farm's per-worker
+/// shards) bootstrap replicates. Geometry (`n_taxa`, `n_patterns`,
+/// `n_rates`) is re-validated by [`LikelihoodWorkspace::ensure`] whenever an
+/// engine adopts the workspace; buffers only grow or shrink in *length*,
+/// their capacity is retained, so a recycled workspace reaches its steady
+/// state with no new allocations.
 #[derive(Debug, Default)]
 pub struct LikelihoodWorkspace {
     n_taxa: usize,
@@ -367,39 +364,6 @@ impl LikelihoodWorkspace {
     }
 }
 
-/// A thread-safe pool of [`LikelihoodWorkspace`] arenas: threads check a
-/// workspace out per job and return it afterwards, so `n_workers` arenas
-/// serve any number of bootstrap replicates — instead of every replicate
-/// reallocating all partials. The [`crate::farm`] inference farm avoids
-/// even the checkout lock by owning one workspace per worker as that
-/// worker's shard; the pool remains for ad-hoc sharing across threads.
-#[derive(Debug, Default)]
-pub struct WorkspacePool {
-    slots: Mutex<Vec<LikelihoodWorkspace>>,
-}
-
-impl WorkspacePool {
-    /// An empty pool; workspaces are created on demand at first checkout.
-    pub fn new() -> WorkspacePool {
-        WorkspacePool::default()
-    }
-
-    /// Take a workspace (a recycled one if available, otherwise empty).
-    pub fn checkout(&self) -> LikelihoodWorkspace {
-        self.slots.lock().expect("workspace pool poisoned").pop().unwrap_or_default()
-    }
-
-    /// Return a workspace for reuse.
-    pub fn checkin(&self, ws: LikelihoodWorkspace) {
-        self.slots.lock().expect("workspace pool poisoned").push(ws);
-    }
-
-    /// Number of idle workspaces currently pooled.
-    pub fn idle(&self) -> usize {
-        self.slots.lock().expect("workspace pool poisoned").len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,21 +406,6 @@ mod tests {
         assert_eq!(ws.partials.len(), 8);
         assert!(ws.partials.iter().all(|p| p.len() == 200 * 16)); // 200 = 25 blocks exactly
         assert!(ws.orientation.iter().all(|o| o.is_none()));
-    }
-
-    #[test]
-    fn pool_recycles_workspaces() {
-        let pool = WorkspacePool::new();
-        assert_eq!(pool.idle(), 0);
-        let mut ws = pool.checkout();
-        ws.ensure(6, 80, 4);
-        let bytes = ws.partials_bytes();
-        assert!(bytes > 0);
-        pool.checkin(ws);
-        assert_eq!(pool.idle(), 1);
-        let ws2 = pool.checkout();
-        assert_eq!(ws2.partials_bytes(), bytes, "recycled workspace keeps its buffers");
-        assert_eq!(pool.idle(), 0);
     }
 
     #[test]

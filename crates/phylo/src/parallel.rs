@@ -200,7 +200,7 @@ fn newview_chunked(
 
 /// `evaluate` with optional loop-level parallelism over site patterns.
 ///
-/// Deterministic: each fixed 256-pattern [`REDUCE_BLOCK`] writes its
+/// Deterministic: each fixed 256-pattern `REDUCE_BLOCK` writes its
 /// partial log-likelihood into an indexed slot and the slots are summed
 /// sequentially in block order, so the result is bit-identical run-to-run,
 /// across thread counts, and across scheduling granules.

@@ -2,7 +2,7 @@
 //! getter for the introspection routes (`/metrics`, `/healthz`, `/readyz`,
 //! `/jobs`, `/trace/<job>`) and a reconnecting [`RetryClient`] with
 //! exactly-once submit semantics and an optional structured
-//! [`EventLog`](crate::events::EventLog) recording every reconnect and
+//! [`EventLog`] recording every reconnect and
 //! backoff. Used by the integration tests, the benchmark's serve
 //! workloads, and scripting.
 

@@ -1,7 +1,7 @@
 //! Deterministic wire-level fault injection for the service tier.
 //!
 //! The simulator already has a gold-standard chaos model in
-//! [`cellsim::fault`]: every fault decision is a **pure function** of
+//! `cellsim::fault`: every fault decision is a **pure function** of
 //! `(seed, stream, index, salt)` hashed through splitmix64, so no RNG state
 //! is carried between draws and two runs under the same plan replay the
 //! exact same fault history. This module applies the identical discipline

@@ -3,7 +3,7 @@
 //! The paper's PPE/SPE split *is* a serving architecture: a coordinator
 //! dispatching likelihood work to a pool of workers. This crate puts a
 //! front door on that substrate — the work-stealing
-//! [`phylo::farm`](phylo::farm) plus the [`obs`] metrics registry — so the
+//! [`phylo::farm`] plus the [`obs`] metrics registry — so the
 //! system serves sustained multi-tenant traffic instead of one batch at a
 //! time:
 //!
@@ -16,7 +16,7 @@
 //!   control (global queue bound + per-tenant in-flight quotas) backed by
 //!   the farm's bounded-submission backpressure; job status polling;
 //!   crash-safe jobs via a durable journal plus the
-//!   [`phylo::checkpoint`](phylo::checkpoint) tier.
+//!   [`phylo::checkpoint`] tier.
 //! * **Server** ([`server`]): a thread-per-connection TCP front end that
 //!   multiplexes the frame protocol with a plain-HTTP `GET /metrics`
 //!   endpoint serving the [`obs`] Prometheus text exporter. Connections

@@ -5,16 +5,16 @@
 //! ## Threading model
 //!
 //! [`InferenceService::start`] spawns a scheduler thread that calls
-//! [`phylo::farm::run_farm`] once with a *blocking* job iterator
-//! ([`JobFeed`]): `next()` parks on a condvar until a queued job exists (or
-//! shutdown drains the queues), so the farm's worker pool — and every
-//! per-worker [`LikelihoodWorkspace`] arena — persists across jobs instead
-//! of being rebuilt per batch. Submissions are cheap queue pushes from any
-//! thread.
+//! [`phylo::farm::run_farm_polling`] once with a polling job feed
+//! ([`FeedPoll`]): each poll parks on a condvar for a bounded time until a
+//! queued job exists (or shutdown drains the queues), so the farm's worker
+//! pool — and every per-worker [`LikelihoodWorkspace`] arena — persists
+//! across jobs instead of being rebuilt per batch. Submissions are cheap
+//! queue pushes from any thread.
 //!
 //! One farm subtlety shapes the design: the farm delivers seal callbacks on
 //! the *feeding* thread, which in a persistent service is usually parked
-//! inside `JobFeed::next()`. Seals therefore lag. The authoritative
+//! inside the feed. Seals therefore lag. The authoritative
 //! completion path is the **work closure** (worker thread): it writes
 //! `Done`/`Failed` into the job table and notifies waiters the moment the
 //! inference finishes. `on_sealed` only settles jobs the closure never got

@@ -23,6 +23,8 @@ run() {
 
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# Deletions leave dangling intra-doc links; rustdoc is what notices.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 if [[ "$quick" -eq 0 ]]; then
     run cargo build --release

@@ -1,12 +1,9 @@
 //! Cross-crate stress and integration tests for the inference farm:
-//! accounting under hundreds of tiny jobs with injected failures, the
-//! determinism contract across worker counts, and coherence between the
-//! farm's own statistics and the `cellsim` trace-log bridge.
+//! accounting under hundreds of tiny jobs with injected failures and the
+//! determinism contract across worker counts.
 
-use cellsim::tracelog::{validate_jsonl, EventData, TraceLog};
 use phylo::farm::{run_batch, run_farm, FarmConfig, FarmError, FarmFaultPlan};
 use phylo::prelude::*;
-use raxml_cell::FarmTracer;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -131,39 +128,4 @@ fn farm_bootstrap_batch_is_worker_count_invariant() {
     let one = run(1);
     assert_eq!(one, run(2), "1 vs 2 workers");
     assert_eq!(one, run(5), "1 vs 5 workers");
-}
-
-/// The trace-log bridge and the farm's own statistics must tell the same
-/// story: task starts/completes match job count, failures land in the
-/// fault lane, counters match FarmStats, and the JSONL export validates.
-#[test]
-fn farm_trace_bridge_is_coherent_with_farm_stats() {
-    let mut log = TraceLog::enabled();
-    let mut tracer = FarmTracer::new(&mut log, 1e9);
-    let config =
-        FarmConfig::new(3).with_fault(FarmFaultPlan::none().fail_job(5).kill_worker_after(2, 0));
-    let outcome = run_farm(
-        &config,
-        (0..60u32).collect::<Vec<_>>(),
-        |_| (),
-        |(), _, j| j,
-        Some(&mut tracer),
-        |_, _| {},
-    );
-    tracer.finish(&outcome.stats);
-
-    let count =
-        |pred: fn(&EventData) -> bool| log.events().iter().filter(|e| pred(&e.data)).count();
-    assert_eq!(count(|d| matches!(d, EventData::TaskStart { .. })), 60);
-    assert_eq!(count(|d| matches!(d, EventData::TaskComplete { .. })), 60);
-    // Faults = 1 injected job failure + 1 worker death.
-    assert_eq!(log.summary(0).faults, 2);
-    assert_eq!(log.last_counter("farm_jobs"), Some(outcome.stats.n_jobs as f64));
-    assert_eq!(log.last_counter("farm_failed"), Some(outcome.stats.n_failed as f64));
-    assert_eq!(log.last_counter("farm_steals"), Some(outcome.stats.steals as f64));
-    assert_eq!(log.last_counter("farm_workers_died"), Some(outcome.stats.workers_died as f64));
-
-    let jsonl = log.to_metrics_jsonl(1e9, 0);
-    validate_jsonl(&jsonl).unwrap();
-    assert!(jsonl.contains("farm_jobs_per_sec"));
 }

@@ -70,12 +70,10 @@ fn support_annotated_newick_is_parseable() {
 }
 
 /// Every file in the corrupt-input corpus must come back as a *typed* error
-/// through the experiment-layer loader — never a panic, never a silent
-/// best-effort parse.
+/// through the loader — never a panic, never a silent best-effort parse.
 #[test]
 fn corrupt_corpus_yields_typed_errors() {
-    use raxml_cell::experiment::load_alignment;
-    use raxml_cell::ExperimentError;
+    use phylo::io::load_alignment;
     use std::path::Path;
 
     let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
@@ -101,19 +99,19 @@ fn corrupt_corpus_yields_typed_errors() {
     ];
     for (name, expected) in cases {
         match load_alignment(&data.join(name)) {
-            Err(ExperimentError::Phylo(e)) => {
+            Err(e) => {
                 assert!(expected(&e), "{name}: unexpected error {e}");
                 // Display output is a real diagnosis, not Debug spew.
                 assert!(!e.to_string().is_empty());
             }
-            other => panic!("{name}: expected a typed Phylo error, got {other:?}"),
+            Ok(_) => panic!("{name}: corrupt input must not load"),
         }
     }
 
     // A missing file is an I/O error with the path in the message.
     let missing = data.join("does-not-exist.fasta");
     match load_alignment(&missing) {
-        Err(ExperimentError::Io { path, .. }) => {
+        Err(E::Io { path, .. }) => {
             assert!(path.contains("does-not-exist"));
         }
         other => panic!("expected Io error, got {other:?}"),

@@ -194,7 +194,7 @@ fn registry_exports_validate() {
     assert!(prom.contains("export_run_ns_bucket"));
 
     let jsonl = registry.to_jsonl();
-    cellsim::tracelog::validate_jsonl(&jsonl).expect("jsonl export must validate");
+    obs::json::parse_lines(&jsonl).expect("jsonl export must validate");
 
     registry.set_enabled(false);
     registry.reset();

@@ -25,7 +25,7 @@ proptest! {
     ) {
         use cellsim::fault::FaultPlan;
         use cellsim::tracelog::TraceLog;
-        use raxml_cell::sched::{simulate_task_parallel_jobs_traced, DesParams, Phase};
+        use raxml_cell::sched::{simulate_task_parallel, DesParams, Phase};
 
         let params = DesParams { n_ppe_threads: 2, smt_penalty: 1.0, n_spes: 8 };
         let n_workers = n_workers.min(params.n_spes);
@@ -34,7 +34,7 @@ proptest! {
         let jobs: Vec<&[Phase]> = (0..n_jobs).map(|_| job.as_slice()).collect();
 
         let mut tlog = TraceLog::enabled();
-        let out = simulate_task_parallel_jobs_traced(
+        let out = simulate_task_parallel(
             &jobs,
             n_workers,
             spes_per_worker,
@@ -80,11 +80,12 @@ proptest! {
 fn every_scheduler_emits_valid_exports_for_a_real_round() {
     use cellsim::cost::CostModel;
     use cellsim::fault::FaultPlan;
-    use cellsim::tracelog::{validate_json, validate_jsonl, TraceLog};
+    use cellsim::tracelog::TraceLog;
+    use obs::json::{parse, parse_lines};
     use raxml_cell::config::{OptConfig, Scheduler};
     use raxml_cell::experiment::{capture_workload, WorkloadSpec};
     use raxml_cell::offload::price_trace;
-    use raxml_cell::sched::{schedule_makespan_traced, DesParams};
+    use raxml_cell::sched::{schedule_makespan, DesParams};
 
     let w = capture_workload(&WorkloadSpec::small()).expect("capture");
     assert!(!w.rounds.is_empty(), "the search must mark its SPR rounds");
@@ -95,25 +96,25 @@ fn every_scheduler_emits_valid_exports_for_a_real_round() {
     let priced = price_trace(events, &model, &OptConfig::fully_optimized());
 
     for sched in [Scheduler::Edtlp, Scheduler::Llp { workers: 2 }, Scheduler::Mgps] {
+        let plan = FaultPlan::none();
         let mut tlog = TraceLog::enabled();
-        let out = schedule_makespan_traced(
-            sched,
-            &priced,
-            8,
-            &model,
-            &params,
-            &FaultPlan::none(),
-            &mut tlog,
-        );
+        let out = schedule_makespan(sched, &priced, 8, &model, &params, &plan, &mut tlog);
         assert!(out.makespan > 0, "{sched:?}: empty makespan");
         assert!(!tlog.is_empty(), "{sched:?}: no events emitted");
 
+        // Recording changes nothing about the simulation.
+        let mut off = TraceLog::disabled();
+        let untraced = schedule_makespan(sched, &priced, 8, &model, &params, &plan, &mut off);
+        assert_eq!(untraced.makespan, out.makespan, "{sched:?}: traced vs untraced makespan");
+        assert_eq!(untraced.stats.ppe_busy, out.stats.ppe_busy, "{sched:?}: traced vs untraced");
+        assert!(off.is_empty());
+
         let chrome = tlog.to_chrome_trace(model.clock_hz);
-        validate_json(&chrome).unwrap_or_else(|e| panic!("{sched:?}: chrome trace invalid: {e}"));
+        parse(&chrome).unwrap_or_else(|e| panic!("{sched:?}: chrome trace invalid: {e}"));
         assert!(chrome.contains("\"traceEvents\""), "{sched:?}: missing traceEvents");
 
         let metrics = tlog.to_metrics_jsonl(model.clock_hz, params.n_spes);
-        validate_jsonl(&metrics).unwrap_or_else(|e| panic!("{sched:?}: metrics invalid: {e}"));
+        parse_lines(&metrics).unwrap_or_else(|e| panic!("{sched:?}: metrics invalid: {e}"));
 
         let summary = tlog.summary(params.n_spes);
         assert_eq!(summary.end, out.makespan, "{sched:?}: trace end vs makespan");

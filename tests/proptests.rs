@@ -706,11 +706,14 @@ proptest! {
         dma in 0u64..10_000,
         phases in 1usize..30,
     ) {
+        use cellsim::{FaultPlan, TraceLog};
         use raxml_cell::sched::{simulate_task_parallel, DesParams, Phase};
         let params = DesParams { n_ppe_threads: 2, smt_penalty: 1.0, n_spes: 8 };
         let n_workers = n_workers.min(8);
         let job: Vec<Phase> = (0..phases).map(|_| Phase { ppe, spe, dma }).collect();
-        let out = simulate_task_parallel(&job, n_jobs, n_workers, 1, &params);
+        let jobs = vec![job.as_slice(); n_jobs];
+        let (plan, mut off) = (FaultPlan::none(), TraceLog::disabled());
+        let out = simulate_task_parallel(&jobs, n_workers, 1, &params, &plan, &mut off);
         let total_spe: u64 = out.stats.spes.iter().map(|s| s.busy()).sum();
         let total_stall: u64 = out.stats.spes.iter().map(|s| s.stalled()).sum();
         prop_assert_eq!(total_spe, n_jobs as u64 * phases as u64 * spe, "SPE work conserved");

@@ -233,10 +233,11 @@ fn single_pattern_alignment() {
 mod fault_matrix {
     use cellsim::cost::CostModel;
     use cellsim::fault::FaultPlan;
+    use cellsim::tracelog::TraceLog;
     use raxml_cell::config::{OptConfig, Scheduler};
     use raxml_cell::experiment::{capture_workload, WorkloadSpec};
     use raxml_cell::offload::{price_trace, PricedTrace};
-    use raxml_cell::sched::{schedule_makespan, schedule_makespan_with_faults, DesParams};
+    use raxml_cell::sched::{schedule_makespan, DesParams, SimOutcome};
 
     const SCHEDULERS: [Scheduler; 4] = [
         Scheduler::Edtlp,
@@ -248,6 +249,12 @@ mod fault_matrix {
     fn priced() -> PricedTrace {
         let workload = capture_workload(&WorkloadSpec::small()).expect("capture");
         price_trace(&workload.events, &CostModel::paper_calibrated(), &OptConfig::fully_optimized())
+    }
+
+    /// Eight bootstraps on the paper machine under `plan`, untraced.
+    fn run(sched: Scheduler, trace: &PricedTrace, plan: &FaultPlan) -> SimOutcome {
+        let (model, params) = (CostModel::paper_calibrated(), DesParams::default());
+        schedule_makespan(sched, trace, 8, &model, &params, plan, &mut TraceLog::disabled())
     }
 
     /// A plan injecting only one fault kind at the given rate.
@@ -270,13 +277,11 @@ mod fault_matrix {
     #[test]
     fn every_fault_kind_on_every_scheduler_completes() {
         let trace = priced();
-        let params = DesParams::default();
-        let model = CostModel::paper_calibrated();
         for &sched in &SCHEDULERS {
-            let clean = schedule_makespan(sched, &trace, 8, &model, &params);
+            let clean = run(sched, &trace, &FaultPlan::none()).makespan;
             for kind in 0..6 {
                 let plan = single_kind_plan(kind, 17, 0.2);
-                let out = schedule_makespan_with_faults(sched, &trace, 8, &model, &params, &plan);
+                let out = run(sched, &trace, &plan);
                 // Perturbing one worker's burst can reorder PPE grants and
                 // occasionally *improve* global packing (a Graham-style
                 // scheduling anomaly), so faults only guarantee "not much
@@ -301,36 +306,26 @@ mod fault_matrix {
     #[test]
     fn fault_replay_is_deterministic() {
         let trace = priced();
-        let params = DesParams::default();
-        let model = CostModel::paper_calibrated();
         for &sched in &SCHEDULERS {
             let plan = FaultPlan::uniform(23, 0.1);
-            let a = schedule_makespan_with_faults(sched, &trace, 8, &model, &params, &plan);
-            let b = schedule_makespan_with_faults(sched, &trace, 8, &model, &params, &plan);
+            let a = run(sched, &trace, &plan);
+            let b = run(sched, &trace, &plan);
             assert_eq!(a.makespan, b.makespan, "{sched:?}");
             assert_eq!(a.faults, b.faults, "{sched:?}");
             assert_eq!(a.stats.ppe_busy, b.stats.ppe_busy, "{sched:?}");
         }
     }
 
-    /// The all-zero plan is the fault-free path, bit for bit: same makespan
-    /// and statistics as the legacy (plan-less) entry points.
+    /// A plan that can never inject is the fault-free path, bit for bit,
+    /// whatever its seed: same makespan and statistics as `FaultPlan::none()`.
     #[test]
     fn inert_plan_is_bit_exact_for_every_scheduler() {
         let trace = priced();
-        let params = DesParams::default();
-        let model = CostModel::paper_calibrated();
         for &sched in &SCHEDULERS {
-            let clean = schedule_makespan(sched, &trace, 8, &model, &params);
-            let inert = schedule_makespan_with_faults(
-                sched,
-                &trace,
-                8,
-                &model,
-                &params,
-                &FaultPlan::none(),
-            );
-            assert_eq!(inert.makespan, clean, "{sched:?}");
+            let clean = run(sched, &trace, &FaultPlan::none());
+            let inert = run(sched, &trace, &FaultPlan::uniform(41, 0.0));
+            assert_eq!(inert.makespan, clean.makespan, "{sched:?}");
+            assert_eq!(inert.stats.ppe_busy, clean.stats.ppe_busy, "{sched:?}");
             assert!(inert.faults.is_clean(), "{sched:?}: inert plan must report nothing");
         }
     }
