@@ -21,8 +21,9 @@
 //!   SPR-based rapid hill climbing ([`search`]).
 //! * **Analyses**: multiple inferences, non-parametric bootstrapping, and
 //!   bipartition support values ([`bootstrap`]).
-//! * **Parallelism**: rayon loop-level parallelism over site patterns (the
-//!   RAxML-OMP analogue) with bit-reproducible reductions ([`parallel`]),
+//! * **Parallelism**: loop-level parallelism over site patterns (the
+//!   RAxML-OMP analogue: a thread owns a pattern stripe for a whole
+//!   traversal, and reductions are bit-reproducible; [`parallel`]),
 //!   and a work-stealing inference farm for embarrassingly parallel
 //!   replicates — bounded submission, deterministic result order, typed
 //!   per-job failures ([`farm`]).

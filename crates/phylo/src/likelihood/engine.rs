@@ -13,8 +13,8 @@
 //! [`WorkspaceOptions::per_node`] as the measured baseline.
 
 use super::kernels::{
-    build_sumtable_into, build_tip_tables, build_tip_tables_into, Child, EvalOperand, Mat4,
-    TipTable16,
+    self, build_sumtable_into, build_tip_tables, fill_tip_tables, Child, EvalOperand, Mat4,
+    ScaleStats, TipTable16,
 };
 use super::workspace::{
     LikelihoodWorkspace, SprScratch, TraversalOp, TraversalOps, WorkspaceOptions,
@@ -22,7 +22,9 @@ use super::workspace::{
 use super::LikelihoodConfig;
 use crate::alignment::PatternAlignment;
 use crate::model::{ExpImpl, GammaRates, SubstModel};
-use crate::parallel::{evaluate_dispatch, newton_dispatch, newview_dispatch};
+use crate::parallel::{
+    evaluate_dispatch, newton_dispatch, newview_dispatch, run_striped, stripe_width,
+};
 use crate::trace::{CallParent, KernelEvent, KernelOp, Trace};
 use crate::tree::{clamp_branch, Edge, NodeId, Tree};
 
@@ -46,10 +48,10 @@ pub struct ReuseStats {
 }
 
 /// Per-rate transition matrices for a branch of length `t`, written into a
-/// caller-owned buffer (free function so the workspace can be borrowed
-/// mutably while the model/rates fields are read).
-fn fill_pmats(model: &SubstModel, rates: &[f64], t: f64, exp_impl: ExpImpl, out: &mut Vec<Mat4>) {
-    out.resize(rates.len(), [[0.0; 4]; 4]);
+/// caller-owned buffer of one slot per rate (free function so the workspace
+/// can be borrowed mutably while the model/rates fields are read).
+fn fill_pmats(model: &SubstModel, rates: &[f64], t: f64, exp_impl: ExpImpl, out: &mut [Mat4]) {
+    assert_eq!(out.len(), rates.len(), "one P matrix per rate category");
     for (slot, &r) in out.iter_mut().zip(rates) {
         *slot = model.transition_matrix(t, r, exp_impl);
     }
@@ -608,12 +610,37 @@ impl<'a> LikelihoodEngine<'a> {
     /// One smoothing pass: optimize every branch once. Returns the final
     /// log-likelihood. `passes` controls how many sweeps to run (RAxML's
     /// `smoothings`).
+    ///
+    /// Branches are visited in depth-first pre-order outward from the tip
+    /// end of [`Tree::first_edge`] (RAxML's `smoothTree` walk): consecutive
+    /// branches share a node, so each step re-orients one partial and every
+    /// inner node is recomputed three times per pass — toward each child,
+    /// then back toward its parent — instead of a whole path per branch.
     pub fn optimize_all_branches(&mut self, tree: &mut Tree, passes: usize) -> f64 {
+        // Smoothing changes lengths only, so one order serves every pass.
+        let mut order = std::mem::take(&mut self.ws.smooth_order);
+        order.clear();
+        let (root, _) = tree.first_edge();
+        let stack = &mut self.ws.visit_stack;
+        stack.clear();
+        stack.push((root, root));
+        while let Some((node, parent)) = stack.pop() {
+            if node != parent {
+                order.push((parent, node));
+            }
+            // Pushed in reverse so children pop in slot order.
+            let first_child = stack.len();
+            stack.extend(
+                tree.neighbors_of(node).filter(|&(n, _)| n != parent).map(|(n, _)| (n, node)),
+            );
+            stack[first_child..].reverse();
+        }
         for _ in 0..passes {
-            for (u, v) in tree.edges() {
-                self.optimize_branch(tree, (u, v));
+            for &edge in &order {
+                self.optimize_branch(tree, edge);
             }
         }
+        self.ws.smooth_order = order;
         self.log_likelihood(tree)
     }
 
@@ -695,97 +722,158 @@ impl<'a> LikelihoodEngine<'a> {
     /// Execute the compiled descriptor list: one driver loop dispatching
     /// every `newview` back-to-back out of workspace buffers — the host
     /// analogue of the SPE executing a whole traversal from one DMA list
-    /// with no per-node PPE↔SPE round trip (§5.2.7).
+    /// with no per-node PPE↔SPE round trip (§5.2.7). Under loop-level
+    /// parallelism the whole list runs once per pattern stripe
+    /// ([`Self::execute_ops_striped`]); partials, scale counts and trace
+    /// events are the same either way.
     fn execute_ops(&mut self, parent: CallParent) {
         let n_ops = self.ws.ops.len();
-        for i in 0..n_ops {
-            let op = self.ws.ops.get(i);
-            fill_pmats(
-                &self.model,
-                self.rates.rates(),
-                op.left_len,
-                self.config.exp_impl,
-                &mut self.ws.pmat_a,
-            );
-            fill_pmats(
-                &self.model,
-                self.rates.rates(),
-                op.right_len,
-                self.config.exp_impl,
-                &mut self.ws.pmat_b,
-            );
-            if op.left_tip {
-                build_tip_tables_into(&self.ws.pmat_a, &mut self.ws.tip_a);
-            }
-            if op.right_tip {
-                build_tip_tables_into(&self.ws.pmat_b, &mut self.ws.tip_b);
-            }
-
-            let idx = self.inner_idx(op.node);
-            let ws = &mut self.ws;
-            // Move the output buffers out to satisfy the borrow checker
-            // while reading sibling partials (moves, not allocations).
-            let mut out_x = std::mem::take(&mut ws.partials[idx]);
-            let mut out_scale = std::mem::take(&mut ws.scales[idx]);
-            let stats = {
-                let ca = child_in(
-                    self.aln,
-                    self.n_taxa,
-                    &ws.partials,
-                    &ws.scales,
-                    &ws.pmat_a,
-                    &ws.tip_a,
-                    op.left,
-                    op.left_tip,
-                );
-                let cb = child_in(
-                    self.aln,
-                    self.n_taxa,
-                    &ws.partials,
-                    &ws.scales,
-                    &ws.pmat_b,
-                    &ws.tip_b,
-                    op.right,
-                    op.right_tip,
-                );
-                newview_dispatch(
-                    &ca,
-                    &cb,
-                    &mut out_x,
-                    &mut out_scale,
-                    self.n_rates,
-                    self.config.kernel,
-                    self.config.scaling,
-                    self.config.parallel,
-                )
-            };
-            ws.partials[idx] = out_x;
-            ws.scales[idx] = out_scale;
-            ws.orientation[idx] = Some(op.toward);
-            ws.valid_gen[idx] = ws.cache_gen;
-            self.reuse.partials_recomputed += 1;
-
-            let kernel_op = match (op.left_tip, op.right_tip) {
-                (true, true) => KernelOp::NewviewTipTip,
-                (false, false) => KernelOp::NewviewInnerInner,
-                _ => KernelOp::NewviewTipInner,
-            };
-            let inner_children = (!op.left_tip) as u32 + (!op.right_tip) as u32;
-            self.trace.push(KernelEvent {
-                op: kernel_op,
-                parent,
-                patterns: self.n_patterns as u32,
-                rates: self.n_rates as u32,
-                exp_calls: (2 * self.n_rates * 4) as u32,
-                scaling_checks: stats.checks as u32,
-                scalings: stats.fired as u32,
-                newton_iters: 0,
-                inner_operands: inner_children + 1,
-            });
+        if n_ops == 0 {
+            return;
         }
-        if n_ops > 0 {
-            self.trace.record_fused_batch(n_ops as u64);
+        if let Some(width) = stripe_width(self.config.parallel, self.n_patterns) {
+            let stats = self.execute_ops_striped(width);
+            for (i, stats) in stats.into_iter().enumerate() {
+                self.finish_op(self.ws.ops.get(i), stats, parent);
+            }
+        } else {
+            for i in 0..n_ops {
+                let op = self.ws.ops.get(i);
+                let stats = self.execute_op(op);
+                self.finish_op(op, stats, parent);
+            }
         }
+        self.trace.record_fused_batch(n_ops as u64);
+    }
+
+    /// One descriptor over the whole pattern range, on this thread.
+    fn execute_op(&mut self, op: TraversalOp) -> ScaleStats {
+        let rates = self.rates.rates();
+        let exp_impl = self.config.exp_impl;
+        fill_pmats(&self.model, rates, op.left_len, exp_impl, &mut self.ws.pmat_a);
+        fill_pmats(&self.model, rates, op.right_len, exp_impl, &mut self.ws.pmat_b);
+        if op.left_tip {
+            fill_tip_tables(&self.ws.pmat_a, &mut self.ws.tip_a);
+        }
+        if op.right_tip {
+            fill_tip_tables(&self.ws.pmat_b, &mut self.ws.tip_b);
+        }
+
+        let idx = self.inner_idx(op.node);
+        let ws = &mut self.ws;
+        // Move the output buffers out to satisfy the borrow checker
+        // while reading sibling partials (moves, not allocations).
+        let mut out_x = std::mem::take(&mut ws.partials[idx]);
+        let mut out_scale = std::mem::take(&mut ws.scales[idx]);
+        let (aln, n_taxa) = (self.aln, self.n_taxa);
+        let child = |node, is_tip, pmats, tables| {
+            child_in(aln, n_taxa, &ws.partials, &ws.scales, pmats, tables, node, is_tip)
+        };
+        let stats = kernels::newview(
+            &child(op.left, op.left_tip, &ws.pmat_a, &ws.tip_a),
+            &child(op.right, op.right_tip, &ws.pmat_b, &ws.tip_b),
+            &mut out_x,
+            &mut out_scale,
+            self.n_rates,
+            self.config.kernel,
+            self.config.scaling,
+        );
+        ws.partials[idx] = out_x;
+        ws.scales[idx] = out_scale;
+        stats
+    }
+
+    /// The whole descriptor list under stripe-owned loop-level parallelism:
+    /// the pattern range is cut into `width`-pattern stripes and one thread
+    /// per stripe runs the list start to end on its stripe of every partial.
+    /// `newview` is pattern-local, so a stripe reads only what its own
+    /// thread wrote and no barrier separates descriptors. Each thread fills
+    /// a descriptor's P matrices and tip tables into scratch of its own —
+    /// a microsecond beside the kernel, spent concurrently, and no table
+    /// that grows with the tree. Returns each descriptor's scaling
+    /// statistics, summed over stripes.
+    fn execute_ops_striped(&mut self, width: usize) -> Vec<ScaleStats> {
+        let (aln, n_taxa, n_rates) = (self.aln, self.n_taxa, self.n_rates);
+        let (model, rates, config) = (&self.model, self.rates.rates(), self.config);
+        let ws = &mut self.ws;
+        let ops = ws.ops.as_slice();
+        let nodes = ws
+            .partials
+            .iter_mut()
+            .map(Vec::as_mut_slice)
+            .zip(ws.scales.iter_mut().map(Vec::as_mut_slice));
+        let per_stripe = run_striped(nodes, n_rates, width, |lo, mine| {
+            let mut pmats = [vec![[[0.0; 4]; 4]; n_rates], vec![[[0.0; 4]; 4]; n_rates]];
+            let mut tips = [vec![[[0.0; 4]; 16]; n_rates], vec![[[0.0; 4]; 16]; n_rates]];
+            let mut stats = Vec::with_capacity(ops.len());
+            for op in ops {
+                let sides =
+                    [(op.left, op.left_len, op.left_tip), (op.right, op.right_len, op.right_tip)];
+                for (side, &(_, len, is_tip)) in sides.iter().enumerate() {
+                    fill_pmats(model, rates, len, config.exp_impl, &mut pmats[side]);
+                    if is_tip {
+                        fill_tip_tables(&pmats[side], &mut tips[side]);
+                    }
+                }
+                let (out_x, out_scale) = std::mem::take(&mut mine[op.node - n_taxa]);
+                let hi = lo + out_scale.len();
+                let [left, right] = [0, 1].map(|side| {
+                    let (node, _, is_tip) = sides[side];
+                    if is_tip {
+                        Child::Tip { codes: &aln.tip_row(node)[lo..hi], tables: &tips[side] }
+                    } else {
+                        let (x, scale) = &mine[node - n_taxa];
+                        Child::Inner { x, scale, pmats: &pmats[side] }
+                    }
+                });
+                stats.push(kernels::newview(
+                    &left,
+                    &right,
+                    out_x,
+                    out_scale,
+                    n_rates,
+                    config.kernel,
+                    config.scaling,
+                ));
+                mine[op.node - n_taxa] = (out_x, out_scale);
+            }
+            stats
+        });
+
+        let mut totals = vec![ScaleStats::default(); ops.len()];
+        for stripe in per_stripe {
+            for (total, part) in totals.iter_mut().zip(stripe) {
+                *total = total.merge(part);
+            }
+        }
+        totals
+    }
+
+    /// Bookkeeping after a descriptor ran: the slot's new orientation, the
+    /// reuse ledger and the kernel-trace event.
+    fn finish_op(&mut self, op: TraversalOp, stats: ScaleStats, parent: CallParent) {
+        let idx = self.inner_idx(op.node);
+        self.ws.orientation[idx] = Some(op.toward);
+        self.ws.valid_gen[idx] = self.ws.cache_gen;
+        self.reuse.partials_recomputed += 1;
+
+        let kernel_op = match (op.left_tip, op.right_tip) {
+            (true, true) => KernelOp::NewviewTipTip,
+            (false, false) => KernelOp::NewviewInnerInner,
+            _ => KernelOp::NewviewTipInner,
+        };
+        let inner_children = (!op.left_tip) as u32 + (!op.right_tip) as u32;
+        self.trace.push(KernelEvent {
+            op: kernel_op,
+            parent,
+            patterns: self.n_patterns as u32,
+            rates: self.n_rates as u32,
+            exp_calls: (2 * self.n_rates * 4) as u32,
+            scaling_checks: stats.checks as u32,
+            scalings: stats.fired as u32,
+            newton_iters: 0,
+            inner_operands: inner_children + 1,
+        });
     }
 
     /// Recompute (lazily) the partial at inner node `p` oriented toward
@@ -825,8 +913,8 @@ impl<'a> LikelihoodEngine<'a> {
     /// (per-node path: allocates its P matrices and tip tables per call).
     fn compute_newview(&mut self, tree: &Tree, p: NodeId, toward: NodeId, parent: CallParent) {
         let [(a, la), (b, lb)] = tree.other_neighbors(p, toward);
-        let mut pa = Vec::new();
-        let mut pb = Vec::new();
+        let mut pa = vec![[[0.0; 4]; 4]; self.n_rates];
+        let mut pb = pa.clone();
         fill_pmats(&self.model, self.rates.rates(), la, self.config.exp_impl, &mut pa);
         fill_pmats(&self.model, self.rates.rates(), lb, self.config.exp_impl, &mut pb);
 
@@ -874,27 +962,17 @@ impl<'a> LikelihoodEngine<'a> {
 
         ws.partials[idx] = out_x;
         ws.scales[idx] = out_scale;
-        ws.orientation[idx] = Some(toward);
-        ws.valid_gen[idx] = ws.cache_gen;
-        self.reuse.partials_recomputed += 1;
-
-        let op = match (tree.is_tip(a), tree.is_tip(b)) {
-            (true, true) => KernelOp::NewviewTipTip,
-            (false, false) => KernelOp::NewviewInnerInner,
-            _ => KernelOp::NewviewTipInner,
+        let op = TraversalOp {
+            node: p,
+            toward,
+            left: a,
+            left_len: la,
+            right: b,
+            right_len: lb,
+            left_tip: tree.is_tip(a),
+            right_tip: tree.is_tip(b),
         };
-        let inner_children = [a, b].iter().filter(|&&n| !tree.is_tip(n)).count() as u32;
-        self.trace.push(KernelEvent {
-            op,
-            parent,
-            patterns: self.n_patterns as u32,
-            rates: self.n_rates as u32,
-            exp_calls: (2 * self.n_rates * 4) as u32,
-            scaling_checks: stats.checks as u32,
-            scalings: stats.fired as u32,
-            newton_iters: 0,
-            inner_operands: inner_children + 1,
-        });
+        self.finish_op(op, stats, parent);
     }
 }
 

@@ -73,15 +73,15 @@ pub fn tile_partials(aos: &[f64], n_patterns: usize, n_rates: usize) -> Vec<f64>
 
 /// Precompute the tip lookup tables for a branch (one per rate category).
 pub fn build_tip_tables(pmats: &[Mat4]) -> Vec<TipTable16> {
-    let mut out = Vec::new();
-    build_tip_tables_into(pmats, &mut out);
+    let mut out = vec![[[0.0; 4]; 16]; pmats.len()];
+    fill_tip_tables(pmats, &mut out);
     out
 }
 
-/// As [`build_tip_tables`], writing into a caller-owned buffer (resized to
-/// `pmats.len()`) so the steady-state hot path allocates nothing.
-pub fn build_tip_tables_into(pmats: &[Mat4], out: &mut Vec<TipTable16>) {
-    out.resize(pmats.len(), [[0.0; 4]; 16]);
+/// As [`build_tip_tables`], into a caller-owned slice of one table per rate
+/// so the steady-state hot path allocates nothing.
+pub fn fill_tip_tables(pmats: &[Mat4], out: &mut [TipTable16]) {
+    assert_eq!(out.len(), pmats.len(), "one tip table per rate category");
     for (p, table) in pmats.iter().zip(out.iter_mut()) {
         for (code, row) in table.iter_mut().enumerate() {
             for s in 0..4 {

@@ -118,8 +118,8 @@ pub struct LikelihoodConfig {
     pub kernel: KernelKind,
     /// Float vs integer-cast scaling conditional (§5.2.3).
     pub scaling: ScalingCheck,
-    /// Loop-level parallelism over site patterns with rayon (the
-    /// RAxML-OMP analogue; the paper's third parallelism layer).
+    /// Loop-level parallelism over site patterns (the RAxML-OMP analogue;
+    /// the paper's third parallelism layer).
     pub parallel: bool,
 }
 

@@ -185,8 +185,12 @@ pub struct LikelihoodWorkspace {
     pub(crate) rates_scratch: Vec<f64>,
     /// The compiled descriptor list of the most recent fused traversal.
     pub(crate) ops: TraversalOps,
-    /// DFS stack for traversal compilation: `(node, toward)` pairs.
+    /// DFS stack for traversal compilation and for the smoothing walk:
+    /// `(node, toward)` pairs.
     pub(crate) visit_stack: Vec<(NodeId, NodeId)>,
+    /// Branch order of the current smoothing call
+    /// (`optimize_all_branches`), parent→child in depth-first pre-order.
+    pub(crate) smooth_order: Vec<Edge>,
     /// Scratch for targeted invalidation (`invalidate_for_branch`).
     pub(crate) hop: Vec<usize>,
     pub(crate) seen: Vec<bool>,
@@ -254,8 +258,12 @@ impl LikelihoodWorkspace {
         self.ops.clear();
         // Worst case: every inner node appears once per traversal side.
         self.ops.list.reserve(n_inner);
+        // The smoothing walk stacks tips too: one pending sibling per inner
+        // node on the current path plus the current node's children.
         self.visit_stack.clear();
-        self.visit_stack.reserve(n_inner);
+        self.visit_stack.reserve(n_nodes);
+        self.smooth_order.clear();
+        self.smooth_order.reserve(n_nodes);
 
         self.hop.clear();
         self.hop.resize(n_nodes, usize::MAX);
@@ -321,6 +329,8 @@ impl LikelihoodWorkspace {
             * (std::mem::size_of::<Option<NodeId>>() + std::mem::size_of::<u64>()) as u64
             + n_nodes * (std::mem::size_of::<usize>() + 1 + std::mem::size_of::<NodeId>()) as u64
             + n_inner * std::mem::size_of::<TraversalOp>() as u64
+            // visit_stack and smooth_order
+            + n_nodes * (std::mem::size_of::<(NodeId, NodeId)>() + std::mem::size_of::<Edge>()) as u64
             + n_nodes
                 * (std::mem::size_of::<Edge>()
                     + std::mem::size_of::<(Edge, f64)>()

@@ -6,9 +6,10 @@
 //!    master–worker scheme (§3.1). Here: [`crate::farm`], the work-stealing
 //!    inference farm (the MPI analogue).
 //! 2. **Loop level** — the likelihood loops distributed across processors
-//!    (the RAxML-OMP / LLP-across-SPEs layer). Here: rayon-chunked kernel
-//!    dispatchers ([`newview_dispatch`], [`evaluate_dispatch`],
-//!    [`newton_dispatch`]).
+//!    (the RAxML-OMP / LLP-across-SPEs layer). Here: `newview` by pattern
+//!    stripes, one thread owning its stripe of every partial for a whole
+//!    traversal (`run_striped`), and the rayon-chunked reductions
+//!    ([`evaluate_dispatch`], [`newton_dispatch`]).
 //! 3. **Data level** — the 2-lane vector kernels themselves
 //!    ([`crate::likelihood::kernels`]).
 
@@ -21,8 +22,8 @@ use rayon::prelude::*;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Minimum patterns per rayon chunk: below this the spawn overhead dominates
-/// the ~100ns/pattern kernel work.
+/// Minimum patterns per thread: below this the spawn overhead dominates the
+/// ~100ns/pattern kernel work.
 const MIN_CHUNK: usize = 64;
 
 /// Fixed floating-point *association unit* for the parallel reductions.
@@ -133,7 +134,75 @@ fn slice_operand<'a>(
     }
 }
 
-/// `newview` with optional loop-level parallelism over site patterns.
+/// Stripe width, in patterns, of a traversal under loop-level parallelism:
+/// the [`REDUCE_BLOCK`]s of the pattern range dealt evenly to the threads,
+/// so there are at most that many stripes and every boundary is
+/// block-aligned. `None` when loop-level parallelism does not engage
+/// (`parallel` off, or too few patterns to pay for a thread). Reads the
+/// thread count from the environment: call it once per traversal, not once
+/// per kernel.
+pub(crate) fn stripe_width(parallel: bool, n_patterns: usize) -> Option<usize> {
+    (parallel && n_patterns >= 2 * MIN_CHUNK).then(|| {
+        let blocks = n_patterns.div_ceil(REDUCE_BLOCK);
+        blocks.div_ceil(rayon::current_num_threads().max(1)) * REDUCE_BLOCK
+    })
+}
+
+/// One thread's share of a node: its stripe of the tiled partial and of the
+/// scale counts.
+pub(crate) type StripeSlot<'a> = (&'a mut [f64], &'a mut [u32]);
+
+/// Stripe-owned loop-level parallelism. Every node's tiled partial and
+/// scale vector is cut at the same `width`-pattern boundaries (`width` a
+/// multiple of [`TILE`], so the cuts fall on whole blocks and the last
+/// stripe keeps the zero-padded tail); stripe `k` of *every* node goes to
+/// one thread, which runs `body(first pattern, its slots in node order)` —
+/// typically a whole descriptor list — start to end. Threads are entered
+/// once per call, the first stripe runs on the caller, and the results come
+/// back in stripe order.
+///
+/// Because `newview` is pattern-local, what a stripe computes does not
+/// depend on where the other cuts fall: any `width` and any thread count
+/// give bit-identical partials.
+pub(crate) fn run_striped<'a, R: Send>(
+    nodes: impl Iterator<Item = StripeSlot<'a>>,
+    n_rates: usize,
+    width: usize,
+    body: impl Fn(usize, &mut [StripeSlot<'a>]) -> R + Sync,
+) -> Vec<R> {
+    const _: () = assert!(REDUCE_BLOCK.is_multiple_of(TILE), "stripes must cover whole tiles");
+    assert!(width > 0 && width.is_multiple_of(TILE), "stripe width must cover whole tiles");
+    let mut stripes: Vec<Vec<StripeSlot<'a>>> = Vec::new();
+    for (x, scale) in nodes {
+        // `width * n_rates * 4` f64s are `width / TILE` whole blocks, so the
+        // x-chunks and the scale-chunks pair off exactly.
+        let cut = x.chunks_mut(width * n_rates * 4).zip(scale.chunks_mut(width));
+        for (k, slot) in cut.enumerate() {
+            if k == stripes.len() {
+                stripes.push(Vec::new());
+            }
+            stripes[k].push(slot);
+        }
+    }
+    let body = &body;
+    std::thread::scope(|s| {
+        let mut stripes = stripes.into_iter().enumerate();
+        let first = stripes.next();
+        let spawned: Vec<_> =
+            stripes.map(|(k, mut slots)| s.spawn(move || body(k * width, &mut slots))).collect();
+        let mut out = Vec::with_capacity(spawned.len() + 1);
+        out.extend(first.map(|(_, mut slots)| body(0, &mut slots)));
+        for handle in spawned {
+            out.push(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        out
+    })
+}
+
+/// One `newview` with optional loop-level parallelism over site patterns —
+/// the single-kernel form of `run_striped`, for per-node dispatch and
+/// kernel studies; a fused traversal enters the threads once for its whole
+/// descriptor list instead.
 #[allow(clippy::too_many_arguments)]
 pub fn newview_dispatch(
     left: &Child<'_>,
@@ -145,29 +214,18 @@ pub fn newview_dispatch(
     scaling: ScalingCheck,
     parallel: bool,
 ) -> ScaleStats {
-    let n = out_scale.len();
-    if !parallel || n < 2 * MIN_CHUNK {
-        return kernels::newview(left, right, out_x, out_scale, n_rates, kind, scaling);
+    match stripe_width(parallel, out_scale.len()) {
+        None => kernels::newview(left, right, out_x, out_scale, n_rates, kind, scaling),
+        Some(width) => {
+            newview_striped(left, right, out_x, out_scale, n_rates, kind, scaling, width)
+        }
     }
-    // `newview` writes are per-pattern disjoint and `ScaleStats::merge` is
-    // integer addition (associative and commutative), so the scheduling
-    // granule can be used as the chunk directly — no association to pin.
-    newview_chunked(
-        left,
-        right,
-        out_x,
-        out_scale,
-        n_rates,
-        kind,
-        scaling,
-        granule_blocks(n) * REDUCE_BLOCK,
-    )
 }
 
-/// Parallel `newview` body with an explicit chunk width (a multiple of
-/// [`TILE`]); factored out so tests can prove chunk-width invariance.
+/// Parallel `newview` body with an explicit stripe width (a multiple of
+/// [`TILE`]); factored out so tests can prove width invariance.
 #[allow(clippy::too_many_arguments)]
-fn newview_chunked(
+fn newview_striped(
     left: &Child<'_>,
     right: &Child<'_>,
     out_x: &mut [f64],
@@ -175,27 +233,19 @@ fn newview_chunked(
     n_rates: usize,
     kind: KernelKind,
     scaling: ScalingCheck,
-    chunk: usize,
+    width: usize,
 ) -> ScaleStats {
-    let stride = n_rates * 4;
-    // `chunk * stride` f64s = `chunk / TILE` whole blocks, so every chunk
-    // boundary of the tiled `out_x` is block-aligned; the final (short)
-    // x-chunk absorbs the zero-padded tail block and there are exactly as
-    // many x-chunks as scale-chunks.
-    const _: () = assert!(REDUCE_BLOCK.is_multiple_of(TILE), "chunks must cover whole tiles");
-    debug_assert!(chunk.is_multiple_of(TILE));
-    out_x
-        .par_chunks_mut(chunk * stride)
-        .zip(out_scale.par_chunks_mut(chunk))
-        .enumerate()
-        .map(|(ci, (ox, os))| {
-            let lo = ci * chunk;
-            let hi = lo + os.len();
-            let l = slice_child(left, lo, hi, n_rates);
-            let r = slice_child(right, lo, hi, n_rates);
-            kernels::newview(&l, &r, ox, os, n_rates, kind, scaling)
-        })
-        .reduce(ScaleStats::default, ScaleStats::merge)
+    // `ScaleStats::merge` is integer addition (associative and
+    // commutative), so there is no association to pin.
+    run_striped(std::iter::once((out_x, out_scale)), n_rates, width, |lo, mine| {
+        let (ox, os) = std::mem::take(&mut mine[0]);
+        let hi = lo + os.len();
+        let l = slice_child(left, lo, hi, n_rates);
+        let r = slice_child(right, lo, hi, n_rates);
+        kernels::newview(&l, &r, ox, os, n_rates, kind, scaling)
+    })
+    .into_iter()
+    .fold(ScaleStats::default(), ScaleStats::merge)
 }
 
 /// `evaluate` with optional loop-level parallelism over site patterns.
@@ -377,10 +427,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The rayon-chunked dispatchers only engage above MIN_CHUNK patterns;
-    /// this exercises them on a large-pattern alignment and checks exact
-    /// agreement with the sequential path through the full engine
-    /// (newview, evaluate and the Newton derivatives all go parallel).
+    /// Loop-level parallelism only engages above MIN_CHUNK patterns; this
+    /// exercises it on a large-pattern alignment and checks agreement with
+    /// the sequential path through the full engine (newview, evaluate and
+    /// the Newton derivatives all go parallel).
     #[test]
     fn parallel_paths_match_sequential_on_large_alignments() {
         // High divergence ⇒ >> 128 distinct patterns.
@@ -456,10 +506,12 @@ mod tests {
     }
 
     /// The determinism contract across thread counts: the same parallel
-    /// likelihood under `RAYON_NUM_THREADS` ∈ {1, 2, 8} must be the same
-    /// f64 to the bit. `REDUCE_BLOCK` fixes the association boundaries and
-    /// the indexed partial buffers fix the reduction order, so thread count
-    /// can only change scheduling, never association.
+    /// likelihood under `RAYON_NUM_THREADS` ∈ {1, 2, 3, 4, 8} must be the
+    /// same f64 to the bit, and within the documented 1e-9 of sequential.
+    /// A stripe computes the same partials wherever the other cuts fall,
+    /// `REDUCE_BLOCK` fixes the association boundaries and the indexed
+    /// partial buffers fix the reduction order, so thread count can only
+    /// change scheduling, never association.
     #[test]
     fn parallel_lnl_is_bit_identical_across_thread_counts() {
         let w =
@@ -483,11 +535,60 @@ mod tests {
         };
 
         let one = run("1");
-        let two = run("2");
-        let eight = run("8");
+        let others = ["2", "3", "4", "8"].map(|threads| (threads, run(threads)));
         std::env::remove_var("RAYON_NUM_THREADS");
-        assert_eq!(one, two, "1 vs 2 threads");
-        assert_eq!(one, eight, "1 vs 8 threads");
+        for (threads, got) in others {
+            assert_eq!(one, got, "1 vs {threads} threads");
+        }
+
+        let model = SubstModel::gtr(w.alignment.base_frequencies(), [1.0; 6]).unwrap();
+        let rates = GammaRates::standard(0.7).unwrap();
+        let mut sequential =
+            LikelihoodEngine::new(&w.alignment, model, rates, LikelihoodConfig::optimized());
+        let seq = sequential.log_likelihood(&tree);
+        assert!((f64::from_bits(one.0) - seq).abs() < 1e-9, "parallel vs sequential lnL");
+    }
+
+    /// A whole traversal under stripe-owned parallelism leaves exactly what
+    /// the sequential driver leaves: every partial, every scale count and —
+    /// per-descriptor scaling statistics being summed over stripes — every
+    /// kernel-trace event. Once with a ragged last stripe, once below the
+    /// engagement threshold where the parallel engine runs sequentially.
+    #[test]
+    fn striped_traversal_leaves_the_sequential_partials_scales_and_events() {
+        for (sites, engages) in [(700, true), (40, false)] {
+            let w = SimulationConfig { mean_branch: 0.4, ..SimulationConfig::new(150, sites, 7) }
+                .generate();
+            let n = w.alignment.n_patterns();
+            assert_eq!(stripe_width(true, n).is_some(), engages, "{n} patterns");
+            assert!(!n.is_multiple_of(REDUCE_BLOCK), "{n} patterns: want a ragged last stripe");
+            let tree = Tree::random(150, 0.4, &mut StdRng::seed_from_u64(5)).unwrap();
+
+            let traverse = |parallel: bool| {
+                let model = SubstModel::gtr(w.alignment.base_frequencies(), [1.0; 6]).unwrap();
+                let config = LikelihoodConfig { parallel, ..LikelihoodConfig::optimized() };
+                let rates = GammaRates::standard(0.7).unwrap();
+                let mut engine = LikelihoodEngine::new(&w.alignment, model, rates, config);
+                engine.enable_event_recording();
+                let lnl = engine.log_likelihood(&tree);
+                (engine, lnl)
+            };
+            let (seq, seq_lnl) = traverse(false);
+            let (par, par_lnl) = traverse(true);
+
+            for node in tree.n_taxa()..tree.n_nodes() {
+                assert!(seq.node_partial(node).is_some(), "node {node} was not computed");
+                assert_eq!(seq.node_partial(node), par.node_partial(node), "node {node}");
+            }
+            assert_eq!(seq.trace().events(), par.trace().events());
+            let fired: u32 = seq.trace().events().iter().map(|e| e.scalings).sum();
+            assert!(fired > 0, "{n} patterns: scaling never fired, its statistics are untested");
+            if engages {
+                assert!((seq_lnl - par_lnl).abs() < 1e-9, "{seq_lnl} vs {par_lnl}");
+            } else {
+                assert_eq!(seq_lnl.to_bits(), par_lnl.to_bits());
+            }
+        }
     }
 
     /// Synthetic tip codes for the granule-invariance tests: a cycle of the
@@ -596,11 +697,12 @@ mod tests {
         }
     }
 
-    /// `newview` writes are per-pattern disjoint, so any chunk width must
-    /// reproduce the sequential kernel bit-for-bit — partials, scale
-    /// counts, and the integer scaling statistics.
+    /// `newview` writes are per-pattern disjoint, so any stripe width — one
+    /// stripe, an odd count, a ragged last one — must reproduce the
+    /// sequential kernel bit-for-bit: partials, scale counts, and the
+    /// integer scaling statistics.
     #[test]
-    fn newview_is_bit_identical_across_chunks_and_vs_sequential() {
+    fn newview_is_bit_identical_across_stripe_widths_and_vs_sequential() {
         let n = 1931;
         let n_rates = 4;
         let codes_l = synthetic_codes(n);
@@ -622,10 +724,10 @@ mod tests {
             ScalingCheck::IntegerCast,
         );
 
-        for chunk in [REDUCE_BLOCK, 2 * REDUCE_BLOCK, 5 * REDUCE_BLOCK, 32 * REDUCE_BLOCK] {
+        for width in [1, 2, 3, 5, 32].map(|blocks| blocks * REDUCE_BLOCK) {
             let mut x = vec![0.0f64; len];
             let mut scale = vec![0u32; n];
-            let stats = newview_chunked(
+            let stats = newview_striped(
                 &Child::Tip { codes: &codes_l, tables: &tables_l },
                 &Child::Tip { codes: &codes_r, tables: &tables_r },
                 &mut x,
@@ -633,13 +735,13 @@ mod tests {
                 n_rates,
                 KernelKind::Vector,
                 ScalingCheck::IntegerCast,
-                chunk,
+                width,
             );
-            assert_eq!(stats, seq_stats, "chunk {chunk} changed the scale stats");
-            assert_eq!(scale, seq_scale, "chunk {chunk} changed the scale counts");
+            assert_eq!(stats, seq_stats, "width {width} changed the scale stats");
+            assert_eq!(scale, seq_scale, "width {width} changed the scale counts");
             assert!(
                 x.iter().zip(seq_x.iter()).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "chunk {chunk} changed the partials"
+                "width {width} changed the partials"
             );
         }
     }

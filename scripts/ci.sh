@@ -31,11 +31,19 @@ if [[ "$quick" -eq 0 ]]; then
 fi
 run cargo test --workspace -q
 
-# Determinism gate: the parallel-path tests must pass both pinned to one
-# thread and at the default thread count — the fixed-chunk reductions make
-# parallel log-likelihoods bit-identical regardless of RAYON_NUM_THREADS.
+# Determinism gate: the parallel-path tests must pass pinned to one thread,
+# at the default thread count and at an odd stripe count — stripe ownership
+# and the fixed-block reductions make parallel log-likelihoods bit-identical
+# regardless of RAYON_NUM_THREADS.
 run env RAYON_NUM_THREADS=1 cargo test -q -p phylo parallel::
 run cargo test -q -p phylo parallel::
+run env RAYON_NUM_THREADS=3 cargo test -q -p phylo parallel::
+
+# Smoothing-order convergence on the 200- and 500-taxon trees, which the
+# debug run above skips for time.
+if [[ "$quick" -eq 0 ]]; then
+    run cargo test --release -q --test smoothing_order
+fi
 
 # Paper regeneration: every table, the figure and the profile on the reduced
 # workload, then the per-scheduler traces of one SPR round — each emitted

@@ -1,25 +1,28 @@
-//! Golden pins for the search, recorded at the commit *before* the SPR scan
-//! went topological and stepwise addition went incremental (28fafc8).
+//! Golden pins for the search.
 //!
 //! The rest of the suite proves the search bit-identical to itself (across
 //! kernel widths, threads, reuse modes). That cannot catch a change that
 //! moves every configuration the same way, so these three seeded runs pin
-//! the outputs of the old code — log-likelihood and Γ-shape bits, the exact
-//! arena layout of the final tree, and the move/evaluation/Newton counts —
-//! as constants. `newview` counts are deliberately absent: scoring the same
+//! recorded outputs — log-likelihood and Γ-shape bits, the exact arena
+//! layout of the final tree, and the move/evaluation/Newton counts — as
+//! constants. `newview` counts are deliberately absent: scoring the same
 //! candidates in a cache-friendlier order is allowed to change them.
+//!
+//! The two `spr_round_*` pins were recorded at 28fafc8, the commit *before*
+//! the SPR scan went topological and stepwise addition went incremental.
+//! They pin the scan, not the branch smoothing before it, so each starts
+//! from a fixture: the smoothed tree, Γ shape and kernel counts the search
+//! had reached at 3cefe2c, the last commit whose smoothing swept branches
+//! in node-id order. The whole-pipeline pin smooths on the way and so moves
+//! with the sweep order; it was re-recorded when smoothing went to tree
+//! order.
 
 use phylo::alignment::PatternAlignment;
 use phylo::likelihood::engine::LikelihoodEngine;
 use phylo::model::{GammaRates, SubstModel};
-use phylo::search::{
-    optimize_alpha, run_inference, spr_round, stepwise_addition_tree, InferenceOptions,
-    InferenceRequest, SearchConfig,
-};
+use phylo::search::{run_inference, spr_round, InferenceOptions, InferenceRequest, SearchConfig};
 use phylo::simulate::SimulationConfig;
 use phylo::tree::Tree;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Everything a run is pinned on.
 #[derive(Debug, PartialEq, Eq)]
@@ -35,16 +38,25 @@ struct Pin {
     tree_exact: String,
 }
 
-/// One hand-driven search step through the public API: start tree, branch
-/// smoothing, Γ-shape fit, one SPR round at `radius`.
-fn one_round(aln: &PatternAlignment, mut tree: Tree, radius: usize) -> Pin {
+/// Where a hand-driven round starts: the state `optimize_all_branches(2)`,
+/// `optimize_alpha`, `optimize_all_branches(1)` left a `fast()` engine in at
+/// the recording commit, with the kernel counts spent getting there (the
+/// pins count from engine creation).
+struct SmoothedStart {
+    tree_exact: &'static str,
+    alpha_bits: u64,
+    makenewz_calls: u64,
+    newton_iters: u64,
+}
+
+/// One SPR round at `radius` through the public API, from a recorded
+/// smoothed start.
+fn one_round(aln: &PatternAlignment, start: SmoothedStart, radius: usize) -> Pin {
     let cfg = SearchConfig::fast();
     let model = SubstModel::gtr(aln.base_frequencies(), [1.0; 6]).unwrap();
-    let rates = GammaRates::new(cfg.initial_alpha, cfg.n_rate_categories).unwrap();
+    let rates = GammaRates::new(f64::from_bits(start.alpha_bits), cfg.n_rate_categories).unwrap();
     let mut engine = LikelihoodEngine::new(aln, model, rates, cfg.likelihood);
-    engine.optimize_all_branches(&mut tree, 2);
-    optimize_alpha(&mut engine, &tree);
-    engine.optimize_all_branches(&mut tree, 1);
+    let mut tree = Tree::from_exact_string(start.tree_exact).unwrap();
     let stats = spr_round(&mut engine, &mut tree, radius, cfg.epsilon);
     let counters = *engine.trace().counters();
     Pin {
@@ -52,21 +64,21 @@ fn one_round(aln: &PatternAlignment, mut tree: Tree, radius: usize) -> Pin {
         alpha_bits: engine.rates().alpha().to_bits(),
         applied: stats.applied,
         evaluated_or_rounds: stats.evaluated,
-        makenewz_calls: counters.makenewz_calls,
-        newton_iters: counters.newton_iters,
+        makenewz_calls: start.makenewz_calls + counters.makenewz_calls,
+        newton_iters: start.newton_iters + counters.newton_iters,
         tree_exact: tree.to_exact_string(),
     }
 }
 
 fn check(name: &str, got: Pin, want: Pin) {
     assert!(got.applied > 0, "{name}: a pin with no applied move pins no selection");
-    assert_eq!(got, want, "{name}: the search no longer reproduces the parent commit's output");
+    assert_eq!(got, want, "{name}: the search no longer reproduces the recorded output");
 }
 
 /// 8 taxa × 300 sites, `fast()` preset, the whole pipeline through
 /// `run_inference`: stepwise-addition start, model fit, SPR to convergence.
 #[test]
-fn full_fast_inference_8x300_matches_the_parent_commit() {
+fn full_fast_inference_8x300_matches_the_recording() {
     let w = SimulationConfig::new(8, 300, 4).generate();
     let request = InferenceRequest::new(SearchConfig::fast(), 3);
     let r = run_inference(&w.alignment, &request, InferenceOptions::new()).unwrap().result;
@@ -81,24 +93,29 @@ fn full_fast_inference_8x300_matches_the_parent_commit() {
         tree_exact: r.tree.to_exact_string(),
     };
     let want = Pin {
-        lnl_bits: 0xc095b7c13cc81c11,
-        alpha_bits: 0x3fe96ca809eb4ba6,
+        lnl_bits: 0xc095b7c13c744fe7,
+        alpha_bits: 0x3fe96f12adfd2bae,
         applied: 2,
         evaluated_or_rounds: 3,
         makenewz_calls: 444,
-        newton_iters: 1111,
+        newton_iters: 1100,
         tree_exact: include_str!("data/golden/fast_8x300.tree").to_string(),
     };
     check("8x300 fast()", got, want);
 }
 
-/// 12 taxa × 400 sites from a random start (many improving moves), one
-/// round at radius 5.
+/// 12 taxa × 400 sites from a smoothed random start (`Tree::random` seed 4;
+/// many improving moves), one round at radius 5.
 #[test]
 fn spr_round_12x400_radius_5_matches_the_parent_commit() {
     let w = SimulationConfig::new(12, 400, 21).generate();
-    let tree = Tree::random(12, 0.1, &mut StdRng::seed_from_u64(4)).unwrap();
-    let got = one_round(&w.alignment, tree, 5);
+    let start = SmoothedStart {
+        tree_exact: include_str!("data/golden/start_12x400.tree"),
+        alpha_bits: 0x3fda7e3b2d4da249,
+        makenewz_calls: 63,
+        newton_iters: 281,
+    };
+    let got = one_round(&w.alignment, start, 5);
     let want = Pin {
         lnl_bits: 0xc0a4681da4886d14,
         alpha_bits: 0x3fda7e3b2d4da249,
@@ -111,15 +128,20 @@ fn spr_round_12x400_radius_5_matches_the_parent_commit() {
     check("12x400 radius 5", got, want);
 }
 
-/// The paper's shape (42 taxa × 1167 sites, ~240 patterns) from its
-/// stepwise-addition start, one round at radius 10 — the round the
-/// benchmark's `search42` and `cell_tables` workloads spend their time in.
+/// The paper's shape (42 taxa × 1167 sites, ~240 patterns) from its smoothed
+/// stepwise-addition start (seed `0x42_5C`), one round at radius 10 — the
+/// round the benchmark's `search42` and `cell_tables` workloads spend their
+/// time in.
 #[test]
 fn spr_round_aln42_radius_10_matches_the_parent_commit() {
     let w = SimulationConfig::aln42().generate();
-    let tree =
-        stepwise_addition_tree(&w.alignment, 0.1, &mut StdRng::seed_from_u64(0x42_5C)).unwrap();
-    let got = one_round(&w.alignment, tree, 10);
+    let start = SmoothedStart {
+        tree_exact: include_str!("data/golden/start_aln42.tree"),
+        alpha_bits: 0x3fd06abd6d1665c2,
+        makenewz_calls: 243,
+        newton_iters: 2430,
+    };
+    let got = one_round(&w.alignment, start, 10);
     let want = Pin {
         lnl_bits: 0xc0ae2607a6b229e7,
         alpha_bits: 0x3fd06abd6d1665c2,

@@ -268,12 +268,15 @@ fn sync_policy_controls_journal_durability() {
     durable.register_dataset("d", aln.clone());
     let job = durable.submit("a", &quick_spec(1)).unwrap();
     durable.wait_done(job, WAIT).unwrap();
+    // A job becomes `Done` before its journal mark is appended, so a waiter
+    // that arrives late can return while that `sync_data` is in flight;
+    // shutdown joins the worker that issues it.
+    durable.shutdown().unwrap();
     assert!(
         durable.journal_sync_count() >= 2,
         "submit + done should each have synced, saw {}",
         durable.journal_sync_count()
     );
-    durable.shutdown().unwrap();
 
     let lazy = InferenceService::start(
         ServiceConfig::new(1)
@@ -284,8 +287,8 @@ fn sync_policy_controls_journal_durability() {
     lazy.register_dataset("d", aln);
     let job = lazy.submit("a", &quick_spec(1)).unwrap();
     lazy.wait_done(job, WAIT).unwrap();
-    assert_eq!(lazy.journal_sync_count(), 0, "OsManaged must not fsync");
     lazy.shutdown().unwrap();
+    assert_eq!(lazy.journal_sync_count(), 0, "OsManaged must not fsync");
 }
 
 /// End-to-end fault injection: under an aggressive deterministic plan a

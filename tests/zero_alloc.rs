@@ -3,9 +3,11 @@
 //! The workspace-arena redesign promises that after warm-up, the complete
 //! `newview` → `evaluate` → `makenewz` cycle — traversal compilation, fused
 //! kernel execution, sum-table construction, Newton iteration and partial
-//! invalidation — touches the heap zero times, and so do a whole in-place
-//! NNI round and a whole steady-state SPR round built on it. This test
-//! wraps the system allocator in a counting shim and asserts exactly that.
+//! invalidation — touches the heap zero times, and so do a whole smoothing
+//! pass (its depth-first branch order is built into a workspace buffer), a
+//! whole in-place NNI round and a whole steady-state SPR round built on it.
+//! This test wraps the system allocator in a counting shim and asserts
+//! exactly that.
 //!
 //! It is the only test in this file on purpose: a `#[global_allocator]`
 //! counts every allocation in the process, and a concurrently running test
@@ -32,7 +34,7 @@ fn steady_state_hot_path_does_not_touch_the_heap() {
     let w = SimulationConfig::new(12, 600, 41).generate();
     let model = SubstModel::gtr(w.alignment.base_frequencies(), [1.0; 6]).unwrap();
     let rates = GammaRates::standard(0.8).unwrap();
-    // Sequential dispatch: the rayon path hands chunks to worker threads,
+    // Sequential dispatch: loop-level parallelism hands stripes to threads,
     // whose bookkeeping is outside the zero-allocation contract.
     let config = LikelihoodConfig { parallel: false, ..LikelihoodConfig::optimized() };
     let mut engine = LikelihoodEngine::with_options(
@@ -52,8 +54,8 @@ fn steady_state_hot_path_does_not_touch_the_heap() {
     let mut nni_scratch: Vec<phylo::tree::Edge> = Vec::new();
 
     // One full cycle of everything the search's inner loop does, including
-    // a whole in-place NNI round (apply, score, revert, targeted cache
-    // invalidation — no tree clones, no cache rebuild).
+    // a smoothing pass and a whole in-place NNI round (apply, score, revert,
+    // targeted cache invalidation — no tree clones, no cache rebuild).
     let cycle = |engine: &mut LikelihoodEngine<'_>,
                  tree: &mut Tree,
                  edges: &[(usize, usize)],
@@ -68,6 +70,7 @@ fn steady_state_hot_path_does_not_touch_the_heap() {
             let (_, lnl) = engine.optimize_branch_with_iters(tree, edge, 4);
             acc += lnl;
         }
+        acc += engine.optimize_all_branches(tree, 1);
         acc +=
             phylo::search::nni::nni_round_with_scratch(engine, tree, 1e-4, scratch).log_likelihood;
         acc
