@@ -2,7 +2,7 @@
 //!
 //! Each group is the host-side ablation of one paper optimization:
 //!
-//! * `newview/*`   — scalar vs 2-lane vectorized loops (§5.2.5, Table 5)
+//! * `newview/*`   — scalar vs 2-, 4- and 8-lane loops (§5.2.5, Table 5)
 //! * `exp/*`       — libm vs SDK-style exponential (§5.2.2, Table 2)
 //! * `scaling/*`   — float vs integer-cast conditional (§5.2.3, Table 3)
 //! * `evaluate/*`, `makenewz/*` — the other two offloaded kernels (§5.2.7)
@@ -172,26 +172,18 @@ fn bench_exp(c: &mut Criterion) {
 fn bench_evaluate(c: &mut Criterion) {
     let f = fixture();
     let mut group = c.benchmark_group("evaluate");
-    for (kind, name) in [
-        (KernelKind::Scalar, "scalar"),
-        (KernelKind::Vector, "vector"),
-        (KernelKind::Wide4, "wide4"),
-        (KernelKind::Wide8, "wide8"),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                evaluate_lnl(
-                    &EvalOperand::Tip { codes: &f.codes },
-                    &EvalOperand::Inner { x: &f.xr, scale: &f.zeros },
-                    &f.pl,
-                    f.model.freqs(),
-                    black_box(&f.weights),
-                    N_RATES,
-                    kind,
-                )
-            })
-        });
-    }
+    group.bench_function("lnl", |b| {
+        b.iter(|| {
+            evaluate_lnl(
+                &EvalOperand::Tip { codes: &f.codes },
+                &EvalOperand::Inner { x: &f.xr, scale: &f.zeros },
+                &f.pl,
+                f.model.freqs(),
+                black_box(&f.weights),
+                N_RATES,
+            )
+        })
+    });
     group.finish();
 }
 

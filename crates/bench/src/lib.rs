@@ -112,11 +112,18 @@ pub fn figure3_text(fig: &Figure3) -> String {
             n, fig.cell[i], fig.power5[i], fig.xeon[i]
         ));
     }
+    let (cell, power5, xeon) =
+        (*fig.cell.last().unwrap(), *fig.power5.last().unwrap(), *fig.xeon.last().unwrap());
+    let mut ranking = [("Cell", cell), ("Power5", power5), ("Xeon", xeon)];
+    ranking.sort_by(|a, b| a.1.total_cmp(&b.1));
     out.push_str(&format!(
-        "  ranking at {} bootstraps: Cell < Power5 < Xeon — Power5/Cell = {:.2} (paper: ~1.10), Xeon/Cell = {:.2} (paper: >2)\n",
+        "  ranking at {} bootstraps: {} < {} < {} (paper: Cell < Power5 < Xeon) — Power5/Cell = {:.2} (paper: ~1.10), Xeon/Cell = {:.2} (paper: >2)\n",
         fig.bootstraps[fig.bootstraps.len() - 1],
-        fig.power5.last().unwrap() / fig.cell.last().unwrap(),
-        fig.xeon.last().unwrap() / fig.cell.last().unwrap(),
+        ranking[0].0,
+        ranking[1].0,
+        ranking[2].0,
+        power5 / cell,
+        xeon / cell,
     ));
     out
 }
@@ -665,6 +672,21 @@ mod tests {
             .collect();
         let composition: f64 = pct.iter().rev().take(5).sum();
         assert!((composition - 100.0).abs() < 0.5, "composition sums to {composition}");
+    }
+
+    #[test]
+    fn figure3_ranking_sentence_follows_the_numbers() {
+        let fig = |cell, power5, xeon| Figure3 {
+            bootstraps: vec![128],
+            cell: vec![cell],
+            power5: vec![power5],
+            xeon: vec![xeon],
+        };
+        let paper = figure3_text(&fig(10.0, 11.0, 21.0));
+        assert!(paper.contains("128 bootstraps: Cell < Power5 < Xeon (paper:"), "{paper}");
+        let inverted = figure3_text(&fig(10.0, 6.1, 12.3));
+        assert!(inverted.contains("128 bootstraps: Power5 < Cell < Xeon (paper:"), "{inverted}");
+        assert!(inverted.contains("Power5/Cell = 0.61"), "{inverted}");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::sched::{schedule_makespan, sync_workers_makespan, DesParams, SimOutco
 use cellsim::cost::CostModel;
 use cellsim::fault::FaultPlan;
 use cellsim::tracelog::TraceLog;
+use phylo::likelihood::LikelihoodConfig;
 use phylo::search::{run_inference, InferenceOptions, InferenceRequest, SearchConfig};
 use phylo::simulate::SimulationConfig;
 use phylo::trace::{KernelEvent, KernelOp, TraceCounters};
@@ -125,7 +126,10 @@ pub fn capture_workload(spec: &WorkloadSpec) -> Result<Workload> {
         SimulationConfig::new(spec.n_taxa, spec.n_sites, spec.seed)
     };
     let generated = sim.generate();
-    let request = InferenceRequest::new(spec.search.clone(), spec.seed);
+    // The Cell model prices this trace: pin the Cell profile, so a host
+    // `exp` choice cannot reach the simulated tables.
+    let search = SearchConfig { likelihood: LikelihoodConfig::cell(), ..spec.search.clone() };
+    let request = InferenceRequest::new(search, spec.seed);
     let result = run_inference(&generated.alignment, &request, InferenceOptions::new().traced())
         .expect("un-checkpointed search on finite data cannot fail")
         .result;

@@ -14,7 +14,7 @@
 
 use super::kernels::{
     self, build_sumtable_into, build_tip_tables, fill_tip_tables, Child, EvalOperand, Mat4,
-    ScaleStats, TipTable16,
+    NewtonPass, ScaleStats, TipTable16,
 };
 use super::workspace::{
     LikelihoodWorkspace, SprScratch, TraversalOp, TraversalOps, WorkspaceOptions,
@@ -440,7 +440,6 @@ impl<'a> LikelihoodEngine<'a> {
                 self.model.freqs(),
                 self.aln.weights(),
                 self.n_rates,
-                self.config.kernel,
                 self.config.parallel,
             )
         };
@@ -482,7 +481,6 @@ impl<'a> LikelihoodEngine<'a> {
             self.model.freqs(),
             self.n_patterns,
             self.n_rates,
-            self.config.kernel,
         )
     }
 
@@ -516,7 +514,6 @@ impl<'a> LikelihoodEngine<'a> {
                 &op_u,
                 &op_v,
                 &w_mat,
-                self.n_patterns,
                 self.n_rates,
                 &mut ws.sum_data,
                 &mut ws.sum_scale,
@@ -540,7 +537,7 @@ impl<'a> LikelihoodEngine<'a> {
                 t,
                 weights,
                 self.config.exp_impl,
-                self.config.kernel,
+                NewtonPass::Derivatives,
                 self.config.parallel,
                 &mut ws.newton,
             );
@@ -579,7 +576,7 @@ impl<'a> LikelihoodEngine<'a> {
             t,
             weights,
             self.config.exp_impl,
-            self.config.kernel,
+            NewtonPass::LnlOnly,
             self.config.parallel,
             &mut ws.newton,
         );

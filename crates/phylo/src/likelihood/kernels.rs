@@ -27,11 +27,18 @@
 //! pattern. Because IEEE-754 addition and multiplication are lane-local
 //! and the per-pattern association never changes, all four kernel widths
 //! are bit-identical, including the §5.2.3 underflow-scaling conditional,
-//! which is always evaluated per pattern (per lane).
+//! which is decided per pattern whatever the width: once a block is
+//! written its tile rows are walked once, one compare per lane per row.
 //!
 //! Buffers are padded to a whole number of blocks; padding lanes are
 //! written as zeros so buffer-level bit comparisons stay deterministic.
 //! Per-pattern metadata (scale counts, tip codes, weights) stays unpadded.
+//!
+//! The `makenewz` sum table uses the same layout with the eigen-index `k`
+//! in the state's place, so `build_sumtable_into` reads its operands and
+//! the Newton pass reads the table as tile rows, two lanes at a time; only
+//! the `ln` and the order-sensitive weighted sums are scalar, in pattern
+//! order.
 
 use super::{KernelKind, ScalingCheck, LN_SCALE, SCALE_MULTIPLIER, SCALE_THRESHOLD, TILE};
 use crate::alphabet::TIP_LIKELIHOODS;
@@ -127,60 +134,43 @@ impl ScaleStats {
     }
 }
 
-#[inline(always)]
-fn all_below_threshold_float(v: &[f64]) -> bool {
-    // The paper's original conditional: ABS(x) < minlikelihood, one branchy
-    // comparison per entry.
-    v.iter().all(|&x| x.abs() < SCALE_THRESHOLD)
-}
-
 const THRESHOLD_BITS: u64 = 0x2FF0_0000_0000_0000; // (2^-256).to_bits()
 const ABS_MASK: u64 = 0x7FFF_FFFF_FFFF_FFFF;
 
+/// Evaluate the §5.2.3 conditional for all [`TILE`] patterns of a block at
+/// once: walk the block's `n_rates × 4` tile rows, AND-ing one compare per
+/// lane per row — contiguous loads, no per-pattern gather. Lane `j` of the
+/// result says every value of pattern `j` is below threshold. The two forms
+/// agree on every `f64` (NaN and ±∞ are "not below" under both).
 #[inline(always)]
-fn all_below_threshold_int(v: &[f64]) -> bool {
-    // §5.2.3: clear the sign bit with a logical AND (the spu_and trick),
-    // then compare the bit patterns as unsigned integers. For IEEE-754
-    // doubles of equal sign this ordering matches the numeric ordering.
-    // Written branch-free over the whole slice.
-    let mut below = true;
-    for &x in v {
-        below &= (x.to_bits() & ABS_MASK) < THRESHOLD_BITS;
-    }
-    below
-}
-
-/// Evaluate the §5.2.3 underflow-scaling conditional for one pattern (one
-/// lane of a tile): gather its `n_rates × 4` values from the block, and if
-/// every one is below threshold multiply them by 2²⁵⁶ in place (an exact
-/// power-of-two shift, so rescaling is bit-neutral to the likelihood).
-/// Returns `(checks, fired)`. The conditional is per-pattern regardless of
-/// kernel width, which is what keeps every width's `ScaleStats` identical.
-#[inline]
-fn check_and_scale_lane(
-    block: &mut [f64],
-    lane: usize,
-    n_rates: usize,
-    scaling: ScalingCheck,
-) -> (u32, bool) {
-    let mut fire = true;
-    for c in 0..n_rates {
-        let q = c * 4 * TILE + lane;
-        let quad = [block[q], block[q + TILE], block[q + 2 * TILE], block[q + 3 * TILE]];
-        let below = match scaling {
-            ScalingCheck::FloatCompare => all_below_threshold_float(&quad),
-            ScalingCheck::IntegerCast => all_below_threshold_int(&quad),
-        };
-        fire &= below;
-    }
-    if fire {
-        for c in 0..n_rates {
-            for s in 0..4 {
-                block[(c * 4 + s) * TILE + lane] *= SCALE_MULTIPLIER;
+fn lanes_below_threshold(block: &[f64], scaling: ScalingCheck) -> [bool; TILE] {
+    match scaling {
+        // The paper's original conditional: ABS(x) < minlikelihood.
+        ScalingCheck::FloatCompare => {
+            let mut below = [true; TILE];
+            for row in block.chunks_exact(TILE) {
+                for (b, &x) in below.iter_mut().zip(row) {
+                    *b &= x.abs() < SCALE_THRESHOLD;
+                }
             }
+            below
+        }
+        // §5.2.3: clear the sign bit with a logical AND (the spu_and trick),
+        // then compare the bit patterns as integers — for IEEE-754 doubles
+        // of equal sign that ordering matches the numeric one. Both sides
+        // are below 2⁶³, so `a < T` is the sign bit of `a − T`, and a lane's
+        // compares AND together as the sign bit of the AND of its
+        // differences: one subtract and two ANDs per value, no branch.
+        ScalingCheck::IntegerCast => {
+            let mut diffs = [u64::MAX; TILE];
+            for row in block.chunks_exact(TILE) {
+                for (d, &x) in diffs.iter_mut().zip(row) {
+                    *d &= (x.to_bits() & ABS_MASK).wrapping_sub(THRESHOLD_BITS);
+                }
+            }
+            diffs.map(|d| d >> 63 == 1)
         }
     }
-    (n_rates as u32, fire)
 }
 
 // ---------------------------------------------------------------------------
@@ -206,6 +196,12 @@ fn wmul<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
 #[inline(always)]
 fn wmadd<const W: usize>(a: [f64; W], b: [f64; W], c: [f64; W]) -> [f64; W] {
     std::array::from_fn(|j| a[j] * b[j] + c[j])
+}
+
+/// Lane-wise add.
+#[inline(always)]
+fn wadd<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
+    std::array::from_fn(|j| a[j] + b[j])
 }
 
 /// Load `W` consecutive lanes starting at `off`.
@@ -307,8 +303,12 @@ pub fn newview(
 }
 
 /// Shared per-block epilogue: zero the padding lanes (so buffer-level bit
-/// comparisons are deterministic), then run the per-pattern scaling
-/// conditional and fold the children's scale counts into `out_scale`.
+/// comparisons are deterministic), then run the §5.2.3 scaling conditional
+/// row-wise over the block and fold the children's scale counts into
+/// `out_scale`. A pattern that fires has its `n_rates × 4` values multiplied
+/// by 2²⁵⁶ in place (an exact power-of-two shift, so rescaling is bit-neutral
+/// to the likelihood). The conditional is per pattern whatever the kernel
+/// width, which is what keeps every width's `ScaleStats` identical.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // internal epilogue; args mirror newview's
 fn finish_block(
@@ -321,19 +321,19 @@ fn finish_block(
     stats: &mut ScaleStats,
     child_scale: impl Fn(usize) -> u32,
 ) {
-    for c in 0..n_rates {
-        for s in 0..4 {
-            for pad in valid..TILE {
-                ob[(c * 4 + s) * TILE + pad] = 0.0;
-            }
-        }
+    for row in ob.chunks_exact_mut(TILE) {
+        row[valid..].fill(0.0);
     }
-    for lane in 0..valid {
-        let i = base + lane;
-        let (checks, fired) = check_and_scale_lane(ob, lane, n_rates, scaling);
-        stats.checks += checks as u64;
-        stats.fired += fired as u64;
-        out_scale[i] = child_scale(i) + fired as u32;
+    let below = lanes_below_threshold(ob, scaling);
+    stats.checks += (valid * n_rates) as u64;
+    for (lane, &fired) in below[..valid].iter().enumerate() {
+        if fired {
+            for row in ob.chunks_exact_mut(TILE) {
+                row[lane] *= SCALE_MULTIPLIER;
+            }
+            stats.fired += 1;
+        }
+        out_scale[base + lane] = child_scale(base + lane) + fired as u32;
     }
 }
 
@@ -528,7 +528,7 @@ pub enum EvalOperand<'a> {
 }
 
 impl EvalOperand<'_> {
-    fn scale_at(&self, i: usize) -> u32 {
+    pub(crate) fn scale_at(&self, i: usize) -> u32 {
         match self {
             EvalOperand::Tip { .. } => 0,
             EvalOperand::Inner { scale, .. } => scale[i],
@@ -537,7 +537,7 @@ impl EvalOperand<'_> {
 
     /// The conditional-likelihood 4-vector of pattern `i`, rate `c`.
     #[inline]
-    fn quad(&self, i: usize, c: usize, n_rates: usize) -> [f64; 4] {
+    pub(crate) fn quad(&self, i: usize, c: usize, n_rates: usize) -> [f64; 4] {
         match self {
             EvalOperand::Tip { codes } => TIP_LIKELIHOODS[codes[i] as usize],
             EvalOperand::Inner { x, .. } => {
@@ -551,10 +551,8 @@ impl EvalOperand<'_> {
 /// Log-likelihood at a branch: `Σ_i w_i · ln((1/C) Σ_c x_uᵀ diag(π) P_c x_v)`
 /// plus the accumulated scaling corrections.
 ///
-/// The per-site association is the same for every [`KernelKind`] — kernels
-/// vary only in how many *patterns* they advance per iteration — so the
-/// result is bit-identical across kinds (the `kind` parameter is kept for
-/// configuration plumbing and ablation symmetry).
+/// There is one formulation, pattern at a time: [`KernelKind`] selects a
+/// `newview` width only.
 pub fn evaluate_lnl(
     u: &EvalOperand<'_>,
     v: &EvalOperand<'_>,
@@ -562,9 +560,7 @@ pub fn evaluate_lnl(
     freqs: &[f64; 4],
     weights: &[f64],
     n_rates: usize,
-    kind: KernelKind,
 ) -> f64 {
-    let _ = kind;
     let n_patterns = weights.len();
     let inv_c = 1.0 / n_rates as f64;
     let mut lnl = 0.0;
@@ -595,9 +591,7 @@ pub fn evaluate_site_lnls(
     freqs: &[f64; 4],
     n_patterns: usize,
     n_rates: usize,
-    kind: KernelKind,
 ) -> Vec<f64> {
-    let _ = kind;
     let inv_c = 1.0 / n_rates as f64;
     let mut out = Vec::with_capacity(n_patterns);
     for i in 0..n_patterns {
@@ -634,13 +628,16 @@ fn eval_site(xu: &[f64; 4], xv: &[f64; 4], p: &Mat4, freqs: &[f64; 4]) -> f64 {
 /// and second derivatives w.r.t. `t` nearly free. RAxML builds exactly this
 /// table once per `makenewz` and iterates Newton on it.
 pub struct SumTable {
-    /// Layout `[pattern][rate][k]` (unpadded — the table is consumed
-    /// pattern-at-a-time by the Newton loop, which never vectorizes across
-    /// patterns).
+    /// Tiled exactly like the partials it is built from (see the module
+    /// docs): entry `(pattern i, rate c, eigen-index k)` lives at
+    /// [`tiled_index`]`(i, c, k, n_rates)`, length [`tiled_len`]. Padding
+    /// lanes hold the product of the operands' padding (zeros) and are never
+    /// folded into a result.
     pub data: Vec<f64>,
     pub n_rates: usize,
-    /// Combined (u + v) scale counts — constant offsets that cancel in the
-    /// Newton ratio but are kept for exactness checks.
+    /// Combined (u + v) scale counts, one per pattern (unpadded) — constant
+    /// offsets that cancel in the Newton ratio but are kept for exactness
+    /// checks.
     pub scale: Vec<u32>,
 }
 
@@ -652,24 +649,93 @@ pub fn build_sumtable(
     n_patterns: usize,
     n_rates: usize,
 ) -> SumTable {
-    let mut data = Vec::new();
-    let mut scale = Vec::new();
-    build_sumtable_into(u, v, w, n_patterns, n_rates, &mut data, &mut scale);
+    let mut data = vec![0.0; tiled_len(n_patterns, n_rates)];
+    let mut scale = vec![0; n_patterns];
+    build_sumtable_into(u, v, w, n_rates, &mut data, &mut scale);
     SumTable { data, n_rates, scale }
 }
 
-/// As [`build_sumtable`], writing into caller-owned buffers (resized to the
-/// required lengths) so the steady-state `makenewz` path allocates nothing.
+/// Lane width of the `makenewz` loops. Two `f64` lanes fill one 128-bit
+/// register, which is all the default `x86-64` target has; wider groups
+/// only spill (measured: 4 and 8 lanes are slower here).
+const MZ_LANES: usize = 2;
+
+/// One operand's side of a sum-table block. Lives on the stack for the
+/// length of one block; boxing the tip rows would put an allocation on the
+/// zero-allocation path.
+#[allow(clippy::large_enum_variant)]
+enum BlockRows<'a> {
+    /// A tip: `W·tip(code)` gathered once for the block (tips are
+    /// rate-independent), row `k` holding the block's [`TILE`] lanes.
+    Tip([[f64; TILE]; 4]),
+    /// An inner node: its tiled partials for this block.
+    Inner(&'a [f64]),
+}
+
+impl<'a> BlockRows<'a> {
+    /// Block `blk` (`valid` patterns) of an operand; `wtip[code] = W·tip(code)`.
+    fn of(
+        op: &EvalOperand<'a>,
+        wtip: &[[f64; 4]; 16],
+        blk: usize,
+        valid: usize,
+        n_rates: usize,
+    ) -> BlockRows<'a> {
+        match *op {
+            EvalOperand::Tip { codes } => {
+                let mut rows = [[0.0; TILE]; 4];
+                for (lane, &code) in codes[blk * TILE..blk * TILE + valid].iter().enumerate() {
+                    for k in 0..4 {
+                        rows[k][lane] = wtip[code as usize][k];
+                    }
+                }
+                BlockRows::Tip(rows)
+            }
+            EvalOperand::Inner { x, .. } => {
+                let bs = n_rates * 4 * TILE;
+                BlockRows::Inner(&x[blk * bs..(blk + 1) * bs])
+            }
+        }
+    }
+
+    /// `(W x)[k]` for rate `c` on lanes `l0 .. l0 + W`, each lane keeping
+    /// the per-pattern association `((w₀q₀ + w₁q₁) + w₂q₂) + w₃q₃`.
+    #[inline(always)]
+    fn w_times<const W: usize>(&self, w: &[[f64; 4]; 4], c: usize, l0: usize) -> [[f64; W]; 4] {
+        match self {
+            BlockRows::Tip(rows) => std::array::from_fn(|k| wload(&rows[k], l0)),
+            BlockRows::Inner(xb) => {
+                let q: [[f64; W]; 4] = std::array::from_fn(|s| wload(xb, (c * 4 + s) * TILE + l0));
+                std::array::from_fn(|k| {
+                    let mut acc = wmul(wsplat(w[k][0]), q[0]);
+                    acc = wmadd(wsplat(w[k][1]), q[1], acc);
+                    acc = wmadd(wsplat(w[k][2]), q[2], acc);
+                    wmadd(wsplat(w[k][3]), q[3], acc)
+                })
+            }
+        }
+    }
+}
+
+/// As [`build_sumtable`], writing into caller-owned buffers — `data` of
+/// [`tiled_len`] entries, `scale` one per pattern — so the steady-state
+/// `makenewz` path allocates nothing.
+///
+/// The table is built a block at a time over the operands' own tiles: an
+/// inner operand is read as tile rows, a tip operand gathers `W·tip(code)`
+/// once per block instead of once per rate.
 pub fn build_sumtable_into(
     u: &EvalOperand<'_>,
     v: &EvalOperand<'_>,
     w: &[[f64; 4]; 4],
-    n_patterns: usize,
     n_rates: usize,
-    data: &mut Vec<f64>,
-    scale: &mut Vec<u32>,
+    data: &mut [f64],
+    scale: &mut [u32],
 ) {
-    // Precompute W·tip(code) for all 16 codes (tips are rate-independent).
+    let n_patterns = scale.len();
+    assert_eq!(data.len(), tiled_len(n_patterns, n_rates), "sum table size mismatch");
+
+    // Precompute W·tip(code) for all 16 codes.
     let mut wtip = [[0.0f64; 4]; 16];
     for code in 0..16 {
         for k in 0..4 {
@@ -680,30 +746,22 @@ pub fn build_sumtable_into(
             wtip[code][k] = acc;
         }
     }
-    let wx = |op: &EvalOperand<'_>, i: usize, c: usize| -> [f64; 4] {
-        match op {
-            EvalOperand::Tip { codes } => wtip[codes[i] as usize],
-            EvalOperand::Inner { .. } => {
-                let q = op.quad(i, c, n_rates);
-                let mut out = [0.0; 4];
-                for k in 0..4 {
-                    out[k] = w[k][0] * q[0] + w[k][1] * q[1] + w[k][2] * q[2] + w[k][3] * q[3];
-                }
-                out
-            }
-        }
-    };
 
-    data.resize(n_patterns * n_rates * 4, 0.0);
-    scale.resize(n_patterns, 0);
-    for i in 0..n_patterns {
-        scale[i] = u.scale_at(i) + v.scale_at(i);
+    let bs = n_rates * 4 * TILE;
+    for (blk, (tb, sb)) in data.chunks_exact_mut(bs).zip(scale.chunks_mut(TILE)).enumerate() {
+        let base = blk * TILE;
+        for (lane, s) in sb.iter_mut().enumerate() {
+            *s = u.scale_at(base + lane) + v.scale_at(base + lane);
+        }
+        let rows = |op| BlockRows::of(op, &wtip, blk, sb.len(), n_rates);
+        let (ru, rv) = (rows(u), rows(v));
         for c in 0..n_rates {
-            let wu = wx(u, i, c);
-            let wv = wx(v, i, c);
-            let off = (i * n_rates + c) * 4;
-            for k in 0..4 {
-                data[off + k] = wu[k] * wv[k];
+            for l0 in (0..TILE).step_by(MZ_LANES) {
+                let wu = ru.w_times::<MZ_LANES>(w, c, l0);
+                let wv = rv.w_times::<MZ_LANES>(w, c, l0);
+                for k in 0..4 {
+                    wstore(tb, (c * 4 + k) * TILE + l0, wmul(wu[k], wv[k]));
+                }
             }
         }
     }
@@ -721,25 +779,6 @@ pub fn newton_derivatives(
     weights: &[f64],
     exp_impl: crate::model::ExpImpl,
 ) -> (f64, f64, f64) {
-    newton_derivatives_kind(st, lambdas, rates, t, weights, exp_impl, KernelKind::Scalar)
-}
-
-/// As [`newton_derivatives`] with an explicit kernel kind. Since the tiled
-/// layout moved vector lanes onto *patterns*, the eigen-sum association is
-/// the same (scalar, left-to-right) for every kind, and every kind returns
-/// bit-identical derivatives — the precondition for search trajectories
-/// being invariant under the kernel switch. The parameter is kept so config
-/// plumbing and ablation call sites stay uniform.
-#[allow(clippy::too_many_arguments)]
-pub fn newton_derivatives_kind(
-    st: &SumTable,
-    lambdas: &[f64; 4],
-    rates: &[f64],
-    t: f64,
-    weights: &[f64],
-    exp_impl: crate::model::ExpImpl,
-    kind: KernelKind,
-) -> (f64, f64, f64) {
     let mut scratch = NewtonScratch::default();
     newton_derivatives_scratch(
         &st.data,
@@ -750,7 +789,7 @@ pub fn newton_derivatives_kind(
         t,
         weights,
         exp_impl,
-        kind,
+        NewtonPass::Derivatives,
         &mut scratch,
     )
 }
@@ -775,10 +814,20 @@ impl NewtonScratch {
     }
 }
 
-/// As [`newton_derivatives_kind`], operating on raw sum-table slices
-/// (layout `[pattern][rate][k]` + per-pattern scale counts) with
-/// caller-owned exponential scratch — the zero-allocation form the engine
-/// and the parallel dispatcher use.
+/// What one pass over the sum table computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NewtonPass {
+    /// `(lnl, d_lnl, dd_lnl)` — a Newton iteration.
+    Derivatives,
+    /// `(lnl, 0, 0)` with `lnl` bit-equal to the full pass's, at a third of
+    /// the dot products — what `makenewz` needs once Newton has stopped.
+    LnlOnly,
+}
+
+/// As [`newton_derivatives`], operating on raw sum-table slices (the tiled
+/// table + per-pattern scale counts, see [`SumTable`]) with caller-owned
+/// exponential scratch — the zero-allocation form the engine and the
+/// parallel dispatcher use.
 #[allow(clippy::too_many_arguments)]
 pub fn newton_derivatives_scratch(
     st_data: &[f64],
@@ -789,11 +838,48 @@ pub fn newton_derivatives_scratch(
     t: f64,
     weights: &[f64],
     exp_impl: crate::model::ExpImpl,
-    kind: KernelKind,
+    pass: NewtonPass,
     scratch: &mut NewtonScratch,
 ) -> (f64, f64, f64) {
-    let _ = kind;
+    match pass {
+        NewtonPass::Derivatives => newton_pass::<true>(
+            st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, scratch,
+        ),
+        NewtonPass::LnlOnly => newton_pass::<false>(
+            st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, scratch,
+        ),
+    }
+}
+
+/// `((s₀e₀ + s₁e₁) + s₂e₂) + s₃e₃` on every lane: one rate's four table
+/// rows against one row of an exponential table.
+#[inline(always)]
+fn eigen_dot<const W: usize>(s: &[[f64; W]; 4], e: &[f64; 4]) -> [f64; W] {
+    let mut acc = wmul(s[0], wsplat(e[0]));
+    acc = wmadd(s[1], wsplat(e[1]), acc);
+    acc = wmadd(s[2], wsplat(e[2]), acc);
+    wmadd(s[3], wsplat(e[3]), acc)
+}
+
+/// The one Newton loop. Per block the per-pattern likelihood (and, with
+/// `DERIVS`, its two `t`-derivatives) accumulate lane-wise over the rates;
+/// the `ln`, the ratios and the weighted sums are then folded scalar, in
+/// pattern order, zero-weight patterns skipped. Without `DERIVS` the
+/// derivative rows are compiled out and the last two results are zero.
+#[allow(clippy::too_many_arguments)]
+fn newton_pass<const DERIVS: bool>(
+    st_data: &[f64],
+    st_scale: &[u32],
+    n_rates: usize,
+    lambdas: &[f64; 4],
+    rates: &[f64],
+    t: f64,
+    weights: &[f64],
+    exp_impl: crate::model::ExpImpl,
+    scratch: &mut NewtonScratch,
+) -> (f64, f64, f64) {
     let n_patterns = weights.len();
+    assert_eq!(st_data.len(), tiled_len(n_patterns, n_rates), "sum table size mismatch");
     let inv_c = 1.0 / n_rates as f64;
 
     // The "small loop": per (rate, eigenvalue) exponentials — 4 × C exp
@@ -813,28 +899,45 @@ pub fn newton_derivatives_scratch(
     let mut lnl = 0.0;
     let mut d1 = 0.0;
     let mut d2 = 0.0;
-    for i in 0..n_patterns {
-        let wgt = weights[i];
-        if wgt == 0.0 {
-            continue;
+    let blocks = st_data.chunks_exact(n_rates * 4 * TILE);
+    for ((tb, wb), sb) in blocks.zip(weights.chunks(TILE)).zip(st_scale.chunks(TILE)) {
+        // The likelihood and its two derivatives, summed over the rates one
+        // lane group at a time.
+        let mut li = [0.0; TILE];
+        let mut dli = [0.0; TILE];
+        let mut ddli = [0.0; TILE];
+        for l0 in (0..TILE).step_by(MZ_LANES) {
+            let mut acc = [[0.0; MZ_LANES]; 3];
+            for c in 0..n_rates {
+                let s: [[f64; MZ_LANES]; 4] =
+                    std::array::from_fn(|k| wload(tb, (c * 4 + k) * TILE + l0));
+                acc[0] = wadd(acc[0], eigen_dot(&s, &e0[c]));
+                if DERIVS {
+                    acc[1] = wadd(acc[1], eigen_dot(&s, &e1[c]));
+                    acc[2] = wadd(acc[2], eigen_dot(&s, &e2[c]));
+                }
+            }
+            wstore(&mut li, l0, acc[0]);
+            if DERIVS {
+                wstore(&mut dli, l0, acc[1]);
+                wstore(&mut ddli, l0, acc[2]);
+            }
         }
-        let mut li = 0.0;
-        let mut dli = 0.0;
-        let mut ddli = 0.0;
-        for c in 0..n_rates {
-            let off = (i * n_rates + c) * 4;
-            let s = &st_data[off..off + 4];
-            li += s[0] * e0[c][0] + s[1] * e0[c][1] + s[2] * e0[c][2] + s[3] * e0[c][3];
-            dli += s[0] * e1[c][0] + s[1] * e1[c][1] + s[2] * e1[c][2] + s[3] * e1[c][3];
-            ddli += s[0] * e2[c][0] + s[1] * e2[c][1] + s[2] * e2[c][2] + s[3] * e2[c][3];
+        // The fold is scalar and in pattern order: the three sums are
+        // order-sensitive.
+        for (lane, (&wgt, &scale)) in wb.iter().zip(sb).enumerate() {
+            if wgt == 0.0 {
+                continue; // bootstrap replicates zero-out unsampled patterns
+            }
+            let li_safe = (li[lane] * inv_c).max(1e-300);
+            lnl += wgt * (li_safe.ln() + scale as f64 * LN_SCALE);
+            if DERIVS {
+                let dli = dli[lane] * inv_c;
+                let ddli = ddli[lane] * inv_c;
+                d1 += wgt * (dli / li_safe);
+                d2 += wgt * ((ddli * li_safe - dli * dli) / (li_safe * li_safe));
+            }
         }
-        li *= inv_c;
-        dli *= inv_c;
-        ddli *= inv_c;
-        let li_safe = li.max(1e-300);
-        lnl += wgt * (li_safe.ln() + st_scale[i] as f64 * LN_SCALE);
-        d1 += wgt * (dli / li_safe);
-        d2 += wgt * ((ddli * li_safe - dli * dli) / (li_safe * li_safe));
     }
     (lnl, d1, d2)
 }
@@ -1121,56 +1224,134 @@ mod tests {
         }
     }
 
+    /// Values on both sides of 2⁻²⁵⁶ plus every special the conditional
+    /// could meet.
+    const SCALING_PROBES: [f64; 17] = [
+        0.0,
+        -0.0,
+        5e-324, // smallest subnormal
+        1e-310,
+        1e-300,
+        SCALE_THRESHOLD / 2.0,
+        SCALE_THRESHOLD * 0.999999,
+        SCALE_THRESHOLD,
+        SCALE_THRESHOLD * 1.000001,
+        1e-20,
+        0.5,
+        1.0,
+        -SCALE_THRESHOLD / 2.0,
+        -SCALE_THRESHOLD,
+        -1.0,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+
     #[test]
     fn float_and_int_scaling_checks_agree() {
-        // Exhaustive-ish agreement check across magnitudes, including
-        // exactly at the threshold and for negative values.
-        let candidates = [
-            0.0,
-            1e-300,
-            SCALE_THRESHOLD / 2.0,
-            SCALE_THRESHOLD * 0.999999,
-            SCALE_THRESHOLD,
-            SCALE_THRESHOLD * 1.000001,
-            1e-20,
-            0.5,
-            1.0,
-            -SCALE_THRESHOLD / 2.0,
-            -1.0,
-        ];
-        for &a in &candidates {
-            for &b in &candidates {
-                let v = [a, b, a, b];
-                assert_eq!(
-                    all_below_threshold_float(&v),
-                    all_below_threshold_int(&v),
-                    "disagreement on {v:?}"
-                );
+        for &a in &SCALING_PROBES {
+            for &b in &SCALING_PROBES {
+                // Two rows of one block: lane `j` holds the pair (a, b).
+                let mut block = [a; 2 * TILE];
+                block[TILE..].fill(b);
+                let want = a.abs() < SCALE_THRESHOLD && b.abs() < SCALE_THRESHOLD;
+                for scaling in [ScalingCheck::FloatCompare, ScalingCheck::IntegerCast] {
+                    assert_eq!(
+                        lanes_below_threshold(&block, scaling),
+                        [want; TILE],
+                        "{scaling:?} on ({a:e}, {b:e})"
+                    );
+                }
             }
         }
     }
 
-    #[test]
-    fn evaluate_is_bit_identical_across_kinds() {
-        let m = model();
-        let rates = [0.5, 1.5];
-        let n_rates = 2;
-        let p = pmats(&m, 0.31, &rates);
-        let n = 6;
-        let aos: Vec<f64> = (0..n * n_rates * 4).map(|i| 0.01 + (i % 7) as f64 * 0.1).collect();
-        let xv = tile_partials(&aos, n, n_rates);
-        let sv = vec![1u32; n];
-        let codes: Vec<u8> = vec![1, 2, 4, 8, 15, 5];
-        let weights = vec![2.0, 1.0, 1.0, 3.0, 1.0, 2.0];
-
-        let u = EvalOperand::Tip { codes: &codes };
-        let v = EvalOperand::Inner { x: &xv, scale: &sv };
-        let a = evaluate_lnl(&u, &v, &p, m.freqs(), &weights, n_rates, KernelKind::Scalar);
-        for kind in ALL_KINDS {
-            let b = evaluate_lnl(&u, &v, &p, m.freqs(), &weights, n_rates, kind);
-            assert_eq!(a.to_bits(), b.to_bits(), "{kind:?}: {a} vs {b}");
+    /// The epilogue as it was before the conditional went row-wise: one
+    /// pattern at a time, gathering its `n_rates × 4` strided values.
+    fn finish_block_per_lane(
+        ob: &mut [f64],
+        out_scale: &mut [u32],
+        valid: usize,
+        n_rates: usize,
+        scaling: ScalingCheck,
+    ) -> ScaleStats {
+        let mut stats = ScaleStats::default();
+        for row in ob.chunks_exact_mut(TILE) {
+            row[valid..].fill(0.0);
         }
-        assert!(a < 0.0, "log likelihood of probabilities < 1 must be negative");
+        for lane in 0..valid {
+            let mut fire = true;
+            for c in 0..n_rates {
+                let q = c * 4 * TILE + lane;
+                let quad = [ob[q], ob[q + TILE], ob[q + 2 * TILE], ob[q + 3 * TILE]];
+                fire &= match scaling {
+                    ScalingCheck::FloatCompare => quad.iter().all(|x| x.abs() < SCALE_THRESHOLD),
+                    ScalingCheck::IntegerCast => {
+                        quad.iter().all(|x| (x.to_bits() & ABS_MASK) < THRESHOLD_BITS)
+                    }
+                };
+            }
+            if fire {
+                for r in 0..n_rates * 4 {
+                    ob[r * TILE + lane] *= SCALE_MULTIPLIER;
+                }
+            }
+            stats.checks += n_rates as u64;
+            stats.fired += fire as u64;
+            out_scale[lane] = 7 + fire as u32;
+        }
+        stats
+    }
+
+    #[test]
+    fn rowwise_scaling_fires_exactly_the_per_lane_reference_lanes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5_2_3);
+        let mut fired_total = 0;
+        for trial in 0..400 {
+            let n_rates = 1 + trial % 4;
+            let valid = 1 + (trial / 4) % TILE;
+            // A lane fires only when all its values are small, so draw most
+            // lanes entirely from the small probes and spoil the rest.
+            let mut block = vec![0.0; n_rates * 4 * TILE];
+            for lane in 0..TILE {
+                let spoil = rng.gen_range(0..3) == 0;
+                for r in 0..n_rates * 4 {
+                    let small = SCALING_PROBES[rng.gen_range(0usize..7)];
+                    let any = SCALING_PROBES[rng.gen_range(0..SCALING_PROBES.len())];
+                    block[r * TILE + lane] =
+                        if spoil && rng.gen_range(0..4) == 0 { any } else { small };
+                }
+            }
+            for scaling in [ScalingCheck::FloatCompare, ScalingCheck::IntegerCast] {
+                let mut want = block.clone();
+                let mut want_scale = vec![0u32; valid];
+                let want_stats =
+                    finish_block_per_lane(&mut want, &mut want_scale, valid, n_rates, scaling);
+                let mut got = block.clone();
+                let mut got_scale = vec![0u32; valid];
+                let mut got_stats = ScaleStats::default();
+                finish_block(
+                    &mut got,
+                    &mut got_scale,
+                    0,
+                    valid,
+                    n_rates,
+                    scaling,
+                    &mut got_stats,
+                    |_| 7,
+                );
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "trial {trial} {scaling:?}");
+                assert_eq!(got_scale, want_scale, "trial {trial} {scaling:?}");
+                assert_eq!(got_stats, want_stats, "trial {trial} {scaling:?}");
+                for row in got.chunks_exact(TILE) {
+                    assert!(row[valid..].iter().all(|&x| x.to_bits() == 0), "padding not zero");
+                }
+                fired_total += got_stats.fired;
+            }
+        }
+        assert!(fired_total > 500, "only {fired_total} lanes fired: the test is vacuous");
     }
 
     #[test]
@@ -1191,7 +1372,8 @@ mod tests {
 
         let u = EvalOperand::Tip { codes: &codes };
         let v = EvalOperand::Inner { x: &xv, scale: &sv };
-        let direct = evaluate_lnl(&u, &v, &p, m.freqs(), &weights, n_rates, KernelKind::Scalar);
+        let direct = evaluate_lnl(&u, &v, &p, m.freqs(), &weights, n_rates);
+        assert!(direct < 0.0, "log likelihood of probabilities < 1 must be negative");
 
         let st = build_sumtable(&u, &v, &m.eigen().w, n, n_rates);
         let (lnl, _, _) =
@@ -1199,77 +1381,163 @@ mod tests {
         assert!((lnl - direct).abs() < 1e-9, "{lnl} vs {direct}");
     }
 
-    #[test]
-    fn newton_derivatives_match_finite_differences() {
-        let m = model();
-        let rates = [0.4, 1.6];
-        let n = 4;
-        let n_rates = 2;
-        let aos: Vec<f64> = (0..n * n_rates * 4).map(|i| 0.05 + (i % 3) as f64 * 0.3).collect();
-        let xv = tile_partials(&aos, n, n_rates);
-        let sv = vec![0u32; n];
-        let codes: Vec<u8> = vec![1, 2, 4, 8];
-        let weights = vec![1.0, 2.0, 1.0, 1.0];
-        let u = EvalOperand::Tip { codes: &codes };
-        let v = EvalOperand::Inner { x: &xv, scale: &sv };
-        let st = build_sumtable(&u, &v, &m.eigen().w, n, n_rates);
-
-        let t = 0.3;
-        let f = |tt: f64| {
-            newton_derivatives(&st, &m.eigen().values, &rates, tt, &weights, ExpImpl::Libm).0
-        };
-        let (_, d1, d2) =
-            newton_derivatives(&st, &m.eigen().values, &rates, t, &weights, ExpImpl::Libm);
-        // First derivative: small step is fine.
-        let h1 = 1e-6;
-        let fd1 = (f(t + h1) - f(t - h1)) / (2.0 * h1);
-        assert!((d1 - fd1).abs() < 1e-5, "d1 {d1} vs fd {fd1}");
-        // Second derivative: the central difference cancels ~16 digits, so
-        // use a larger step to keep round-off noise below the tolerance.
-        let h2 = 1e-4;
-        let fd2 = (f(t + h2) - 2.0 * f(t) + f(t - h2)) / (h2 * h2);
-        assert!((d2 - fd2).abs() < 1e-4, "d2 {d2} vs fd {fd2}");
+    /// Random `makenewz` operands for `n` patterns: two inner partials with
+    /// non-zero scale counts, two tip rows, and weights a third of which are
+    /// zero (as in a bootstrap replicate).
+    struct Operands {
+        x: [Vec<f64>; 2],
+        scale: [Vec<u32>; 2],
+        codes: [Vec<u8>; 2],
+        weights: Vec<f64>,
     }
 
+    fn random_operands(rng: &mut rand::rngs::StdRng, n: usize, n_rates: usize) -> Operands {
+        use rand::Rng;
+        let mut partial = || {
+            let aos: Vec<f64> = (0..n * n_rates * 4).map(|_| rng.gen_range(0.01..1.0)).collect();
+            tile_partials(&aos, n, n_rates)
+        };
+        let x = [partial(), partial()];
+        let mut counts = || (0..n).map(|_| rng.gen_range(0u32..4)).collect::<Vec<_>>();
+        let scale = [counts(), counts()];
+        let mut row = || (0..n).map(|_| rng.gen_range(1u8..16)).collect::<Vec<_>>();
+        let codes = [row(), row()];
+        let weights = (0..n).map(|_| rng.gen_range(0u32..3) as f64).collect();
+        Operands { x, scale, codes, weights }
+    }
+
+    impl Operands {
+        fn inner(&self, side: usize) -> EvalOperand<'_> {
+            EvalOperand::Inner { x: &self.x[side], scale: &self.scale[side] }
+        }
+
+        fn tip(&self, side: usize) -> EvalOperand<'_> {
+            EvalOperand::Tip { codes: &self.codes[side] }
+        }
+
+        /// Tip/inner, inner/tip and inner/inner.
+        fn pairings(&self) -> [(EvalOperand<'_>, EvalOperand<'_>); 3] {
+            [
+                (self.tip(0), self.inner(1)),
+                (self.inner(0), self.tip(1)),
+                (self.inner(0), self.inner(1)),
+            ]
+        }
+    }
+
+    /// The tiled sum table and the block-wise Newton pass against the scalar
+    /// `[pattern][rate][k]` formulas they replaced: every table entry, `lnl`,
+    /// `d1` and `d2` to the bit, and the lnL-only pass equal to the full
+    /// pass's `lnl`. Pattern counts cover a lone lane, ragged last tiles and
+    /// more than one `REDUCE_BLOCK`.
     #[test]
-    fn newton_is_bit_identical_across_kinds() {
+    fn tiled_makenewz_is_bit_equal_to_the_aos_reference() {
+        use crate::likelihood::reference::{newton_derivatives_aos, sumtable_aos};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
         let m = model();
-        let gam = crate::model::GammaRates::standard(0.5).unwrap();
-        let rates = gam.rates().to_vec();
-        let n = 9;
-        let n_rates = rates.len();
-        let aos: Vec<f64> = (0..n * n_rates * 4).map(|i| 0.03 + (i % 11) as f64 * 0.09).collect();
-        let xv = tile_partials(&aos, n, n_rates);
-        let sv = vec![1u32; n];
-        let codes: Vec<u8> = vec![1, 2, 4, 8, 3, 5, 9, 15, 6];
-        let weights: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64).collect();
-        let u = EvalOperand::Tip { codes: &codes };
-        let v = EvalOperand::Inner { x: &xv, scale: &sv };
-        let st = build_sumtable(&u, &v, &m.eigen().w, n, n_rates);
-        for &t in &[0.01, 0.2, 1.5] {
-            let a = newton_derivatives_kind(
-                &st,
-                &m.eigen().values,
-                &rates,
-                t,
-                &weights,
-                ExpImpl::Sdk,
-                KernelKind::Scalar,
-            );
-            for kind in ALL_KINDS {
-                let b = newton_derivatives_kind(
-                    &st,
-                    &m.eigen().values,
-                    &rates,
-                    t,
-                    &weights,
-                    ExpImpl::Sdk,
-                    kind,
-                );
-                assert_eq!(a.0.to_bits(), b.0.to_bits(), "lnl: {} vs {} ({kind:?})", a.0, b.0);
-                assert_eq!(a.1.to_bits(), b.1.to_bits(), "d1: {} vs {} ({kind:?})", a.1, b.1);
-                assert_eq!(a.2.to_bits(), b.2.to_bits(), "d2: {} vs {} ({kind:?})", a.2, b.2);
+        let (w, lambdas) = (m.eigen().w, m.eigen().values);
+        let all_rates = [0.21, 0.64, 1.13, 2.02];
+        let mut rng = StdRng::seed_from_u64(16);
+        for n in [1, 7, 8, 13, 193, 257] {
+            for n_rates in 1..=4 {
+                let rates = &all_rates[..n_rates];
+                let ops = random_operands(&mut rng, n, n_rates);
+                assert!(ops.weights.contains(&0.0) || n == 1);
+                for (case, (u, v)) in ops.pairings().iter().enumerate() {
+                    let what = format!("{n} patterns, {n_rates} rates, pairing {case}");
+                    let (want, want_scale) = sumtable_aos(u, v, &w, n, n_rates);
+                    let st = build_sumtable(u, v, &w, n, n_rates);
+                    assert_eq!(st.scale, want_scale, "{what}");
+                    for i in 0..n {
+                        for c in 0..n_rates {
+                            for k in 0..4 {
+                                assert_eq!(
+                                    st.data[tiled_index(i, c, k, n_rates)].to_bits(),
+                                    want[(i * n_rates + c) * 4 + k].to_bits(),
+                                    "{what}: entry ({i}, {c}, {k})"
+                                );
+                            }
+                        }
+                    }
+                    for exp in [ExpImpl::Sdk, ExpImpl::Libm] {
+                        for t in [1e-6, 0.013, 0.2, 1.7] {
+                            let want = newton_derivatives_aos(
+                                &want,
+                                &want_scale,
+                                n_rates,
+                                &lambdas,
+                                rates,
+                                t,
+                                &ops.weights,
+                                exp,
+                            );
+                            let pass = |pass| {
+                                newton_derivatives_scratch(
+                                    &st.data,
+                                    &st.scale,
+                                    n_rates,
+                                    &lambdas,
+                                    rates,
+                                    t,
+                                    &ops.weights,
+                                    exp,
+                                    pass,
+                                    &mut NewtonScratch::default(),
+                                )
+                            };
+                            let got = pass(NewtonPass::Derivatives);
+                            assert_eq!(got.0.to_bits(), want.0.to_bits(), "{what}: lnl at {t}");
+                            assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}: d1 at {t}");
+                            assert_eq!(got.2.to_bits(), want.2.to_bits(), "{what}: d2 at {t}");
+                            let lnl_only = pass(NewtonPass::LnlOnly);
+                            assert_eq!(lnl_only.0.to_bits(), want.0.to_bits(), "{what}: lnL-only");
+                            assert_eq!((lnl_only.1, lnl_only.2), (0.0, 0.0));
+                        }
+                    }
+                }
             }
+        }
+    }
+
+    /// Analytic `d1`/`d2` against central finite differences of `lnl` on 100
+    /// random branches — a check from outside the kernels' own algebra.
+    #[test]
+    fn newton_derivatives_match_finite_differences() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let m = model();
+        let all_rates = [0.21, 0.64, 1.13, 2.02];
+        let mut rng = StdRng::seed_from_u64(4);
+        for branch in 0..100 {
+            let n = rng.gen_range(1usize..60);
+            let n_rates = 1 + branch % 4;
+            let rates = &all_rates[..n_rates];
+            let mut ops = random_operands(&mut rng, n, n_rates);
+            // Scale counts add a constant hundreds of times the size of the
+            // differences taken below; all it would contribute is round-off.
+            ops.scale.iter_mut().for_each(|s| s.fill(0));
+            let (u, v) = &ops.pairings()[branch % 3];
+            let st = build_sumtable(u, v, &m.eigen().w, n, n_rates);
+            let t = 10f64.powf(rng.gen_range(-2.0..0.3));
+            let at = |t: f64| {
+                newton_derivatives(&st, &m.eigen().values, rates, t, &ops.weights, ExpImpl::Libm)
+            };
+            let (lnl, d1, d2) = at(t);
+            // The second difference cancels ~16 digits, so it takes a larger
+            // step to keep round-off below the tolerance.
+            let h1 = 1e-4 * t;
+            let fd1 = (at(t + h1).0 - at(t - h1).0) / (2.0 * h1);
+            assert!(
+                (d1 - fd1).abs() <= 1e-5 * d1.abs().max(1.0),
+                "branch {branch} (t = {t}): d1 {d1} vs finite difference {fd1}"
+            );
+            let h2 = 1e-2 * t;
+            let fd2 = (at(t + h2).0 - 2.0 * lnl + at(t - h2).0) / (h2 * h2);
+            assert!(
+                (d2 - fd2).abs() <= 1e-3 * d2.abs().max(1.0),
+                "branch {branch} (t = {t}): d2 {d2} vs finite difference {fd2}"
+            );
         }
     }
 
@@ -1287,9 +1555,9 @@ mod tests {
         let weights: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
         let u = EvalOperand::Tip { codes: &codes };
         let v = EvalOperand::Inner { x: &xv, scale: &sv };
-        let site = evaluate_site_lnls(&u, &v, &p, m.freqs(), n, n_rates, KernelKind::Vector);
+        let site = evaluate_site_lnls(&u, &v, &p, m.freqs(), n, n_rates);
         let total: f64 = site.iter().zip(&weights).map(|(s, w)| s * w).sum();
-        let direct = evaluate_lnl(&u, &v, &p, m.freqs(), &weights, n_rates, KernelKind::Vector);
+        let direct = evaluate_lnl(&u, &v, &p, m.freqs(), &weights, n_rates);
         assert!((total - direct).abs() < 1e-10, "{total} vs {direct}");
     }
 
@@ -1302,8 +1570,8 @@ mod tests {
         let s = vec![0u32; 2];
         let u = EvalOperand::Tip { codes: &codes };
         let v = EvalOperand::Inner { x: &x, scale: &s };
-        let full = evaluate_lnl(&u, &v, &p, m.freqs(), &[1.0, 1.0], 1, KernelKind::Scalar);
-        let half = evaluate_lnl(&u, &v, &p, m.freqs(), &[1.0, 0.0], 1, KernelKind::Scalar);
+        let full = evaluate_lnl(&u, &v, &p, m.freqs(), &[1.0, 1.0], 1);
+        let half = evaluate_lnl(&u, &v, &p, m.freqs(), &[1.0, 0.0], 1);
         assert!(half > full, "dropping a pattern must raise (less negative) lnl");
     }
 }

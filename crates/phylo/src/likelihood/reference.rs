@@ -6,10 +6,17 @@
 //! matrix (not eigendecomposition), conditional likelihoods by direct
 //! recursion (no pattern-sharing tricks, no underflow scaling, no case
 //! specialization). Only usable on small trees — exactly what tests need.
+//!
+//! It also keeps the scalar `makenewz` formulas the tiled kernels replaced
+//! ([`sumtable_aos`], [`newton_derivatives_aos`]) — one pattern at a time
+//! over a `[pattern][rate][k]` table — as the differential reference the
+//! kernels must match to the bit.
 
+use super::kernels::EvalOperand;
+use super::LN_SCALE;
 use crate::alignment::PatternAlignment;
 use crate::alphabet::TIP_LIKELIHOODS;
-use crate::model::{GammaRates, SubstModel};
+use crate::model::{ExpImpl, GammaRates, SubstModel};
 use crate::tree::{NodeId, Tree};
 
 /// Build the normalized GTR rate matrix from first principles (duplicating
@@ -177,13 +184,117 @@ pub fn log_likelihood_naive(
     lnl
 }
 
+/// The `makenewz` sum table in `[pattern][rate][k]` layout with its
+/// per-pattern scale counts: `st[i][c][k] = (W x_u)[k] · (W x_v)[k]`, each
+/// `W x` row associated `((w₀q₀ + w₁q₁) + w₂q₂) + w₃q₃`.
+pub fn sumtable_aos(
+    u: &EvalOperand<'_>,
+    v: &EvalOperand<'_>,
+    w: &[[f64; 4]; 4],
+    n_patterns: usize,
+    n_rates: usize,
+) -> (Vec<f64>, Vec<u32>) {
+    let mut wtip = [[0.0f64; 4]; 16];
+    for code in 0..16 {
+        for k in 0..4 {
+            let mut acc = 0.0;
+            for s in 0..4 {
+                acc += w[k][s] * TIP_LIKELIHOODS[code][s];
+            }
+            wtip[code][k] = acc;
+        }
+    }
+    let wx = |op: &EvalOperand<'_>, i: usize, c: usize| -> [f64; 4] {
+        match op {
+            EvalOperand::Tip { codes } => wtip[codes[i] as usize],
+            EvalOperand::Inner { .. } => {
+                let q = op.quad(i, c, n_rates);
+                let mut out = [0.0; 4];
+                for k in 0..4 {
+                    out[k] = w[k][0] * q[0] + w[k][1] * q[1] + w[k][2] * q[2] + w[k][3] * q[3];
+                }
+                out
+            }
+        }
+    };
+
+    let mut data = vec![0.0; n_patterns * n_rates * 4];
+    let mut scale = vec![0; n_patterns];
+    for i in 0..n_patterns {
+        scale[i] = u.scale_at(i) + v.scale_at(i);
+        for c in 0..n_rates {
+            let wu = wx(u, i, c);
+            let wv = wx(v, i, c);
+            let off = (i * n_rates + c) * 4;
+            for k in 0..4 {
+                data[off + k] = wu[k] * wv[k];
+            }
+        }
+    }
+    (data, scale)
+}
+
+/// `(lnl, d_lnl, dd_lnl)` w.r.t. the branch length `t` from a
+/// [`sumtable_aos`] table, pattern at a time, zero-weight patterns skipped.
+#[allow(clippy::too_many_arguments)]
+pub fn newton_derivatives_aos(
+    st_data: &[f64],
+    st_scale: &[u32],
+    n_rates: usize,
+    lambdas: &[f64; 4],
+    rates: &[f64],
+    t: f64,
+    weights: &[f64],
+    exp_impl: ExpImpl,
+) -> (f64, f64, f64) {
+    let inv_c = 1.0 / n_rates as f64;
+    let mut e0 = vec![[0.0; 4]; n_rates];
+    let mut e1 = e0.clone();
+    let mut e2 = e0.clone();
+    for c in 0..n_rates {
+        for k in 0..4 {
+            let lr = lambdas[k] * rates[c];
+            let e = exp_impl.eval(lr * t);
+            e0[c][k] = e;
+            e1[c][k] = lr * e;
+            e2[c][k] = lr * lr * e;
+        }
+    }
+
+    let mut lnl = 0.0;
+    let mut d1 = 0.0;
+    let mut d2 = 0.0;
+    for (i, &wgt) in weights.iter().enumerate() {
+        if wgt == 0.0 {
+            continue;
+        }
+        let mut li = 0.0;
+        let mut dli = 0.0;
+        let mut ddli = 0.0;
+        for c in 0..n_rates {
+            let off = (i * n_rates + c) * 4;
+            let s = &st_data[off..off + 4];
+            li += s[0] * e0[c][0] + s[1] * e0[c][1] + s[2] * e0[c][2] + s[3] * e0[c][3];
+            dli += s[0] * e1[c][0] + s[1] * e1[c][1] + s[2] * e1[c][2] + s[3] * e1[c][3];
+            ddli += s[0] * e2[c][0] + s[1] * e2[c][1] + s[2] * e2[c][2] + s[3] * e2[c][3];
+        }
+        li *= inv_c;
+        dli *= inv_c;
+        ddli *= inv_c;
+        let li_safe = li.max(1e-300);
+        lnl += wgt * (li_safe.ln() + st_scale[i] as f64 * LN_SCALE);
+        d1 += wgt * (dli / li_safe);
+        d2 += wgt * ((ddli * li_safe - dli * dli) / (li_safe * li_safe));
+    }
+    (lnl, d1, d2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alignment::Alignment;
     use crate::likelihood::engine::LikelihoodEngine;
     use crate::likelihood::LikelihoodConfig;
-    use crate::model::ExpImpl;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

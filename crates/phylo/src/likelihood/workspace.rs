@@ -174,8 +174,8 @@ pub struct LikelihoodWorkspace {
     /// Tip lookup-table scratch for the two `newview` child branches.
     pub(crate) tip_a: Vec<TipTable16>,
     pub(crate) tip_b: Vec<TipTable16>,
-    /// `makenewz` sum table (`[pattern][rate][k]` layout + per-pattern
-    /// scale counts).
+    /// `makenewz` sum table: tiled like the partials (length
+    /// [`tiled_len`]) plus per-pattern scale counts (unpadded).
     pub(crate) sum_data: Vec<f64>,
     pub(crate) sum_scale: Vec<u32>,
     /// Newton exponential tables (the §5.2.2 "small loop" scratch).
@@ -219,7 +219,6 @@ impl LikelihoodWorkspace {
     pub fn ensure(&mut self, n_taxa: usize, n_patterns: usize, n_rates: usize) {
         let n_inner = n_taxa.saturating_sub(2);
         let n_nodes = n_taxa + n_inner;
-        let stride = n_rates * 4;
 
         if self.partials.len() > n_inner {
             self.partials.truncate(n_inner);
@@ -249,7 +248,7 @@ impl LikelihoodWorkspace {
         self.tip_a.resize(n_rates, [[0.0; 4]; 16]);
         self.tip_b.resize(n_rates, [[0.0; 4]; 16]);
 
-        self.sum_data.resize(n_patterns * stride, 0.0);
+        self.sum_data.resize(tiled_len(n_patterns, n_rates), 0.0);
         self.sum_scale.resize(n_patterns, 0);
         self.newton.ensure(n_rates);
         self.rates_scratch.clear();
@@ -318,11 +317,10 @@ impl LikelihoodWorkspace {
         let n_nodes = n_taxa as u64 + n_inner;
         let patterns = n_patterns as u64;
         let tiled = tiled_len(n_patterns, n_rates) as u64;
-        let stride = (n_rates as u64) * 4;
         let f64_sz = std::mem::size_of::<f64>() as u64;
         let partials = n_inner * tiled * f64_sz;
         let scales = n_inner * patterns * std::mem::size_of::<u32>() as u64;
-        let sum_table = patterns * stride * f64_sz + patterns * std::mem::size_of::<u32>() as u64;
+        let sum_table = tiled * f64_sz + patterns * std::mem::size_of::<u32>() as u64;
         let rate_scratch = (n_rates as u64)
             * (3 * std::mem::size_of::<Mat4>() + 2 * std::mem::size_of::<TipTable16>()) as u64;
         let per_node = n_inner
@@ -390,8 +388,9 @@ mod tests {
         assert_eq!(ws.valid_gen.len(), 6);
         assert!(ws.cache_gen >= 1, "generation 0 is reserved for never-computed slots");
         assert_eq!(ws.pmat_a.len(), 4);
-        // The sum table stays unpadded `[pattern][rate][k]`.
-        assert_eq!(ws.sum_data.len(), 100 * 16);
+        // The sum table is tiled like the partials.
+        assert_eq!(ws.sum_data.len(), 104 * 16);
+        assert_eq!(ws.sum_scale.len(), 100);
         assert_eq!(ws.hop.len(), 14);
         assert_eq!(ws.dimensions(), (8, 100, 4));
     }

@@ -4,10 +4,16 @@
 //! `newview()` time; replacing it with the SDK's numerical-method `exp`
 //! (from `exp.h`, Cell SDK 1.1) cut total execution time by 37–41%. We
 //! implement the same style of routine — range reduction to `x = k·ln2 + r`
-//! followed by a degree-6 minimax polynomial for `e^r` and an exponent-bits
-//! reconstruction of `2^k` — so that (a) the host benchmarks can compare
-//! libm vs. "SDK" exp like the paper did, and (b) the simulator's cost model
-//! has a concrete operation to price.
+//! followed by a degree-13 Taylor polynomial for `e^r` in Horner form and
+//! an exponent-bits reconstruction of `2^k` — so that (a) the host
+//! benchmarks can compare libm vs. "SDK" exp like the paper did, and (b)
+//! the simulator's cost model has a concrete operation to price.
+//!
+//! On this host it is the *slower* `exp`: 88 ns per transition matrix
+//! against 34 ns with libm (the benchmark's `pmatrix_ns_sdk` /
+//! `pmatrix_ns_libm`). It is kept because the Cell model prices it:
+//! `LikelihoodConfig::cell()` selects it, `LikelihoodConfig::optimized()`
+//! selects libm.
 //!
 //! Accuracy: ~2 ulp over the range used by likelihood computations
 //! (arguments are `λ·r·t ∈ [−60, 0]` for eigenvalues λ, rates r, branch

@@ -14,7 +14,7 @@
 //!    ([`crate::likelihood::kernels`]).
 
 use crate::likelihood::kernels::{
-    self, evaluate_lnl, Child, EvalOperand, Mat4, NewtonScratch, ScaleStats,
+    self, evaluate_lnl, Child, EvalOperand, Mat4, NewtonPass, NewtonScratch, ScaleStats,
 };
 use crate::likelihood::{KernelKind, ScalingCheck, TILE};
 use crate::model::ExpImpl;
@@ -96,41 +96,39 @@ fn dispatch_metrics() -> Option<&'static DispatchMetrics> {
     }))
 }
 
-/// Restrict a `newview` child operand to the pattern range `[lo, hi)`.
-///
-/// Inner partials live in the tiled block layout, so the `x` slice is cut on
-/// whole blocks: `lo` must be block-aligned (chunk boundaries are multiples of
-/// `REDUCE_BLOCK`, which `TILE` divides), and the end rounds up so a ragged
-/// tail chunk keeps its zero-padded final block.
-fn slice_child<'a>(c: &Child<'a>, lo: usize, hi: usize, n_rates: usize) -> Child<'a> {
+/// Where patterns `[lo, hi)` live in a tiled buffer (partials or sum
+/// table). The tiled layout is cut on whole blocks: `lo` must be
+/// block-aligned (chunk boundaries are multiples of `REDUCE_BLOCK`, which
+/// `TILE` divides), and the end rounds up so a ragged tail chunk keeps its
+/// zero-padded final block.
+fn tiled_range(lo: usize, hi: usize, n_rates: usize) -> std::ops::Range<usize> {
     debug_assert_eq!(lo % TILE, 0, "chunk start must be tile-aligned");
     let block = n_rates * 4 * TILE;
+    (lo / TILE) * block..hi.div_ceil(TILE) * block
+}
+
+/// Restrict a `newview` child operand to the pattern range `[lo, hi)`.
+fn slice_child<'a>(c: &Child<'a>, lo: usize, hi: usize, n_rates: usize) -> Child<'a> {
     match *c {
         Child::Tip { codes, tables } => Child::Tip { codes: &codes[lo..hi], tables },
-        Child::Inner { x, scale, pmats } => Child::Inner {
-            x: &x[(lo / TILE) * block..hi.div_ceil(TILE) * block],
-            scale: &scale[lo..hi],
-            pmats,
-        },
+        Child::Inner { x, scale, pmats } => {
+            Child::Inner { x: &x[tiled_range(lo, hi, n_rates)], scale: &scale[lo..hi], pmats }
+        }
     }
 }
 
 /// Restrict an evaluate/makenewz operand to the pattern range `[lo, hi)`.
-/// Same block-aligned slicing of tiled `x` as [`slice_child`].
 fn slice_operand<'a>(
     op: &EvalOperand<'a>,
     lo: usize,
     hi: usize,
     n_rates: usize,
 ) -> EvalOperand<'a> {
-    debug_assert_eq!(lo % TILE, 0, "chunk start must be tile-aligned");
-    let block = n_rates * 4 * TILE;
     match *op {
         EvalOperand::Tip { codes } => EvalOperand::Tip { codes: &codes[lo..hi] },
-        EvalOperand::Inner { x, scale } => EvalOperand::Inner {
-            x: &x[(lo / TILE) * block..hi.div_ceil(TILE) * block],
-            scale: &scale[lo..hi],
-        },
+        EvalOperand::Inner { x, scale } => {
+            EvalOperand::Inner { x: &x[tiled_range(lo, hi, n_rates)], scale: &scale[lo..hi] }
+        }
     }
 }
 
@@ -262,16 +260,15 @@ pub fn evaluate_dispatch(
     freqs: &[f64; 4],
     weights: &[f64],
     n_rates: usize,
-    kind: KernelKind,
     parallel: bool,
 ) -> f64 {
     let n = weights.len();
     let metrics = dispatch_metrics();
     let t0 = metrics.map(|_| Instant::now());
     let lnl = if !parallel || n < 2 * MIN_CHUNK {
-        evaluate_lnl(u, v, pmats, freqs, weights, n_rates, kind)
+        evaluate_lnl(u, v, pmats, freqs, weights, n_rates)
     } else {
-        evaluate_blocks(u, v, pmats, freqs, weights, n_rates, kind, granule_blocks(n))
+        evaluate_blocks(u, v, pmats, freqs, weights, n_rates, granule_blocks(n))
     };
     if let (Some(m), Some(t0)) = (metrics, t0) {
         m.evaluate_ns.record(t0.elapsed().as_nanos() as u64);
@@ -286,7 +283,6 @@ pub fn evaluate_dispatch(
 /// block-by-block into per-block slots; the final fold is sequential in
 /// block order regardless of the granule, so the floating-point
 /// association never changes.
-#[allow(clippy::too_many_arguments)]
 fn evaluate_blocks(
     u: &EvalOperand<'_>,
     v: &EvalOperand<'_>,
@@ -294,7 +290,6 @@ fn evaluate_blocks(
     freqs: &[f64; 4],
     weights: &[f64],
     n_rates: usize,
-    kind: KernelKind,
     granule_blocks: usize,
 ) -> f64 {
     let n = weights.len();
@@ -313,17 +308,19 @@ fn evaluate_blocks(
                 let hi = lo + wb.len();
                 let su = slice_operand(u, lo, hi, n_rates);
                 let sv = slice_operand(v, lo, hi, n_rates);
-                *slot = evaluate_lnl(&su, &sv, pmats, freqs, wb, n_rates, kind);
+                *slot = evaluate_lnl(&su, &sv, pmats, freqs, wb, n_rates);
             }
         })
         .reduce(|| (), |(), ()| ());
     partials.iter().sum()
 }
 
-/// Newton derivatives with optional loop-level parallelism, on raw
-/// sum-table slices with caller-owned exponential scratch (the sequential
-/// path is zero-allocation; each parallel chunk fills a thread-local
-/// scratch from sub-slices, no sum-table copies).
+/// One pass over the `makenewz` sum table — Newton derivatives, or the
+/// log-likelihood alone — with optional loop-level parallelism, on raw
+/// tiled sum-table slices (see [`kernels::SumTable`]) with caller-owned
+/// exponential scratch (the sequential path is zero-allocation; each
+/// parallel chunk fills a thread-local scratch from sub-slices, no
+/// sum-table copies).
 #[allow(clippy::too_many_arguments)]
 pub fn newton_dispatch(
     st_data: &[f64],
@@ -334,7 +331,7 @@ pub fn newton_dispatch(
     t: f64,
     weights: &[f64],
     exp_impl: ExpImpl,
-    kind: KernelKind,
+    pass: NewtonPass,
     parallel: bool,
     scratch: &mut NewtonScratch,
 ) -> (f64, f64, f64) {
@@ -343,7 +340,7 @@ pub fn newton_dispatch(
     let t0 = metrics.map(|_| Instant::now());
     let derivs = if !parallel || n < 2 * MIN_CHUNK {
         kernels::newton_derivatives_scratch(
-            st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, kind, scratch,
+            st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, pass, scratch,
         )
     } else {
         newton_blocks(
@@ -355,7 +352,7 @@ pub fn newton_dispatch(
             t,
             weights,
             exp_impl,
-            kind,
+            pass,
             granule_blocks(n),
         )
     };
@@ -369,7 +366,8 @@ pub fn newton_dispatch(
 /// Parallel Newton body with an explicit granule (in blocks); same
 /// deterministic scheme as [`evaluate_blocks`] — indexed per-block partial
 /// triples folded sequentially in block order. Each task reuses one
-/// exponential scratch across its blocks.
+/// exponential scratch across its blocks. The tiled table is cut on
+/// [`REDUCE_BLOCK`] boundaries, which are whole-tile boundaries.
 #[allow(clippy::too_many_arguments)]
 fn newton_blocks(
     st_data: &[f64],
@@ -380,11 +378,10 @@ fn newton_blocks(
     t: f64,
     weights: &[f64],
     exp_impl: ExpImpl,
-    kind: KernelKind,
+    pass: NewtonPass,
     granule_blocks: usize,
 ) -> (f64, f64, f64) {
     let n = weights.len();
-    let stride = n_rates * 4;
     let granule = granule_blocks * REDUCE_BLOCK;
     let mut partials = vec![[0.0f64; 3]; n.div_ceil(REDUCE_BLOCK)];
     partials
@@ -398,7 +395,7 @@ fn newton_blocks(
                 let lo = base + bi * REDUCE_BLOCK;
                 let hi = lo + wb.len();
                 let (l, d1, d2) = kernels::newton_derivatives_scratch(
-                    &st_data[lo * stride..hi * stride],
+                    &st_data[tiled_range(lo, hi, n_rates)],
                     &st_scale[lo..hi],
                     n_rates,
                     lambdas,
@@ -406,7 +403,7 @@ fn newton_blocks(
                     t,
                     wb,
                     exp_impl,
-                    kind,
+                    pass,
                     &mut local,
                 );
                 *slot = [l, d1, d2];
@@ -638,7 +635,6 @@ mod tests {
                 &freqs,
                 &weights,
                 n_rates,
-                KernelKind::Vector,
                 granule_blocks,
             )
         };
@@ -652,48 +648,84 @@ mod tests {
         }
     }
 
-    /// Same invariant for the Newton-derivative reduction: per-block
-    /// partial triples keep their own slots, so any granule folds in the
-    /// same order.
+    /// Same invariant for the Newton reduction over the tiled sum table:
+    /// per-block partial triples keep their own slots, so any granule — and
+    /// the dispatcher at whatever thread count the run has — folds in the
+    /// same order, run after run. The blocked fold differs from the
+    /// sequential one in association only, so it stays within 1e-9 of the
+    /// scalar `[pattern][rate][k]` reference, and the lnL-only pass is the
+    /// full pass's `lnl` to the bit.
     #[test]
     fn newton_is_bit_identical_across_granules() {
-        let n = 2817;
+        use crate::likelihood::reference::{newton_derivatives_aos, sumtable_aos};
+        use rand::Rng;
+        let n = 2817; // eleven REDUCE_BLOCKs and a ragged last tile
         let n_rates = 4;
-        let stride = n_rates * 4;
-        // Deterministic positive pseudo-random sum-table entries.
-        let st_data: Vec<f64> = (0..n * stride)
-            .map(|i| {
-                let mut z = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                z ^= z >> 31;
-                0.05 + (z % 1000) as f64 / 1100.0
-            })
-            .collect();
-        let st_scale: Vec<u32> = (0..n as u32).map(|i| i % 3).collect();
-        let lambdas = [0.0, -1.3286, -0.9174, -2.0521];
+        let mut rng = StdRng::seed_from_u64(23);
+        let aos: Vec<f64> = (0..n * n_rates * 4).map(|_| rng.gen_range(0.01..1.0)).collect();
+        let x = kernels::tile_partials(&aos, n, n_rates);
+        let scale: Vec<u32> = (0..n as u32).map(|i| i % 3).collect();
+        let codes = synthetic_codes(n);
+        let u = EvalOperand::Tip { codes: &codes };
+        let v = EvalOperand::Inner { x: &x, scale: &scale };
+        let model =
+            SubstModel::gtr([0.3, 0.2, 0.25, 0.25], [1.2, 3.1, 0.8, 0.9, 3.4, 1.0]).unwrap();
+        let (w, lambdas) = (model.eigen().w, model.eigen().values);
+        let st = kernels::build_sumtable(&u, &v, &w, n, n_rates);
         let rates = [0.2, 0.6, 1.1, 2.1];
-        let weights: Vec<f64> = (0..n).map(|i| (i % 5 + 1) as f64).collect();
+        let weights: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
+        let (t, exp) = (0.083, ExpImpl::Libm);
 
-        let newton = |granule_blocks: usize| {
+        let newton = |pass: NewtonPass, granule_blocks: usize| {
             newton_blocks(
-                &st_data,
-                &st_scale,
+                &st.data,
+                &st.scale,
                 n_rates,
                 &lambdas,
                 &rates,
-                0.083,
+                t,
                 &weights,
-                ExpImpl::default(),
-                KernelKind::Vector,
+                exp,
+                pass,
                 granule_blocks,
             )
         };
-        let (l0, d1_0, d2_0) = newton(1);
-        assert!(l0.is_finite() && d1_0.is_finite() && d2_0.is_finite());
+        let bits = |(l, d1, d2): (f64, f64, f64)| [l.to_bits(), d1.to_bits(), d2.to_bits()];
+        let one = newton(NewtonPass::Derivatives, 1);
+        assert!(one.0.is_finite() && one.1.is_finite() && one.2.is_finite());
         for granule in [2, 4, 7, 32] {
-            let (l, d1, d2) = newton(granule);
-            assert_eq!(l0.to_bits(), l.to_bits(), "granule {granule} changed lnL");
-            assert_eq!(d1_0.to_bits(), d1.to_bits(), "granule {granule} changed d1");
-            assert_eq!(d2_0.to_bits(), d2.to_bits(), "granule {granule} changed d2");
+            assert_eq!(bits(one), bits(newton(NewtonPass::Derivatives, granule)), "{granule}");
+        }
+        assert_eq!(newton(NewtonPass::LnlOnly, 3).0.to_bits(), one.0.to_bits());
+
+        for pass in [NewtonPass::Derivatives, NewtonPass::LnlOnly] {
+            let mut scratch = NewtonScratch::default();
+            let mut dispatch = || {
+                newton_dispatch(
+                    &st.data,
+                    &st.scale,
+                    n_rates,
+                    &lambdas,
+                    &rates,
+                    t,
+                    &weights,
+                    exp,
+                    pass,
+                    true,
+                    &mut scratch,
+                )
+            };
+            let first = dispatch();
+            assert_eq!(bits(first), bits(dispatch()), "{pass:?} is not reproducible");
+            assert_eq!(bits(first), bits(newton(pass, 1)), "{pass:?} dispatch vs one granule");
+        }
+
+        let (aos_table, aos_scale) = sumtable_aos(&u, &v, &w, n, n_rates);
+        let want = newton_derivatives_aos(
+            &aos_table, &aos_scale, n_rates, &lambdas, &rates, t, &weights, exp,
+        );
+        for (got, want) in [(one.0, want.0), (one.1, want.1), (one.2, want.2)] {
+            assert!((got - want).abs() <= 1e-9 * want.abs(), "blocked {got} vs sequential {want}");
         }
     }
 

@@ -414,8 +414,7 @@ proptest! {
         tiny_mask in 0u64..256,
     ) {
         use phylo::likelihood::kernels::{
-            build_tip_tables, evaluate_lnl, newview, tile_partials, tiled_len, Child, EvalOperand,
-            Mat4,
+            build_tip_tables, newview, tile_partials, tiled_len, Child, Mat4,
         };
         use phylo::likelihood::SCALE_THRESHOLD;
         use rand::Rng;
@@ -457,8 +456,6 @@ proptest! {
         let xr = tile_partials(&arb_partials(), n_patterns, n_rates);
         let sl: Vec<u32> = (0..n_patterns).map(|_| rng.gen_range(0u32..3)).collect();
         let sr: Vec<u32> = (0..n_patterns).map(|_| rng.gen_range(0u32..3)).collect();
-        let weights: Vec<f64> = (0..n_patterns).map(|_| rng.gen_range(1.0..4.0)).collect();
-        let freqs = [0.3, 0.2, 0.25, 0.25];
 
         let cases = [
             (
@@ -504,17 +501,6 @@ proptest! {
             if (tiny_mask >> (i % 8)) & 1 == 1 {
                 prop_assert!(s > sl[i] + sr[i], "pattern {} should have rescaled", i);
             }
-        }
-
-        // `evaluate` is also bit-identical across kinds (the association is
-        // shared by construction; this pins it).
-        let u = EvalOperand::Inner { x: &xl, scale: &sl };
-        let v = EvalOperand::Inner { x: &xr, scale: &sr };
-        let lnl_ref =
-            evaluate_lnl(&u, &v, &pmats_l, &freqs, &weights, n_rates, KernelKind::Scalar);
-        for kind in wide {
-            let lnl = evaluate_lnl(&u, &v, &pmats_l, &freqs, &weights, n_rates, kind);
-            prop_assert_eq!(lnl.to_bits(), lnl_ref.to_bits(), "{:?} evaluate", kind);
         }
     }
 }

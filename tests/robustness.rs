@@ -142,7 +142,7 @@ fn branch_length_extremes() {
     }
 }
 
-/// Deep trees (a caterpillar of 160 taxa) exercise the scaling machinery:
+/// Deep trees (a caterpillar of 200 taxa) exercise the scaling machinery:
 /// partials shrink exponentially with accumulated state conflicts and must
 /// rescale rather than underflow to zero. (The threshold is 2⁻²⁵⁶ ≈ 9e-78,
 /// so it takes on the order of a hundred conflicting merges to trip it —
@@ -150,7 +150,7 @@ fn branch_length_extremes() {
 /// its conditional is all misprediction cost, no body cost.)
 #[test]
 fn deep_caterpillar_tree_needs_and_survives_scaling() {
-    let n = 160;
+    let n = 200;
     let w = SimulationConfig {
         mean_branch: 0.3, // long branches: fast decay of partials
         ..SimulationConfig::new(n, 120, 13)
@@ -177,7 +177,19 @@ fn deep_caterpillar_tree_needs_and_survives_scaling() {
     // The point of the test: scaling actually fired.
     assert!(
         engine.trace().counters().scalings > 0,
-        "a 160-taxon caterpillar with 0.3 branches must trigger §5.2.3 rescaling"
+        "a 200-taxon caterpillar with 0.3 branches must trigger §5.2.3 rescaling"
+    );
+    // The rescaled likelihood means what the unoptimized kernels say it
+    // means: scalar loops, per-value float compare.
+    let model = engine.model().clone();
+    let rates = engine.rates().clone();
+    let mut baseline =
+        LikelihoodEngine::new(&w.alignment, model, rates, LikelihoodConfig::baseline());
+    let reference = baseline.log_likelihood(&tree);
+    assert_eq!(baseline.trace().counters().scalings, engine.trace().counters().scalings);
+    assert!(
+        (lnl - reference).abs() <= 1e-9 * reference.abs(),
+        "optimized() {lnl} vs baseline() {reference}"
     );
 }
 

@@ -16,9 +16,18 @@
 //! in node-id order. The whole-pipeline pin smooths on the way and so moves
 //! with the sweep order; it was re-recorded when smoothing went to tree
 //! order.
+//!
+//! Every run here is under `LikelihoodConfig::cell()`, the profile the
+//! constants were recorded under: the `exp` implementation decides the last
+//! bits of every P matrix, so the host profile (`optimized()`, libm `exp`)
+//! walks a different — equally valid — trajectory. Pinning the Cell profile
+//! is what lets the host default change without re-recording. The last case
+//! shows what does hold across profiles: the same tree scores the same to
+//! 1e-9 relative under either.
 
 use phylo::alignment::PatternAlignment;
 use phylo::likelihood::engine::LikelihoodEngine;
+use phylo::likelihood::LikelihoodConfig;
 use phylo::model::{GammaRates, SubstModel};
 use phylo::search::{run_inference, spr_round, InferenceOptions, InferenceRequest, SearchConfig};
 use phylo::simulate::SimulationConfig;
@@ -49,10 +58,15 @@ struct SmoothedStart {
     newton_iters: u64,
 }
 
+/// The `fast()` preset under the Cell profile.
+fn cell_fast() -> SearchConfig {
+    SearchConfig { likelihood: LikelihoodConfig::cell(), ..SearchConfig::fast() }
+}
+
 /// One SPR round at `radius` through the public API, from a recorded
 /// smoothed start.
 fn one_round(aln: &PatternAlignment, start: SmoothedStart, radius: usize) -> Pin {
-    let cfg = SearchConfig::fast();
+    let cfg = cell_fast();
     let model = SubstModel::gtr(aln.base_frequencies(), [1.0; 6]).unwrap();
     let rates = GammaRates::new(f64::from_bits(start.alpha_bits), cfg.n_rate_categories).unwrap();
     let mut engine = LikelihoodEngine::new(aln, model, rates, cfg.likelihood);
@@ -80,7 +94,7 @@ fn check(name: &str, got: Pin, want: Pin) {
 #[test]
 fn full_fast_inference_8x300_matches_the_recording() {
     let w = SimulationConfig::new(8, 300, 4).generate();
-    let request = InferenceRequest::new(SearchConfig::fast(), 3);
+    let request = InferenceRequest::new(cell_fast(), 3);
     let r = run_inference(&w.alignment, &request, InferenceOptions::new()).unwrap().result;
     let counters = *r.trace.counters();
     let got = Pin {
@@ -152,4 +166,44 @@ fn spr_round_aln42_radius_10_matches_the_parent_commit() {
         tree_exact: include_str!("data/golden/round_aln42_r10.tree").to_string(),
     };
     check("aln42 radius 10", got, want);
+}
+
+/// The rule the profiles obey (DESIGN.md, "Profiles"): the `exp` choice moves
+/// log-likelihood bits and nothing else, so each golden's final tree scores
+/// the same to 1e-9 relative under the host profile and the Cell profile.
+#[test]
+fn golden_trees_score_the_same_under_both_profiles() {
+    let goldens = [
+        (
+            SimulationConfig::new(8, 300, 4),
+            include_str!("data/golden/fast_8x300.tree"),
+            0x3fe96f12adfd2bae_u64,
+        ),
+        (
+            SimulationConfig::new(12, 400, 21),
+            include_str!("data/golden/round_12x400_r5.tree"),
+            0x3fda7e3b2d4da249,
+        ),
+        (
+            SimulationConfig::aln42(),
+            include_str!("data/golden/round_aln42_r10.tree"),
+            0x3fd06abd6d1665c2,
+        ),
+    ];
+    for (sim, tree_exact, alpha_bits) in goldens {
+        let aln = sim.generate().alignment;
+        let tree = Tree::from_exact_string(tree_exact).unwrap();
+        let score = |config: LikelihoodConfig| {
+            let model = SubstModel::gtr(aln.base_frequencies(), [1.0; 6]).unwrap();
+            let rates = GammaRates::new(f64::from_bits(alpha_bits), 4).unwrap();
+            LikelihoodEngine::new(&aln, model, rates, config).log_likelihood(&tree)
+        };
+        let (host, cell) = (score(LikelihoodConfig::optimized()), score(LikelihoodConfig::cell()));
+        assert_ne!(LikelihoodConfig::optimized().exp_impl, LikelihoodConfig::cell().exp_impl);
+        assert!(
+            (host - cell).abs() <= 1e-9 * cell.abs(),
+            "{} taxa: host profile {host} vs Cell profile {cell}",
+            tree.n_taxa()
+        );
+    }
 }
