@@ -2,7 +2,8 @@
 //!
 //! Each group is the host-side ablation of one paper optimization:
 //!
-//! * `newview/*`   — scalar vs 2-, 4- and 8-lane loops (§5.2.5, Table 5)
+//! * `newview/*`   — the 1-lane portable loops vs the dispatched ones: four
+//!   lanes with AVX2, else two (§5.2.5, Table 5)
 //! * `exp/*`       — libm vs SDK-style exponential (§5.2.2, Table 2)
 //! * `scaling/*`   — float vs integer-cast conditional (§5.2.3, Table 3)
 //! * `evaluate/*`, `makenewz/*` — the other two offloaded kernels (§5.2.7)
@@ -62,12 +63,8 @@ fn bench_newview(c: &mut Criterion) {
     let mut scale = vec![0u32; N_PATTERNS];
 
     let mut group = c.benchmark_group("newview");
-    for (kind, kind_name) in [
-        (KernelKind::Scalar, "scalar"),
-        (KernelKind::Vector, "vector"),
-        (KernelKind::Wide4, "wide4"),
-        (KernelKind::Wide8, "wide8"),
-    ] {
+    // The 1-lane portable path against the dispatched one (`KernelTier::probe`).
+    for (kind, kind_name) in [(KernelKind::Scalar, "scalar"), (KernelKind::Vector, "vector")] {
         group.bench_function(format!("inner_inner/{kind_name}"), |b| {
             b.iter(|| {
                 newview(

@@ -611,7 +611,13 @@ pub fn paper_text(
             out
         }
         "figure3" => format!("{}\n", figure3_text_for(workload)?),
-        "profile" => format!("{}\n", profile_text(workload, &CostModel::paper_calibrated())?),
+        // The profile prices the trace on the simulated PPE; the tier line
+        // says what the capture itself ran on.
+        "profile" => format!(
+            "host kernels: {}\n{}\n",
+            phylo::likelihood::KernelTier::probe(),
+            profile_text(workload, &CostModel::paper_calibrated())?
+        ),
         "all" => format!("{}\n", run_all_tables(workload)?),
         "ablation" => ablation_text(workload)?,
         "multilevel" => multilevel_text(workload)?,

@@ -15,7 +15,7 @@ use phylo::bootstrap::BootstrapAnalysis;
 use phylo::error::PhyloError;
 use phylo::io::{load_alignment, parse_newick, write_phylip};
 use phylo::likelihood::engine::LikelihoodEngine;
-use phylo::likelihood::LikelihoodConfig;
+use phylo::likelihood::{KernelTier, LikelihoodConfig};
 use phylo::model::{GammaRates, SubstModel};
 use phylo::search::{run_inference, InferenceOptions, InferenceRequest, SearchConfig};
 use phylo::simulate::SimulationConfig;
@@ -174,11 +174,12 @@ fn cmd_infer(raw: &[String]) -> Result<(), String> {
     let seed: u64 = a.get_parse("seed", 1)?;
 
     eprintln!(
-        "inferring: {} taxa × {} sites ({} patterns), preset {}",
+        "inferring: {} taxa × {} sites ({} patterns), preset {}, kernels {}",
         aln.n_taxa(),
         aln.n_sites(),
         aln.n_patterns(),
-        a.get("preset").unwrap_or("standard")
+        a.get("preset").unwrap_or("standard"),
+        KernelTier::probe()
     );
     let t0 = std::time::Instant::now();
     let request = InferenceRequest::new(cfg, seed);
@@ -210,8 +211,11 @@ fn cmd_analyze(raw: &[String]) -> Result<(), String> {
         return Err("need at least one inference".into());
     }
     eprintln!(
-        "analysis: {} inferences + {} bootstraps on {} workers…",
-        analysis.n_inferences, analysis.n_bootstraps, analysis.n_workers
+        "analysis: {} inferences + {} bootstraps on {} workers, kernels {}…",
+        analysis.n_inferences,
+        analysis.n_bootstraps,
+        analysis.n_workers,
+        KernelTier::probe()
     );
     let t0 = std::time::Instant::now();
     let result = analysis.try_run(&aln).map_err(|e| e.to_string())?;

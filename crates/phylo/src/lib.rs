@@ -15,8 +15,8 @@
 //! * **Likelihood**: the three kernels the paper offloads to the Cell SPEs —
 //!   `newview` (partial likelihood vectors, four case-specialized paths),
 //!   `evaluate` (log-likelihood at a branch), and `makenewz` (Newton–Raphson
-//!   branch-length optimization) — each in scalar and 2-lane vectorized form
-//!   ([`likelihood`]).
+//!   branch-length optimization) — in scalar and vectorized form, four
+//!   patterns per register where the CPU has AVX2, else two ([`likelihood`]).
 //! * **Search**: randomized stepwise-addition parsimony starting trees and
 //!   SPR-based rapid hill climbing ([`search`]).
 //! * **Analyses**: multiple inferences, non-parametric bootstrapping, and
@@ -55,6 +55,9 @@
 // (states, rate categories, eigenvalues); iterator adaptors would obscure
 // the correspondence with the paper's loop structure.
 #![allow(clippy::needless_range_loop)]
+// The crate's only `unsafe` is the AVX2 lane type in `likelihood::kernels`;
+// nothing may hide an unsafe operation inside an `unsafe fn`'s body.
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod alignment;
 pub mod alphabet;

@@ -21,24 +21,39 @@
 //! ```
 //!
 //! so the values of `TILE` consecutive patterns for one `(c, s)` are
-//! contiguous. A `W`-lane kernel (`W ∈ {1, 2, 4, 8}`) then advances `W`
-//! *patterns* per iteration with plain contiguous loads — no shuffles —
-//! and every lane performs the exact scalar operation sequence for its
-//! pattern. Because IEEE-754 addition and multiplication are lane-local
-//! and the per-pattern association never changes, all four kernel widths
-//! are bit-identical, including the §5.2.3 underflow-scaling conditional,
-//! which is decided per pattern whatever the width: once a block is
-//! written its tile rows are walked once, one compare per lane per row.
+//! contiguous. Every kernel body is written once over a lane type (`Lanes`)
+//! that holds `N` consecutive *patterns* of one tile row, and walks each
+//! block as whole rows, `TILE / N` groups at a time, with plain contiguous
+//! loads; every lane performs the exact scalar operation sequence for its
+//! pattern. Because IEEE-754 addition and multiplication are lane-local and
+//! the per-pattern association never changes, every lane type is
+//! bit-identical, including the §5.2.3 underflow-scaling conditional, which
+//! is decided per pattern whatever the width: once a block is written its
+//! tile rows are walked once, one compare per lane per row.
+//!
+//! Two lane types exist: the portable `[f64; W]` arrays (`W = 1` is
+//! [`KernelKind::Scalar`]; `W = 2`, one 128-bit register as on the SPE, is
+//! what [`KernelKind::Vector`] means on a CPU without wider registers) and,
+//! on `x86_64`, a 4-lane type over one AVX2 register that `Vector` selects
+//! when [`KernelTier::probe`] finds the feature at run time.
 //!
 //! Buffers are padded to a whole number of blocks; padding lanes are
-//! written as zeros so buffer-level bit comparisons stay deterministic.
-//! Per-pattern metadata (scale counts, tip codes, weights) stays unpadded.
+//! written as zeros so buffer-level bit comparisons stay deterministic, and
+//! the kernels compute them like any other lane (tip codes are copied into a
+//! zero-padded block first) so there is no remainder loop. Per-pattern
+//! metadata (scale counts, tip codes, weights) stays unpadded.
 //!
 //! The `makenewz` sum table uses the same layout with the eigen-index `k`
 //! in the state's place, so `build_sumtable_into` reads its operands and
-//! the Newton pass reads the table as tile rows, two lanes at a time; only
-//! the `ln` and the order-sensitive weighted sums are scalar, in pattern
-//! order.
+//! the Newton pass reads the table as tile rows, one lane group at a time;
+//! only the `ln` and the order-sensitive weighted sums are scalar, in
+//! pattern order.
+//!
+//! This module holds the crate's only `unsafe`: the AVX2 lane type's
+//! intrinsics and the three call sites that enter it. See `Lanes` for the
+//! argument.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use super::{KernelKind, ScalingCheck, LN_SCALE, SCALE_MULTIPLIER, SCALE_THRESHOLD, TILE};
 use crate::alphabet::TIP_LIKELIHOODS;
@@ -174,46 +189,241 @@ fn lanes_below_threshold(block: &[f64], scaling: ScalingCheck) -> [bool; TILE] {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-generic vector helpers. `W = 2` mirrors the SPE's 128-bit registers
-// (paper Figure 2); `W = 4` and `W = 8` are the AVX2/AVX-512-width forms.
-// All arithmetic is lane-local two-operand mul/add — never `mul_add`, which
-// would round differently from the scalar sequence.
+// Lane types
 // ---------------------------------------------------------------------------
 
-/// `spu_splats`: replicate a scalar into all `W` lanes.
-#[inline(always)]
-fn wsplat<const W: usize>(x: f64) -> [f64; W] {
-    [x; W]
+/// `N` consecutive site patterns of one tile row, held in one register (or,
+/// for the portable arrays, in as many as the target needs).
+///
+/// What an implementation must guarantee, and all the kernel bodies rely on:
+/// every operation is lane-local and is the IEEE-754 double operation the
+/// scalar code would perform on that lane's pattern — `mul` one rounded
+/// multiply, `add` one rounded add, [`Lanes::madd`] a multiply *then* an add
+/// (never fused: a fused multiply-add rounds once, and would change bits);
+/// `load`/`store` move lane `j` from/to `b[off + j]` and panic, like slice
+/// indexing, when `off + N` exceeds the slice; `tip_rows` reads
+/// `table[codes[j]]` for lane `j`. `N` divides [`TILE`].
+///
+/// # The `unsafe` argument
+///
+/// The portable `[f64; W]` implementation is safe code. The AVX2 one calls
+/// `std::arch` intrinsics, which are undefined behaviour on a CPU without
+/// the feature, and unaligned pointer loads and stores. Two facts, both
+/// local to this module, make them sound. (1) `Avx2Lanes` is private and
+/// its operations are instantiated in exactly three places: the
+/// `#[target_feature(enable = "avx2")]` entry points [`newview_avx2`],
+/// [`build_sumtable_avx2`] and [`newton_avx2`], each called from one site
+/// that has just seen [`KernelTier::probe`] return [`KernelTier::Avx2`]
+/// (and from this module's tests, behind the same probe) — so no intrinsic
+/// runs on a CPU that lacks it. (2) Every pointer handed to
+/// a load or store comes from a slice (or a table row) that was indexed to
+/// exactly the bytes accessed first, so a bad offset panics before the
+/// access, exactly as in the portable code.
+trait Lanes: Copy {
+    /// Patterns per group.
+    const N: usize;
+    /// `spu_splats`: replicate a scalar into every lane.
+    fn splat(x: f64) -> Self;
+    /// Load lanes `b[off .. off + N]`.
+    fn load(b: &[f64], off: usize) -> Self;
+    /// Store to `b[off .. off + N]`.
+    fn store(self, b: &mut [f64], off: usize);
+    /// Lane-wise multiply.
+    fn mul(self, o: Self) -> Self;
+    /// Lane-wise add.
+    fn add(self, o: Self) -> Self;
+    /// `spu_madd`: lane-wise `a·b + c` as two rounded operations.
+    #[inline(always)]
+    fn madd(a: Self, b: Self, c: Self) -> Self {
+        a.mul(b).add(c)
+    }
+    /// The four state rows of a tip lookup: row `s`, lane `j` is
+    /// `table[codes[j]][s]`, for the first `N` codes.
+    fn tip_rows(table: &TipTable16, codes: &[u8]) -> [Self; 4];
 }
 
-/// Lane-wise multiply.
+/// The lane offsets `0, N, 2N, …` that cover one tile row.
 #[inline(always)]
-fn wmul<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
-    std::array::from_fn(|j| a[j] * b[j])
+fn lane_groups<L: Lanes>() -> impl Iterator<Item = usize> {
+    const { assert!(L::N > 0 && TILE.is_multiple_of(L::N), "a lane group must divide the tile") };
+    (0..TILE / L::N).map(|g| g * L::N)
 }
 
-/// `spu_madd`: lane-wise multiply-add `a·b + c` as two rounded operations.
-#[inline(always)]
-fn wmadd<const W: usize>(a: [f64; W], b: [f64; W], c: [f64; W]) -> [f64; W] {
-    std::array::from_fn(|j| a[j] * b[j] + c[j])
+/// The portable lane type. `W = 2` mirrors the SPE's 128-bit registers (paper
+/// Figure 2) and is one SSE2 or NEON register.
+impl<const W: usize> Lanes for [f64; W] {
+    const N: usize = W;
+
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        [x; W]
+    }
+
+    #[inline(always)]
+    fn load(b: &[f64], off: usize) -> Self {
+        std::array::from_fn(|j| b[off + j])
+    }
+
+    #[inline(always)]
+    fn store(self, b: &mut [f64], off: usize) {
+        b[off..off + W].copy_from_slice(&self);
+    }
+
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        std::array::from_fn(|j| self[j] * o[j])
+    }
+
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        std::array::from_fn(|j| self[j] + o[j])
+    }
+
+    #[inline(always)]
+    fn tip_rows(table: &TipTable16, codes: &[u8]) -> [Self; 4] {
+        let rows: [&[f64; 4]; W] = std::array::from_fn(|j| &table[codes[j] as usize]);
+        std::array::from_fn(|s| std::array::from_fn(|j| rows[j][s]))
+    }
 }
 
-/// Lane-wise add.
-#[inline(always)]
-fn wadd<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
-    std::array::from_fn(|j| a[j] + b[j])
+/// Four patterns in one 256-bit register. See [`Lanes`] for why the `unsafe`
+/// blocks below are sound; "the feature is present" in their comments means
+/// fact (1) there.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx2Lanes(std::arch::x86_64::__m256d);
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx2Lanes {
+    const N: usize = 4;
+
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        // SAFETY: the feature is present; the intrinsic touches no memory.
+        Avx2Lanes(unsafe { std::arch::x86_64::_mm256_set1_pd(x) })
+    }
+
+    #[inline(always)]
+    fn load(b: &[f64], off: usize) -> Self {
+        let src: &[f64] = &b[off..off + 4];
+        // SAFETY: the feature is present; `src` is four readable `f64`s (the
+        // slicing above panics otherwise) and `loadu` needs no alignment.
+        Avx2Lanes(unsafe { std::arch::x86_64::_mm256_loadu_pd(src.as_ptr()) })
+    }
+
+    #[inline(always)]
+    fn store(self, b: &mut [f64], off: usize) {
+        let dst: &mut [f64] = &mut b[off..off + 4];
+        // SAFETY: the feature is present; `dst` is four writable `f64`s
+        // borrowed exclusively (the slicing above panics otherwise) and
+        // `storeu` needs no alignment.
+        unsafe { std::arch::x86_64::_mm256_storeu_pd(dst.as_mut_ptr(), self.0) }
+    }
+
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        // SAFETY: the feature is present; the intrinsic touches no memory.
+        Avx2Lanes(unsafe { std::arch::x86_64::_mm256_mul_pd(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        // SAFETY: the feature is present; the intrinsic touches no memory.
+        Avx2Lanes(unsafe { std::arch::x86_64::_mm256_add_pd(self.0, o.0) })
+    }
+
+    /// Four 32-byte row loads — `table[code]` is the four states of one
+    /// pattern — and a 4×4 transpose, instead of sixteen scalar gathers.
+    #[inline(always)]
+    fn tip_rows(table: &TipTable16, codes: &[u8]) -> [Self; 4] {
+        use std::arch::x86_64::{
+            _mm256_loadu_pd, _mm256_permute2f128_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
+        };
+        let rows: [&[f64; 4]; 4] = std::array::from_fn(|j| &table[codes[j] as usize]);
+        // SAFETY: the feature is present; each `rows[j]` is a `&[f64; 4]` —
+        // 32 readable bytes, bounds-checked by the table indexing above —
+        // and `loadu` needs no alignment. The unpacks and permutes touch no
+        // memory.
+        unsafe {
+            let [p0, p1, p2, p3] = rows.map(|r| _mm256_loadu_pd(r.as_ptr()));
+            // pN = states 0..4 of pattern N. Interleave pairs of patterns
+            // within each 128-bit half, then gather the halves.
+            let s02_p01 = _mm256_unpacklo_pd(p0, p1); // [p0s0 p1s0 | p0s2 p1s2]
+            let s13_p01 = _mm256_unpackhi_pd(p0, p1); // [p0s1 p1s1 | p0s3 p1s3]
+            let s02_p23 = _mm256_unpacklo_pd(p2, p3);
+            let s13_p23 = _mm256_unpackhi_pd(p2, p3);
+            [
+                Avx2Lanes(_mm256_permute2f128_pd::<0x20>(s02_p01, s02_p23)),
+                Avx2Lanes(_mm256_permute2f128_pd::<0x20>(s13_p01, s13_p23)),
+                Avx2Lanes(_mm256_permute2f128_pd::<0x31>(s02_p01, s02_p23)),
+                Avx2Lanes(_mm256_permute2f128_pd::<0x31>(s13_p01, s13_p23)),
+            ]
+        }
+    }
 }
 
-/// Load `W` consecutive lanes starting at `off`.
-#[inline(always)]
-fn wload<const W: usize>(b: &[f64], off: usize) -> [f64; W] {
-    std::array::from_fn(|j| b[off + j])
+/// Which lane type [`KernelKind::Vector`] — and the sum-table and Newton
+/// kernels, which take no kind — run on: the widest this CPU has. A value
+/// to read (logs, `/metrics`), not a setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelTier {
+    /// `[f64; 2]` arrays: one 128-bit register, every architecture.
+    Portable,
+    /// Four patterns per 256-bit AVX2 register.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
 }
 
-/// Store `W` consecutive lanes starting at `off`.
+impl KernelTier {
+    /// Ask the CPU. `std` caches the `cpuid` answer, so this is one relaxed
+    /// atomic load per kernel call.
+    #[inline]
+    pub fn probe() -> KernelTier {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return KernelTier::Avx2;
+        }
+        KernelTier::Portable
+    }
+
+    /// `"avx2"` or `"portable"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelTier::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => "avx2",
+        }
+    }
+
+    /// Site patterns per register.
+    pub fn lanes(self) -> usize {
+        match self {
+            KernelTier::Portable => <[f64; 2] as Lanes>::N,
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => Avx2Lanes::N,
+        }
+    }
+}
+
+/// `avx2 (4 lanes)` — the form the binaries log at start-up.
+impl std::fmt::Display for KernelTier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} ({} lanes)", self.name(), self.lanes())
+    }
+}
+
+#[cfg(all(test, target_arch = "x86_64"))]
+thread_local! {
+    // Entries into the AVX2 instantiations on this thread, so a test can
+    // assert that the dispatch reaches them.
+    static AVX2_ENTRIES: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn wstore<const W: usize>(b: &mut [f64], off: usize, v: [f64; W]) {
-    b[off..off + W].copy_from_slice(&v);
+fn note_avx2_entry() {
+    #[cfg(test)]
+    AVX2_ENTRIES.set(AVX2_ENTRIES.get() + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -232,6 +442,47 @@ pub fn newview(
     kind: KernelKind,
     scaling: ScalingCheck,
 ) -> ScaleStats {
+    match (kind, KernelTier::probe()) {
+        (KernelKind::Scalar, _) => {
+            newview_lanes::<[f64; 1]>(left, right, out_x, out_scale, n_rates, scaling)
+        }
+        (KernelKind::Vector, KernelTier::Portable) => {
+            newview_lanes::<[f64; 2]>(left, right, out_x, out_scale, n_rates, scaling)
+        }
+        #[cfg(target_arch = "x86_64")]
+        (KernelKind::Vector, KernelTier::Avx2) => {
+            // SAFETY: the probe has just reported AVX2 on this CPU.
+            unsafe { newview_avx2(left, right, out_x, out_scale, n_rates, scaling) }
+        }
+    }
+}
+
+/// [`newview_lanes`] over [`Avx2Lanes`], compiled with the feature on so the
+/// lane operations inline to single instructions.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn newview_avx2(
+    left: &Child<'_>,
+    right: &Child<'_>,
+    out_x: &mut [f64],
+    out_scale: &mut [u32],
+    n_rates: usize,
+    scaling: ScalingCheck,
+) -> ScaleStats {
+    note_avx2_entry();
+    newview_lanes::<Avx2Lanes>(left, right, out_x, out_scale, n_rates, scaling)
+}
+
+/// The one `newview` body: check the operands, pick the §5.2.3 case.
+#[inline(always)]
+fn newview_lanes<L: Lanes>(
+    left: &Child<'_>,
+    right: &Child<'_>,
+    out_x: &mut [f64],
+    out_scale: &mut [u32],
+    n_rates: usize,
+    scaling: ScalingCheck,
+) -> ScaleStats {
     let n_patterns = out_scale.len();
     assert_eq!(out_x.len(), tiled_len(n_patterns, n_rates), "output buffer size mismatch");
 
@@ -244,38 +495,12 @@ pub fn newview(
         (Child::Tip { codes: lc, tables: lt }, Child::Tip { codes: rc, tables: rt }) => {
             assert_eq!(lc.len(), n_patterns);
             assert_eq!(rc.len(), n_patterns);
-            match kind {
-                KernelKind::Scalar => {
-                    newview_tip_tip::<1>(lc, lt, rc, rt, out_x, out_scale, n_rates, scaling)
-                }
-                KernelKind::Vector => {
-                    newview_tip_tip::<2>(lc, lt, rc, rt, out_x, out_scale, n_rates, scaling)
-                }
-                KernelKind::Wide4 => {
-                    newview_tip_tip::<4>(lc, lt, rc, rt, out_x, out_scale, n_rates, scaling)
-                }
-                KernelKind::Wide8 => {
-                    newview_tip_tip::<8>(lc, lt, rc, rt, out_x, out_scale, n_rates, scaling)
-                }
-            }
+            newview_tip_tip::<L>(lc, lt, rc, rt, out_x, out_scale, n_rates, scaling)
         }
         (Child::Tip { codes: lc, tables: lt }, Child::Inner { x: rx, scale: rs, pmats: rp }) => {
             assert_eq!(lc.len(), n_patterns);
             assert_eq!(rx.len(), tiled_len(n_patterns, n_rates));
-            match kind {
-                KernelKind::Scalar => {
-                    newview_tip_inner::<1>(lc, lt, rx, rs, rp, out_x, out_scale, n_rates, scaling)
-                }
-                KernelKind::Vector => {
-                    newview_tip_inner::<2>(lc, lt, rx, rs, rp, out_x, out_scale, n_rates, scaling)
-                }
-                KernelKind::Wide4 => {
-                    newview_tip_inner::<4>(lc, lt, rx, rs, rp, out_x, out_scale, n_rates, scaling)
-                }
-                KernelKind::Wide8 => {
-                    newview_tip_inner::<8>(lc, lt, rx, rs, rp, out_x, out_scale, n_rates, scaling)
-                }
-            }
+            newview_tip_inner::<L>(lc, lt, rx, rs, rp, out_x, out_scale, n_rates, scaling)
         }
         (
             Child::Inner { x: lx, scale: ls, pmats: lp },
@@ -283,20 +508,7 @@ pub fn newview(
         ) => {
             assert_eq!(lx.len(), tiled_len(n_patterns, n_rates));
             assert_eq!(rx.len(), tiled_len(n_patterns, n_rates));
-            match kind {
-                KernelKind::Scalar => newview_inner_inner::<1>(
-                    lx, ls, lp, rx, rs, rp, out_x, out_scale, n_rates, scaling,
-                ),
-                KernelKind::Vector => newview_inner_inner::<2>(
-                    lx, ls, lp, rx, rs, rp, out_x, out_scale, n_rates, scaling,
-                ),
-                KernelKind::Wide4 => newview_inner_inner::<4>(
-                    lx, ls, lp, rx, rs, rp, out_x, out_scale, n_rates, scaling,
-                ),
-                KernelKind::Wide8 => newview_inner_inner::<8>(
-                    lx, ls, lp, rx, rs, rp, out_x, out_scale, n_rates, scaling,
-                ),
-            }
+            newview_inner_inner::<L>(lx, ls, lp, rx, rs, rp, out_x, out_scale, n_rates, scaling)
         }
         _ => unreachable!("tip operand is always normalized to the left"),
     }
@@ -307,8 +519,8 @@ pub fn newview(
 /// row-wise over the block and fold the children's scale counts into
 /// `out_scale`. A pattern that fires has its `n_rates × 4` values multiplied
 /// by 2²⁵⁶ in place (an exact power-of-two shift, so rescaling is bit-neutral
-/// to the likelihood). The conditional is per pattern whatever the kernel
-/// width, which is what keeps every width's `ScaleStats` identical.
+/// to the likelihood). The conditional is per pattern whatever the lane
+/// type, which is what keeps every one's `ScaleStats` identical.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // internal epilogue; args mirror newview's
 fn finish_block(
@@ -337,8 +549,20 @@ fn finish_block(
     }
 }
 
+/// The `valid` tip codes of the block starting at pattern `base`, zero-padded
+/// to a whole tile. Code 0 is a legal table index (the all-zero tip vector),
+/// so the padding lanes run the same lookups as the rest and what they
+/// produce is overwritten by [`finish_block`].
+#[inline(always)]
+fn block_codes(codes: &[u8], base: usize, valid: usize) -> [u8; TILE] {
+    let mut out = [0; TILE];
+    out[..valid].copy_from_slice(&codes[base..base + valid]);
+    out
+}
+
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn newview_tip_tip<const W: usize>(
+fn newview_tip_tip<L: Lanes>(
     lc: &[u8],
     lt: &[TipTable16],
     rc: &[u8],
@@ -354,22 +578,19 @@ fn newview_tip_tip<const W: usize>(
     for (blk, ob) in out_x.chunks_exact_mut(bs).enumerate() {
         let base = blk * TILE;
         let valid = TILE.min(n_patterns - base);
-        let mut l = 0;
-        while l + W <= valid {
-            tip_tip_group::<W>(lc, lt, rc, rt, ob, base, l);
-            l += W;
-        }
-        while l < valid {
-            tip_tip_group::<1>(lc, lt, rc, rt, ob, base, l);
-            l += 1;
+        let lcb = block_codes(lc, base, valid);
+        let rcb = block_codes(rc, base, valid);
+        for l0 in lane_groups::<L>() {
+            tip_tip_group::<L>(&lcb[l0..], lt, &rcb[l0..], rt, ob, l0);
         }
         finish_block(ob, out_scale, base, valid, n_rates, scaling, &mut stats, |_| 0);
     }
     stats
 }
 
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn newview_tip_inner<const W: usize>(
+fn newview_tip_inner<L: Lanes>(
     lc: &[u8],
     lt: &[TipTable16],
     rx: &[f64],
@@ -386,23 +607,19 @@ fn newview_tip_inner<const W: usize>(
     for (blk, ob) in out_x.chunks_exact_mut(bs).enumerate() {
         let base = blk * TILE;
         let valid = TILE.min(n_patterns - base);
+        let lcb = block_codes(lc, base, valid);
         let rb = &rx[blk * bs..(blk + 1) * bs];
-        let mut l = 0;
-        while l + W <= valid {
-            tip_inner_group::<W>(lc, lt, rb, rp, ob, base, l);
-            l += W;
-        }
-        while l < valid {
-            tip_inner_group::<1>(lc, lt, rb, rp, ob, base, l);
-            l += 1;
+        for l0 in lane_groups::<L>() {
+            tip_inner_group::<L>(&lcb[l0..], lt, rb, rp, ob, l0);
         }
         finish_block(ob, out_scale, base, valid, n_rates, scaling, &mut stats, |i| rs[i]);
     }
     stats
 }
 
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn newview_inner_inner<const W: usize>(
+fn newview_inner_inner<L: Lanes>(
     lx: &[f64],
     ls: &[u32],
     lp: &[Mat4],
@@ -422,74 +639,70 @@ fn newview_inner_inner<const W: usize>(
         let valid = TILE.min(n_patterns - base);
         let lb = &lx[blk * bs..(blk + 1) * bs];
         let rb = &rx[blk * bs..(blk + 1) * bs];
-        let mut l = 0;
-        while l + W <= valid {
-            inner_inner_group::<W>(lb, lp, rb, rp, ob, l);
-            l += W;
-        }
-        while l < valid {
-            inner_inner_group::<1>(lb, lp, rb, rp, ob, l);
-            l += 1;
+        for l0 in lane_groups::<L>() {
+            inner_inner_group::<L>(lb, lp, rb, rp, ob, l0);
         }
         finish_block(ob, out_scale, base, valid, n_rates, scaling, &mut stats, |i| ls[i] + rs[i]);
     }
     stats
 }
 
-/// `W` patterns of one tip/tip block: per rate and state, a gather of the
-/// two lookup rows and one lane-wise multiply.
+/// `((p₀x₀ + p₁x₁) + p₂x₂) + p₃x₃` on every lane: one matrix row against the
+/// four state rows of a child.
 #[inline(always)]
-fn tip_tip_group<const W: usize>(
+fn row_dot<L: Lanes>(p: &[f64; 4], x: &[L; 4]) -> L {
+    let mut acc = L::splat(p[0]).mul(x[0]);
+    acc = L::madd(L::splat(p[1]), x[1], acc);
+    acc = L::madd(L::splat(p[2]), x[2], acc);
+    L::madd(L::splat(p[3]), x[3], acc)
+}
+
+/// One lane group of a tip/tip block (`lc`, `rc` start at the group's first
+/// code): per rate, the two lookups and one lane-wise multiply per state.
+#[inline(always)]
+fn tip_tip_group<L: Lanes>(
     lc: &[u8],
     lt: &[TipTable16],
     rc: &[u8],
     rt: &[TipTable16],
     ob: &mut [f64],
-    base: usize,
     l0: usize,
 ) {
     for (c, (ltab, rtab)) in lt.iter().zip(rt).enumerate() {
         let q = c * 4 * TILE;
+        let lv = L::tip_rows(ltab, lc);
+        let rv = L::tip_rows(rtab, rc);
         for s in 0..4 {
-            let lv: [f64; W] = std::array::from_fn(|j| ltab[lc[base + l0 + j] as usize][s]);
-            let rv: [f64; W] = std::array::from_fn(|j| rtab[rc[base + l0 + j] as usize][s]);
-            wstore(ob, q + s * TILE + l0, wmul(lv, rv));
+            lv[s].mul(rv[s]).store(ob, q + s * TILE + l0);
         }
     }
 }
 
-/// `W` patterns of one tip/inner block: the inner child's dot products come
-/// from contiguous tile loads; the tip contribution is a lookup gather.
+/// One lane group of a tip/inner block: the inner child's dot products come
+/// from contiguous tile loads; the tip contribution is a lookup.
 #[inline(always)]
-fn tip_inner_group<const W: usize>(
+fn tip_inner_group<L: Lanes>(
     lc: &[u8],
     lt: &[TipTable16],
     rb: &[f64],
     rp: &[Mat4],
     ob: &mut [f64],
-    base: usize,
     l0: usize,
 ) {
     for (c, (ltab, p)) in lt.iter().zip(rp).enumerate() {
         let q = c * 4 * TILE;
-        let b: [[f64; W]; 4] = std::array::from_fn(|t| wload(rb, q + t * TILE + l0));
+        let lv = L::tip_rows(ltab, lc);
+        let b: [L; 4] = std::array::from_fn(|t| L::load(rb, q + t * TILE + l0));
         for s in 0..4 {
-            let lv: [f64; W] = std::array::from_fn(|j| ltab[lc[base + l0 + j] as usize][s]);
-            let mut ra = wmul(wsplat::<W>(p[s][0]), b[0]);
-            ra = wmadd(wsplat::<W>(p[s][1]), b[1], ra);
-            ra = wmadd(wsplat::<W>(p[s][2]), b[2], ra);
-            ra = wmadd(wsplat::<W>(p[s][3]), b[3], ra);
-            wstore(ob, q + s * TILE + l0, wmul(lv, ra));
+            lv[s].mul(row_dot(&p[s], &b)).store(ob, q + s * TILE + l0);
         }
     }
 }
 
-/// `W` patterns of one inner/inner block: both children's dot products are
-/// contiguous tile loads against splatted matrix entries. Per lane the
-/// operation sequence is exactly the scalar one, so every `W` is
-/// bit-identical.
+/// One lane group of an inner/inner block: both children's dot products are
+/// contiguous tile loads against splatted matrix entries.
 #[inline(always)]
-fn inner_inner_group<const W: usize>(
+fn inner_inner_group<L: Lanes>(
     lb: &[f64],
     lp: &[Mat4],
     rb: &[f64],
@@ -499,18 +712,10 @@ fn inner_inner_group<const W: usize>(
 ) {
     for (c, (pl, pr)) in lp.iter().zip(rp).enumerate() {
         let q = c * 4 * TILE;
-        let a: [[f64; W]; 4] = std::array::from_fn(|t| wload(lb, q + t * TILE + l0));
-        let b: [[f64; W]; 4] = std::array::from_fn(|t| wload(rb, q + t * TILE + l0));
+        let a: [L; 4] = std::array::from_fn(|t| L::load(lb, q + t * TILE + l0));
+        let b: [L; 4] = std::array::from_fn(|t| L::load(rb, q + t * TILE + l0));
         for s in 0..4 {
-            let mut la = wmul(wsplat::<W>(pl[s][0]), a[0]);
-            la = wmadd(wsplat::<W>(pl[s][1]), a[1], la);
-            la = wmadd(wsplat::<W>(pl[s][2]), a[2], la);
-            la = wmadd(wsplat::<W>(pl[s][3]), a[3], la);
-            let mut ra = wmul(wsplat::<W>(pr[s][0]), b[0]);
-            ra = wmadd(wsplat::<W>(pr[s][1]), b[1], ra);
-            ra = wmadd(wsplat::<W>(pr[s][2]), b[2], ra);
-            ra = wmadd(wsplat::<W>(pr[s][3]), b[3], ra);
-            wstore(ob, q + s * TILE + l0, wmul(la, ra));
+            row_dot(&pl[s], &a).mul(row_dot(&pr[s], &b)).store(ob, q + s * TILE + l0);
         }
     }
 }
@@ -655,17 +860,12 @@ pub fn build_sumtable(
     SumTable { data, n_rates, scale }
 }
 
-/// Lane width of the `makenewz` loops. Two `f64` lanes fill one 128-bit
-/// register, which is all the default `x86-64` target has; wider groups
-/// only spill (measured: 4 and 8 lanes are slower here).
-const MZ_LANES: usize = 2;
-
 /// One operand's side of a sum-table block. Lives on the stack for the
 /// length of one block; boxing the tip rows would put an allocation on the
 /// zero-allocation path.
 #[allow(clippy::large_enum_variant)]
 enum BlockRows<'a> {
-    /// A tip: `W·tip(code)` gathered once for the block (tips are
+    /// A tip: `W·tip(code)` looked up once for the block (tips are
     /// rate-independent), row `k` holding the block's [`TILE`] lanes.
     Tip([[f64; TILE]; 4]),
     /// An inner node: its tiled partials for this block.
@@ -674,19 +874,22 @@ enum BlockRows<'a> {
 
 impl<'a> BlockRows<'a> {
     /// Block `blk` (`valid` patterns) of an operand; `wtip[code] = W·tip(code)`.
-    fn of(
+    #[inline(always)]
+    fn of<L: Lanes>(
         op: &EvalOperand<'a>,
-        wtip: &[[f64; 4]; 16],
+        wtip: &TipTable16,
         blk: usize,
         valid: usize,
         n_rates: usize,
     ) -> BlockRows<'a> {
         match *op {
             EvalOperand::Tip { codes } => {
+                let codes = block_codes(codes, blk * TILE, valid);
                 let mut rows = [[0.0; TILE]; 4];
-                for (lane, &code) in codes[blk * TILE..blk * TILE + valid].iter().enumerate() {
+                for l0 in lane_groups::<L>() {
+                    let group = L::tip_rows(wtip, &codes[l0..]);
                     for k in 0..4 {
-                        rows[k][lane] = wtip[code as usize][k];
+                        group[k].store(&mut rows[k], l0);
                     }
                 }
                 BlockRows::Tip(rows)
@@ -698,20 +901,15 @@ impl<'a> BlockRows<'a> {
         }
     }
 
-    /// `(W x)[k]` for rate `c` on lanes `l0 .. l0 + W`, each lane keeping
+    /// `(W x)[k]` for rate `c` on the lane group at `l0`, each lane keeping
     /// the per-pattern association `((w₀q₀ + w₁q₁) + w₂q₂) + w₃q₃`.
     #[inline(always)]
-    fn w_times<const W: usize>(&self, w: &[[f64; 4]; 4], c: usize, l0: usize) -> [[f64; W]; 4] {
+    fn w_times<L: Lanes>(&self, w: &[[f64; 4]; 4], c: usize, l0: usize) -> [L; 4] {
         match self {
-            BlockRows::Tip(rows) => std::array::from_fn(|k| wload(&rows[k], l0)),
+            BlockRows::Tip(rows) => std::array::from_fn(|k| L::load(&rows[k], l0)),
             BlockRows::Inner(xb) => {
-                let q: [[f64; W]; 4] = std::array::from_fn(|s| wload(xb, (c * 4 + s) * TILE + l0));
-                std::array::from_fn(|k| {
-                    let mut acc = wmul(wsplat(w[k][0]), q[0]);
-                    acc = wmadd(wsplat(w[k][1]), q[1], acc);
-                    acc = wmadd(wsplat(w[k][2]), q[2], acc);
-                    wmadd(wsplat(w[k][3]), q[3], acc)
-                })
+                let q: [L; 4] = std::array::from_fn(|s| L::load(xb, (c * 4 + s) * TILE + l0));
+                std::array::from_fn(|k| row_dot(&w[k], &q))
             }
         }
     }
@@ -719,12 +917,47 @@ impl<'a> BlockRows<'a> {
 
 /// As [`build_sumtable`], writing into caller-owned buffers — `data` of
 /// [`tiled_len`] entries, `scale` one per pattern — so the steady-state
-/// `makenewz` path allocates nothing.
+/// `makenewz` path allocates nothing. Runs on [`KernelTier::probe`]'s lanes.
 ///
 /// The table is built a block at a time over the operands' own tiles: an
-/// inner operand is read as tile rows, a tip operand gathers `W·tip(code)`
+/// inner operand is read as tile rows, a tip operand looks up `W·tip(code)`
 /// once per block instead of once per rate.
 pub fn build_sumtable_into(
+    u: &EvalOperand<'_>,
+    v: &EvalOperand<'_>,
+    w: &[[f64; 4]; 4],
+    n_rates: usize,
+    data: &mut [f64],
+    scale: &mut [u32],
+) {
+    match KernelTier::probe() {
+        KernelTier::Portable => build_sumtable_lanes::<[f64; 2]>(u, v, w, n_rates, data, scale),
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx2 => {
+            // SAFETY: the probe has just reported AVX2 on this CPU.
+            unsafe { build_sumtable_avx2(u, v, w, n_rates, data, scale) }
+        }
+    }
+}
+
+/// [`build_sumtable_lanes`] over [`Avx2Lanes`], compiled with the feature on.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn build_sumtable_avx2(
+    u: &EvalOperand<'_>,
+    v: &EvalOperand<'_>,
+    w: &[[f64; 4]; 4],
+    n_rates: usize,
+    data: &mut [f64],
+    scale: &mut [u32],
+) {
+    note_avx2_entry();
+    build_sumtable_lanes::<Avx2Lanes>(u, v, w, n_rates, data, scale)
+}
+
+/// The one sum-table body.
+#[inline(always)]
+fn build_sumtable_lanes<L: Lanes>(
     u: &EvalOperand<'_>,
     v: &EvalOperand<'_>,
     w: &[[f64; 4]; 4],
@@ -736,7 +969,7 @@ pub fn build_sumtable_into(
     assert_eq!(data.len(), tiled_len(n_patterns, n_rates), "sum table size mismatch");
 
     // Precompute W·tip(code) for all 16 codes.
-    let mut wtip = [[0.0f64; 4]; 16];
+    let mut wtip: TipTable16 = [[0.0; 4]; 16];
     for code in 0..16 {
         for k in 0..4 {
             let mut acc = 0.0;
@@ -753,14 +986,14 @@ pub fn build_sumtable_into(
         for (lane, s) in sb.iter_mut().enumerate() {
             *s = u.scale_at(base + lane) + v.scale_at(base + lane);
         }
-        let rows = |op| BlockRows::of(op, &wtip, blk, sb.len(), n_rates);
+        let rows = |op| BlockRows::of::<L>(op, &wtip, blk, sb.len(), n_rates);
         let (ru, rv) = (rows(u), rows(v));
         for c in 0..n_rates {
-            for l0 in (0..TILE).step_by(MZ_LANES) {
-                let wu = ru.w_times::<MZ_LANES>(w, c, l0);
-                let wv = rv.w_times::<MZ_LANES>(w, c, l0);
+            for l0 in lane_groups::<L>() {
+                let wu = ru.w_times::<L>(w, c, l0);
+                let wv = rv.w_times::<L>(w, c, l0);
                 for k in 0..4 {
-                    wstore(tb, (c * 4 + k) * TILE + l0, wmul(wu[k], wv[k]));
+                    wu[k].mul(wv[k]).store(tb, (c * 4 + k) * TILE + l0);
                 }
             }
         }
@@ -827,7 +1060,7 @@ pub enum NewtonPass {
 /// As [`newton_derivatives`], operating on raw sum-table slices (the tiled
 /// table + per-pattern scale counts, see [`SumTable`]) with caller-owned
 /// exponential scratch — the zero-allocation form the engine and the
-/// parallel dispatcher use.
+/// parallel dispatcher use. Runs on [`KernelTier::probe`]'s lanes.
 #[allow(clippy::too_many_arguments)]
 pub fn newton_derivatives_scratch(
     st_data: &[f64],
@@ -841,24 +1074,66 @@ pub fn newton_derivatives_scratch(
     pass: NewtonPass,
     scratch: &mut NewtonScratch,
 ) -> (f64, f64, f64) {
-    match pass {
-        NewtonPass::Derivatives => newton_pass::<true>(
-            st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, scratch,
+    match KernelTier::probe() {
+        KernelTier::Portable => newton_lanes::<[f64; 2]>(
+            st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, pass, scratch,
         ),
-        NewtonPass::LnlOnly => newton_pass::<false>(
-            st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, scratch,
-        ),
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx2 => {
+            // SAFETY: the probe has just reported AVX2 on this CPU.
+            unsafe {
+                newton_avx2(
+                    st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, pass, scratch,
+                )
+            }
+        }
     }
 }
 
-/// `((s₀e₀ + s₁e₁) + s₂e₂) + s₃e₃` on every lane: one rate's four table
-/// rows against one row of an exponential table.
+/// [`newton_lanes`] over [`Avx2Lanes`], compiled with the feature on.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn newton_avx2(
+    st_data: &[f64],
+    st_scale: &[u32],
+    n_rates: usize,
+    lambdas: &[f64; 4],
+    rates: &[f64],
+    t: f64,
+    weights: &[f64],
+    exp_impl: crate::model::ExpImpl,
+    pass: NewtonPass,
+    scratch: &mut NewtonScratch,
+) -> (f64, f64, f64) {
+    note_avx2_entry();
+    newton_lanes::<Avx2Lanes>(
+        st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, pass, scratch,
+    )
+}
+
 #[inline(always)]
-fn eigen_dot<const W: usize>(s: &[[f64; W]; 4], e: &[f64; 4]) -> [f64; W] {
-    let mut acc = wmul(s[0], wsplat(e[0]));
-    acc = wmadd(s[1], wsplat(e[1]), acc);
-    acc = wmadd(s[2], wsplat(e[2]), acc);
-    wmadd(s[3], wsplat(e[3]), acc)
+#[allow(clippy::too_many_arguments)]
+fn newton_lanes<L: Lanes>(
+    st_data: &[f64],
+    st_scale: &[u32],
+    n_rates: usize,
+    lambdas: &[f64; 4],
+    rates: &[f64],
+    t: f64,
+    weights: &[f64],
+    exp_impl: crate::model::ExpImpl,
+    pass: NewtonPass,
+    scratch: &mut NewtonScratch,
+) -> (f64, f64, f64) {
+    match pass {
+        NewtonPass::Derivatives => newton_pass::<L, true>(
+            st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, scratch,
+        ),
+        NewtonPass::LnlOnly => newton_pass::<L, false>(
+            st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, scratch,
+        ),
+    }
 }
 
 /// The one Newton loop. Per block the per-pattern likelihood (and, with
@@ -866,8 +1141,9 @@ fn eigen_dot<const W: usize>(s: &[[f64; W]; 4], e: &[f64; 4]) -> [f64; W] {
 /// the `ln`, the ratios and the weighted sums are then folded scalar, in
 /// pattern order, zero-weight patterns skipped. Without `DERIVS` the
 /// derivative rows are compiled out and the last two results are zero.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn newton_pass<const DERIVS: bool>(
+fn newton_pass<L: Lanes, const DERIVS: bool>(
     st_data: &[f64],
     st_scale: &[u32],
     n_rates: usize,
@@ -902,25 +1178,25 @@ fn newton_pass<const DERIVS: bool>(
     let blocks = st_data.chunks_exact(n_rates * 4 * TILE);
     for ((tb, wb), sb) in blocks.zip(weights.chunks(TILE)).zip(st_scale.chunks(TILE)) {
         // The likelihood and its two derivatives, summed over the rates one
-        // lane group at a time.
+        // lane group at a time: each rate's four table rows against one row
+        // of an exponential table.
         let mut li = [0.0; TILE];
         let mut dli = [0.0; TILE];
         let mut ddli = [0.0; TILE];
-        for l0 in (0..TILE).step_by(MZ_LANES) {
-            let mut acc = [[0.0; MZ_LANES]; 3];
+        for l0 in lane_groups::<L>() {
+            let mut acc = [L::splat(0.0); 3];
             for c in 0..n_rates {
-                let s: [[f64; MZ_LANES]; 4] =
-                    std::array::from_fn(|k| wload(tb, (c * 4 + k) * TILE + l0));
-                acc[0] = wadd(acc[0], eigen_dot(&s, &e0[c]));
+                let s: [L; 4] = std::array::from_fn(|k| L::load(tb, (c * 4 + k) * TILE + l0));
+                acc[0] = acc[0].add(row_dot(&e0[c], &s));
                 if DERIVS {
-                    acc[1] = wadd(acc[1], eigen_dot(&s, &e1[c]));
-                    acc[2] = wadd(acc[2], eigen_dot(&s, &e2[c]));
+                    acc[1] = acc[1].add(row_dot(&e1[c], &s));
+                    acc[2] = acc[2].add(row_dot(&e2[c], &s));
                 }
             }
-            wstore(&mut li, l0, acc[0]);
+            acc[0].store(&mut li, l0);
             if DERIVS {
-                wstore(&mut dli, l0, acc[1]);
-                wstore(&mut ddli, l0, acc[2]);
+                acc[1].store(&mut dli, l0);
+                acc[2].store(&mut ddli, l0);
             }
         }
         // The fold is scalar and in pattern order: the three sums are
@@ -955,8 +1231,62 @@ mod tests {
         SubstModel::gtr([0.3, 0.2, 0.25, 0.25], [1.2, 3.1, 0.8, 0.9, 3.4, 1.0]).unwrap()
     }
 
-    const ALL_KINDS: [KernelKind; 4] =
-        [KernelKind::Scalar, KernelKind::Vector, KernelKind::Wide4, KernelKind::Wide8];
+    const ALL_KINDS: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Vector];
+
+    /// One instantiation of the kernel bodies: a portable lane count, or the
+    /// AVX2 lane type.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Inst {
+        Portable(usize),
+        #[cfg(target_arch = "x86_64")]
+        Avx2,
+    }
+
+    /// Every instantiation this CPU can run; `Portable(1)`, the reference,
+    /// comes first.
+    fn instantiations() -> Vec<Inst> {
+        let mut all: Vec<Inst> = [1, 2, 4, 8].map(Inst::Portable).to_vec();
+        #[cfg(target_arch = "x86_64")]
+        if KernelTier::probe() == KernelTier::Avx2 {
+            all.push(Inst::Avx2);
+        }
+        all
+    }
+
+    /// Call body `$lanes::<L>` — or entry point `$avx2` — with `$args` for
+    /// the lane type `$inst` names.
+    macro_rules! instantiate {
+        ($inst:expr, $lanes:ident, $avx2:ident, $args:tt) => {
+            match $inst {
+                Inst::Portable(1) => $lanes::<[f64; 1]> $args,
+                Inst::Portable(2) => $lanes::<[f64; 2]> $args,
+                Inst::Portable(4) => $lanes::<[f64; 4]> $args,
+                Inst::Portable(8) => $lanes::<[f64; 8]> $args,
+                Inst::Portable(w) => panic!("no {w}-lane instantiation"),
+                #[cfg(target_arch = "x86_64")]
+                Inst::Avx2 => {
+                    assert_eq!(KernelTier::probe(), KernelTier::Avx2);
+                    // SAFETY: the probe has just reported AVX2 on this CPU.
+                    unsafe { $avx2 $args }
+                }
+            }
+        };
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The padding lanes of the last block of a tiled buffer of `n` patterns.
+    fn padding(buf: &[f64], n: usize, n_rates: usize) -> impl Iterator<Item = &f64> {
+        let last = &buf[buf.len() - n_rates * 4 * TILE..];
+        last.chunks_exact(TILE).flat_map(move |row| &row[(n - 1) % TILE + 1..])
+    }
+
+    /// The pattern counts of the differential tests: a lone lane, ragged
+    /// last tiles, one exact tile, the paper's alignment, and more than one
+    /// `REDUCE_BLOCK`.
+    const DIFF_PATTERNS: [usize; 6] = [1, 7, 8, 13, 245, 257];
 
     #[test]
     fn tip_tables_match_direct_sum() {
@@ -1079,64 +1409,199 @@ mod tests {
         assert_eq!(sc_ti, sc_ii);
     }
 
+    /// Tip rows that cover all 16 codes (0 — the padding value — included),
+    /// with a non-zero code on the last pattern so a ragged block's final
+    /// lane cannot be mistaken for padding.
+    fn diff_codes(n: usize, salt: usize) -> Vec<u8> {
+        let mut codes: Vec<u8> = (0..n).map(|i| ((i * 5 + salt) % 16) as u8).collect();
+        codes[n - 1] = 15 - salt as u8;
+        codes
+    }
+
+    /// `newview`, all three cases: every lane instantiation against the
+    /// 1-lane one — every output value, `out_scale` and `ScaleStats` to the
+    /// bit, padding lanes `+0.0`. Children carry non-zero scale counts, and
+    /// patterns 3 and 4 of every tile (the last lane of one AVX2 group, the
+    /// first of the next) underflow so the §5.2.3 conditional fires there.
     #[test]
-    fn all_kernel_widths_bit_equal_to_scalar() {
+    fn newview_is_bit_equal_across_lane_types() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
         let m = model();
-        let rates = [0.25, 0.8, 1.3, 2.7];
-        let n_rates = rates.len();
-        let pl = pmats(&m, 0.11, &rates);
-        let pr = pmats(&m, 0.29, &rates);
-        let lt = build_tip_tables(&pl);
-        let rt = build_tip_tables(&pr);
-        // 13 patterns: one full block plus a 5-lane tail, so every width
-        // exercises its remainder path.
-        let n = 13;
-
-        // Deterministic pseudo-random partials.
-        let mut x = 0.123456789f64;
-        let mut next = || {
-            x = (x * 9301.0 + 49297.0) % 233280.0 / 233280.0;
-            0.01 + x
-        };
-        let aos_l: Vec<f64> = (0..n * n_rates * 4).map(|_| next()).collect();
-        let aos_r: Vec<f64> = (0..n * n_rates * 4).map(|_| next()).collect();
-        let xl = tile_partials(&aos_l, n, n_rates);
-        let xr = tile_partials(&aos_r, n, n_rates);
-        let zeros = vec![0u32; n];
-        let codes: Vec<u8> = (0..n).map(|i| ((i % 15) + 1) as u8).collect();
-
-        let cases: Vec<(Child, Child)> = vec![
-            (Child::Tip { codes: &codes, tables: &lt }, Child::Tip { codes: &codes, tables: &rt }),
-            (
-                Child::Tip { codes: &codes, tables: &lt },
-                Child::Inner { x: &xr, scale: &zeros, pmats: &pr },
-            ),
-            (
-                Child::Inner { x: &xl, scale: &zeros, pmats: &pl },
-                Child::Inner { x: &xr, scale: &zeros, pmats: &pr },
-            ),
-        ];
-        for (a, b) in &cases {
-            let mut out_s = vec![0.0; tiled_len(n, n_rates)];
-            let mut sc_s = vec![0u32; n];
-            let stats_s = newview(
-                a,
-                b,
-                &mut out_s,
-                &mut sc_s,
-                n_rates,
-                KernelKind::Scalar,
-                ScalingCheck::IntegerCast,
-            );
-            for kind in [KernelKind::Vector, KernelKind::Wide4, KernelKind::Wide8] {
-                let mut out_w = vec![0.0; tiled_len(n, n_rates)];
-                let mut sc_w = vec![0u32; n];
-                let stats_w =
-                    newview(a, b, &mut out_w, &mut sc_w, n_rates, kind, ScalingCheck::IntegerCast);
-                assert_eq!(out_s, out_w, "{kind:?} kernel must be bit-equal to scalar");
-                assert_eq!(sc_s, sc_w);
-                assert_eq!(stats_s, stats_w, "{kind:?} ScaleStats must match scalar");
+        let all_rates = [0.25, 0.8, 1.3, 2.7];
+        let mut rng = StdRng::seed_from_u64(19);
+        for n in DIFF_PATTERNS {
+            for n_rates in 1..=4 {
+                let rates = &all_rates[..n_rates];
+                let (pl, pr) = (pmats(&m, 0.11, rates), pmats(&m, 0.29, rates));
+                let (lt, rt) = (build_tip_tables(&pl), build_tip_tables(&pr));
+                let (lc, rc) = (diff_codes(n, 1), diff_codes(n, 4));
+                let mut partial = || {
+                    let aos: Vec<f64> = (0..n * n_rates * 4)
+                        .map(|j| {
+                            let lane = (j / (n_rates * 4)) % TILE;
+                            let x = rng.gen_range(0.01..1.0);
+                            if lane == 3 || lane == 4 {
+                                x * SCALE_THRESHOLD
+                            } else {
+                                x
+                            }
+                        })
+                        .collect();
+                    tile_partials(&aos, n, n_rates)
+                };
+                let (xl, xr) = (partial(), partial());
+                let ls: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..4)).collect();
+                let rs: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..4)).collect();
+                let cases = [
+                    (
+                        Child::Tip { codes: &lc, tables: &lt },
+                        Child::Tip { codes: &rc, tables: &rt },
+                    ),
+                    (
+                        Child::Inner { x: &xl, scale: &ls, pmats: &pl },
+                        Child::Tip { codes: &rc, tables: &rt },
+                    ),
+                    (
+                        Child::Inner { x: &xl, scale: &ls, pmats: &pl },
+                        Child::Inner { x: &xr, scale: &rs, pmats: &pr },
+                    ),
+                ];
+                for (case, (a, b)) in cases.iter().enumerate() {
+                    for scaling in [ScalingCheck::FloatCompare, ScalingCheck::IntegerCast] {
+                        let mut want: Option<(Vec<u64>, Vec<u32>, ScaleStats)> = None;
+                        for inst in instantiations() {
+                            let what = format!(
+                                "{inst:?}: {n} patterns, {n_rates} rates, case {case}, {scaling:?}"
+                            );
+                            // Stale contents must not survive, padding included.
+                            let mut out = vec![f64::NAN; tiled_len(n, n_rates)];
+                            let mut sc = vec![u32::MAX; n];
+                            let stats = instantiate!(
+                                inst,
+                                newview_lanes,
+                                newview_avx2,
+                                (a, b, &mut out, &mut sc, n_rates, scaling)
+                            );
+                            let mut pad = padding(&out, n, n_rates);
+                            assert!(pad.all(|x| x.to_bits() == 0), "{what}: padding");
+                            if case > 0 && n > 4 {
+                                let child = |i: usize| ls[i] + if case == 2 { rs[i] } else { 0 };
+                                let fired = [2, 3, 4, 5].map(|i| sc[i] - child(i));
+                                assert_eq!(fired, [0, 1, 1, 0], "{what}: lanes 3 and 4 fire");
+                            }
+                            let got = (bits(&out), sc, stats);
+                            match &want {
+                                None => want = Some(got),
+                                Some(want) => assert!(got == *want, "{what}"),
+                            }
+                        }
+                    }
+                }
             }
+        }
+    }
+
+    /// `build_sumtable_into` and both Newton passes: every lane
+    /// instantiation against the 1-lane one — table, scale counts, `lnl`,
+    /// `d1`, `d2` to the bit — on operands with non-zero scale counts, tip
+    /// rows over all 16 codes and zero weights.
+    #[test]
+    fn makenewz_is_bit_equal_across_lane_types() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let m = model();
+        let (w, lambdas) = (m.eigen().w, m.eigen().values);
+        let all_rates = [0.21, 0.64, 1.13, 2.02];
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in DIFF_PATTERNS {
+            for n_rates in 1..=4 {
+                let rates = &all_rates[..n_rates];
+                let mut ops = random_operands(&mut rng, n, n_rates);
+                ops.codes = [diff_codes(n, 1), diff_codes(n, 4)];
+                let pairings = ops.pairings().into_iter().chain([(ops.tip(0), ops.tip(1))]);
+                for (case, (u, v)) in pairings.enumerate() {
+                    let mut want = None;
+                    for inst in instantiations() {
+                        let what =
+                            format!("{inst:?}: {n} patterns, {n_rates} rates, pairing {case}");
+                        let mut data = vec![f64::NAN; tiled_len(n, n_rates)];
+                        let mut scale = vec![u32::MAX; n];
+                        instantiate!(
+                            inst,
+                            build_sumtable_lanes,
+                            build_sumtable_avx2,
+                            (&u, &v, &w, n_rates, &mut data, &mut scale)
+                        );
+                        assert!(padding(&data, n, n_rates).all(|&x| x == 0.0), "{what}: padding");
+                        let mut newton = Vec::new();
+                        for exp in [ExpImpl::Sdk, ExpImpl::Libm] {
+                            for t in [1e-6, 0.013, 0.2, 1.7] {
+                                for pass in [NewtonPass::Derivatives, NewtonPass::LnlOnly] {
+                                    let mut scratch = NewtonScratch::default();
+                                    let (lnl, d1, d2) = instantiate!(
+                                        inst,
+                                        newton_lanes,
+                                        newton_avx2,
+                                        (
+                                            &data,
+                                            &scale,
+                                            n_rates,
+                                            &lambdas,
+                                            rates,
+                                            t,
+                                            &ops.weights,
+                                            exp,
+                                            pass,
+                                            &mut scratch
+                                        )
+                                    );
+                                    newton.push([lnl, d1, d2].map(f64::to_bits));
+                                }
+                            }
+                        }
+                        let got = (bits(&data), scale, newton);
+                        match &want {
+                            None => want = Some(got),
+                            Some(want) => assert!(got == *want, "{what}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// What the probe says is what runs: on a CPU with AVX2 `Vector`, the
+    /// sum table and the Newton pass each enter the AVX2 instantiation and
+    /// `Scalar` does not — so a green suite on such a host has tested the
+    /// wide path, not the portable one twice.
+    #[test]
+    fn dispatch_follows_the_probe() {
+        let tier = KernelTier::probe();
+        println!("kernel tier: {tier}"); // scripts/ci.sh shows this line
+        let want = if tier == KernelTier::Portable { ("portable", 2) } else { ("avx2", 4) };
+        assert_eq!((tier.name(), tier.lanes()), want);
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 = std::arch::is_x86_feature_detected!("avx2");
+            assert_eq!(tier == KernelTier::Avx2, avx2);
+            // Each dispatched call enters once where the CPU has AVX2.
+            let step = avx2 as u32;
+            let m = model();
+            let tables = build_tip_tables(&pmats(&m, 0.2, &[1.0]));
+            let codes = [1u8, 2, 4];
+            let tip = Child::Tip { codes: &codes, tables: &tables };
+            let (mut out, mut sc) = (vec![0.0; tiled_len(3, 1)], vec![0u32; 3]);
+            let start = AVX2_ENTRIES.get();
+            newview(&tip, &tip, &mut out, &mut sc, 1, KernelKind::Scalar, ScalingCheck::default());
+            assert_eq!(AVX2_ENTRIES.get(), start, "Scalar is the portable path on every CPU");
+            newview(&tip, &tip, &mut out, &mut sc, 1, KernelKind::Vector, ScalingCheck::default());
+            assert_eq!(AVX2_ENTRIES.get(), start + step, "newview");
+            let u = EvalOperand::Tip { codes: &codes };
+            let st = build_sumtable(&u, &u, &m.eigen().w, 3, 1);
+            assert_eq!(AVX2_ENTRIES.get(), start + 2 * step, "build_sumtable_into");
+            newton_derivatives(&st, &m.eigen().values, &[1.0], 0.1, &[1.0; 3], ExpImpl::Libm);
+            assert_eq!(AVX2_ENTRIES.get(), start + 3 * step, "newton_derivatives_scratch");
         }
     }
 

@@ -1,9 +1,10 @@
 //! The likelihood core: the three kernels RAxML-Cell offloads to the SPEs.
 //!
 //! * [`kernels`] — case-specialized `newview` partial-likelihood loops
-//!   (paper §5.2.3: tip/tip, tip/inner, inner/inner), in scalar and 2-lane
-//!   vectorized form (§5.2.5, Figure 2), with both the floating-point and
-//!   the integer-cast underflow-scaling conditional (§5.2.3).
+//!   (paper §5.2.3: tip/tip, tip/inner, inner/inner), in scalar and
+//!   vectorized form (§5.2.5, Figure 2: two lanes, or four where the CPU has
+//!   AVX2 — [`KernelTier`]), with both the floating-point and the
+//!   integer-cast underflow-scaling conditional (§5.2.3).
 //! * [`cat`] — the CAT per-site rate approximation (fit, per-site rate
 //!   estimation, CAT likelihood).
 //! * [`engine`] — the [`engine::LikelihoodEngine`]: per-node partial
@@ -21,6 +22,7 @@ pub mod kernels;
 pub mod reference;
 pub mod workspace;
 
+pub use kernels::KernelTier;
 pub use workspace::{LikelihoodWorkspace, TraversalOp, TraversalOps, WorkspaceOptions};
 
 /// RAxML's `minlikelihood`: partials below this threshold (for every state
@@ -36,39 +38,23 @@ pub const SCALE_MULTIPLIER: f64 = 1.157920892373162e77; // 2^256
 pub const LN_SCALE: f64 = -177.445_678_223_346; // -256 · ln 2
 
 /// Pattern-block width of the tiled CLV layout: partials are stored in
-/// blocks of `TILE` site patterns so that 2-, 4- and 8-lane kernels all
-/// read full lanes from one contiguous tile. `TILE` is the widest lane
-/// count, so every narrower kernel divides it evenly.
+/// blocks of `TILE` site patterns so that a kernel of any lane count that
+/// divides it reads full lanes from one contiguous tile row.
 pub const TILE: usize = 8;
 
 /// Which arithmetic formulation the `newview` loops use. Lanes map to
-/// *patterns* (never to states), so every kind performs the identical
-/// per-pattern operation sequence and all four are bit-identical.
+/// *patterns* (never to states), so both kinds perform the identical
+/// per-pattern operation sequence and are bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
-    /// Straight-line scalar code (the paper's starting point).
+    /// One pattern at a time in portable code, whatever the CPU (the
+    /// paper's starting point, and the tests' reference).
     Scalar,
-    /// 2-lane `[f64; 2]` vectorized loops mirroring the SPE's 128-bit
-    /// registers (paper Figure 2).
+    /// The widest lanes this CPU has ([`KernelTier::probe`]): four patterns
+    /// per AVX2 register, else two per 128-bit register as on the SPE
+    /// (paper Figure 2).
     #[default]
     Vector,
-    /// 4-lane pattern-parallel loops (AVX2-width autovectorization).
-    Wide4,
-    /// 8-lane pattern-parallel loops (AVX-512-width autovectorization).
-    /// Portable Rust, correct everywhere.
-    Wide8,
-}
-
-impl KernelKind {
-    /// How many site patterns one kernel iteration advances.
-    pub fn lanes(self) -> usize {
-        match self {
-            KernelKind::Scalar => 1,
-            KernelKind::Vector => 2,
-            KernelKind::Wide4 => 4,
-            KernelKind::Wide8 => 8,
-        }
-    }
 }
 
 /// How the underflow-scaling conditional is evaluated (paper §5.2.3).
@@ -90,7 +76,7 @@ pub enum ScalingCheck {
 /// the fastest choices on this host and the `Default`, and [`Self::cell`],
 /// the Cell-optimal choices the simulated tables and the search goldens pin.
 /// They differ in `exp_impl` only, which changes log-likelihood bits; lane
-/// width, scaling conditional and `parallel` threads/stripes do not.
+/// type, scaling conditional and `parallel` threads/stripes do not.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LikelihoodConfig {
     /// libm vs SDK-style exponential (§5.2.2).
@@ -113,18 +99,19 @@ impl Default for LikelihoodConfig {
 impl LikelihoodConfig {
     /// The host profile: what measures fastest on the machines this runs on
     /// (sequential). libm `exp` — 34 ns per P matrix against 88 ns for the
-    /// SDK-style polynomial; 2 lanes and the integer-cast conditional stay
-    /// because wider lanes and the float compare measure within noise of
-    /// them at the default `x86-64` target.
+    /// SDK-style polynomial; the widest lanes the CPU has; the integer-cast
+    /// conditional stays because the float compare measures within noise of
+    /// it.
     pub fn optimized() -> LikelihoodConfig {
         LikelihoodConfig { exp_impl: crate::model::ExpImpl::Libm, ..LikelihoodConfig::cell() }
     }
 
     /// The Cell profile: the paper's final SPE configuration — SDK-style
-    /// `exp` (§5.2.2), 2-lane vector loops (§5.2.5), integer-cast scaling
-    /// conditional (§5.2.3). Everything whose recorded output must not move
-    /// with a host `exp` choice sets it explicitly: the kernel-trace capture
-    /// the Cell model prices, and the search goldens.
+    /// `exp` (§5.2.2), vector loops (§5.2.5; bit-identical at any lane
+    /// count), integer-cast scaling conditional (§5.2.3). Everything whose
+    /// recorded output must not move with a host `exp` choice sets it
+    /// explicitly: the kernel-trace capture the Cell model prices, and the
+    /// search goldens.
     pub fn cell() -> LikelihoodConfig {
         LikelihoodConfig {
             exp_impl: crate::model::ExpImpl::Sdk,

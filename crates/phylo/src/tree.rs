@@ -4,7 +4,9 @@
 //! `n − 2` inner nodes (degree 3) and `2n − 3` branches. Nodes live in an
 //! arena: tips are `0..n` (indexing the alignment's taxa), inner nodes are
 //! `n..2n−2`. Each node stores up to three (neighbor, branch length) slots —
-//! the Rust analogue of RAxML's three-`nodeptr` inner-node records.
+//! the Rust analogue of RAxML's three-`nodeptr` inner-node records. A
+//! neighbor is stored in 32 bits (`Slot`): an analysis holds one tree per
+//! bootstrap replicate, so the arena's size is what a replicate costs.
 //!
 //! Likelihood code never roots the tree; it places a *virtual root* on a
 //! branch (paper §5.2: `newview` computes the partial likelihood vector "at
@@ -29,6 +31,40 @@ pub fn clamp_branch(len: f64) -> f64 {
     len.clamp(MIN_BRANCH, MAX_BRANCH)
 }
 
+/// One neighbor slot: a node id in 32 bits, `u32::MAX` standing for "empty".
+/// Every constructor checks the arena size against the sentinel
+/// ([`arena_size`]), so every [`NodeId`] of a tree fits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot(u32);
+
+impl Slot {
+    const EMPTY: Slot = Slot(u32::MAX);
+
+    #[inline]
+    fn of(node: NodeId) -> Slot {
+        debug_assert!(node < Slot::EMPTY.0 as usize, "node id {node} does not fit a slot");
+        Slot(node as u32)
+    }
+
+    #[inline]
+    fn node(self) -> Option<NodeId> {
+        (self != Slot::EMPTY).then_some(self.0 as NodeId)
+    }
+}
+
+/// Arena size `2n − 2` of an `n_taxa`-tip tree, checked against the slot
+/// sentinel.
+fn arena_size(n_taxa: usize) -> Result<usize> {
+    if n_taxa < 3 {
+        return Err(PhyloError::TooFewTaxa { found: n_taxa, required: 3 });
+    }
+    n_taxa
+        .checked_mul(2)
+        .map(|n| n - 2)
+        .filter(|&n| n <= Slot::EMPTY.0 as usize)
+        .ok_or_else(|| PhyloError::TreeStructure(format!("{n_taxa} taxa exceed 32-bit node ids")))
+}
+
 /// An unrooted binary tree with branch lengths.
 ///
 /// Equality is *structural*: two trees are equal when they have the same
@@ -38,7 +74,7 @@ pub fn clamp_branch(len: f64) -> f64 {
 pub struct Tree {
     n_taxa: usize,
     /// Up to three neighbors per node; tips use slot 0 only.
-    neighbors: Vec<[Option<NodeId>; 3]>,
+    neighbors: Vec<[Slot; 3]>,
     /// Branch length of the corresponding neighbor slot.
     lengths: Vec<[f64; 3]>,
     /// Number of inner nodes currently in use (supports stepwise growth).
@@ -69,9 +105,7 @@ impl Tree {
     /// Create the 3-taxon tree over an arbitrary tip triple (used by
     /// randomized stepwise addition, which starts from a random triple).
     pub fn initial_triplet_of(n_taxa: usize, tips: [NodeId; 3], initial_len: f64) -> Result<Tree> {
-        if n_taxa < 3 {
-            return Err(PhyloError::TooFewTaxa { found: n_taxa, required: 3 });
-        }
+        let n_nodes = arena_size(n_taxa)?;
         for &t in &tips {
             if t >= n_taxa {
                 return Err(PhyloError::TreeStructure(format!("tip {t} out of range")));
@@ -80,18 +114,17 @@ impl Tree {
         if tips[0] == tips[1] || tips[0] == tips[2] || tips[1] == tips[2] {
             return Err(PhyloError::TreeStructure("triplet tips must be distinct".into()));
         }
-        let n_nodes = 2 * n_taxa - 2;
         let mut t = Tree {
             n_taxa,
-            neighbors: vec![[None; 3]; n_nodes],
+            neighbors: vec![[Slot::EMPTY; 3]; n_nodes],
             lengths: vec![[0.0; 3]; n_nodes],
             n_inner_used: 1,
         };
         let center = n_taxa; // first inner node
         for (slot, tip) in tips.iter().enumerate() {
-            t.neighbors[center][slot] = Some(*tip);
+            t.neighbors[center][slot] = Slot::of(*tip);
             t.lengths[center][slot] = initial_len;
-            t.neighbors[*tip][0] = Some(center);
+            t.neighbors[*tip][0] = Slot::of(center);
             t.lengths[*tip][0] = initial_len;
         }
         Ok(t)
@@ -100,10 +133,7 @@ impl Tree {
     /// Build a complete tree from an explicit edge list (used by the Newick
     /// parser and tests). Edges must describe a valid unrooted binary tree.
     pub fn from_edges(n_taxa: usize, edges: &[(NodeId, NodeId, f64)]) -> Result<Tree> {
-        if n_taxa < 3 {
-            return Err(PhyloError::TooFewTaxa { found: n_taxa, required: 3 });
-        }
-        let n_nodes = 2 * n_taxa - 2;
+        let n_nodes = arena_size(n_taxa)?;
         if edges.len() != 2 * n_taxa - 3 {
             return Err(PhyloError::TreeStructure(format!(
                 "expected {} edges for {} taxa, got {}",
@@ -114,7 +144,7 @@ impl Tree {
         }
         let mut t = Tree {
             n_taxa,
-            neighbors: vec![[None; 3]; n_nodes],
+            neighbors: vec![[Slot::EMPTY; 3]; n_nodes],
             lengths: vec![[0.0; 3]; n_nodes],
             n_inner_used: n_taxa - 2,
         };
@@ -145,7 +175,7 @@ impl Tree {
                 if slot > 0 {
                     out.push(' ');
                 }
-                match nbrs[slot] {
+                match nbrs[slot].node() {
                     Some(n) => {
                         let _ = write!(out, "{}:{:016x}", n, lens[slot].to_bits());
                     }
@@ -180,8 +210,16 @@ impl Tree {
         if n_taxa < 3 {
             return Err(PhyloError::TooFewTaxa { found: n_taxa, required: 3 });
         }
-        let n_nodes = 2 * n_taxa - 2;
-        let mut neighbors = vec![[None; 3]; n_nodes];
+        // The header is outside input: it may not size an allocation until
+        // the node lines it promises are seen to be there.
+        let present = lines.clone().count();
+        let n_nodes = arena_size(n_taxa).ok().filter(|&n| n <= present).ok_or_else(|| {
+            bad(1, format!("header promises {n_taxa} taxa, {present} node lines follow"))
+        })?;
+        if n_inner_used > n_taxa - 2 {
+            return Err(bad(1, format!("{n_inner_used} inner nodes in use of {}", n_taxa - 2)));
+        }
+        let mut neighbors = vec![[Slot::EMPTY; 3]; n_nodes];
         let mut lengths = vec![[0.0f64; 3]; n_nodes];
         for node in 0..n_nodes {
             let (lineno, line) = lines
@@ -205,7 +243,7 @@ impl Tree {
                 }
                 let bits = u64::from_str_radix(bits, 16)
                     .map_err(|_| bad(lineno + 1, format!("bad length bits {bits:?}")))?;
-                neighbors[node][slot] = Some(nbr);
+                neighbors[node][slot] = Slot::of(nbr);
                 lengths[node][slot] = f64::from_bits(bits);
             }
         }
@@ -256,7 +294,7 @@ impl Tree {
 
     /// Degree of a node (0 if detached).
     pub fn degree(&self, node: NodeId) -> usize {
-        self.neighbors[node].iter().filter(|n| n.is_some()).count()
+        self.neighbors[node].iter().filter(|&&n| n != Slot::EMPTY).count()
     }
 
     /// Neighbors of a node with branch lengths.
@@ -264,7 +302,7 @@ impl Tree {
         self.neighbors[node]
             .iter()
             .zip(self.lengths[node].iter())
-            .filter_map(|(n, &l)| n.map(|id| (id, l)))
+            .filter_map(|(n, &l)| n.node().map(|id| (id, l)))
     }
 
     /// The neighbors of an inner node other than `except`.
@@ -630,12 +668,12 @@ impl Tree {
     // ---- internal plumbing ----
 
     fn slot_of(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        self.neighbors[a].iter().position(|&n| n == Some(b))
+        self.neighbors[a].iter().position(|&n| n.node() == Some(b))
     }
 
     fn free_slot(&self, a: NodeId) -> Option<usize> {
         let limit = if self.is_tip(a) { 1 } else { 3 };
-        self.neighbors[a][..limit].iter().position(|n| n.is_none())
+        self.neighbors[a][..limit].iter().position(|&n| n == Slot::EMPTY)
     }
 
     fn attach(&mut self, a: NodeId, b: NodeId, len: f64) -> Result<()> {
@@ -645,9 +683,9 @@ impl Tree {
         let sb = self.free_slot(b).ok_or_else(|| {
             PhyloError::TreeStructure(format!("node {b} has no free neighbor slot"))
         })?;
-        self.neighbors[a][sa] = Some(b);
+        self.neighbors[a][sa] = Slot::of(b);
         self.lengths[a][sa] = len;
-        self.neighbors[b][sb] = Some(a);
+        self.neighbors[b][sb] = Slot::of(a);
         self.lengths[b][sb] = len;
         Ok(())
     }
@@ -655,8 +693,8 @@ impl Tree {
     fn detach(&mut self, a: NodeId, b: NodeId) {
         let sa = self.slot_of(a, b).expect("detach: not adjacent");
         let sb = self.slot_of(b, a).expect("detach: asymmetric");
-        self.neighbors[a][sa] = None;
-        self.neighbors[b][sb] = None;
+        self.neighbors[a][sa] = Slot::EMPTY;
+        self.neighbors[b][sb] = Slot::EMPTY;
     }
 
     fn alloc_inner(&mut self) -> Result<NodeId> {
@@ -741,6 +779,15 @@ mod tests {
         }
         assert_eq!(t.edges(), back.edges());
         assert_eq!(text, back.to_exact_string());
+    }
+
+    #[test]
+    fn a_node_costs_twelve_bytes_of_neighbors() {
+        assert_eq!(std::mem::size_of::<[Slot; 3]>(), 12);
+        // The sentinel is not a node id: the largest arena ends one below it.
+        assert_eq!(arena_size(1 << 31).unwrap(), u32::MAX as usize - 1);
+        assert!(arena_size((1 << 31) + 1).is_err());
+        assert!(arena_size(usize::MAX).is_err());
     }
 
     #[test]

@@ -562,6 +562,14 @@ impl InferenceService {
         assert!(config.n_workers >= 1, "service needs at least one worker");
         obs::global().set_enabled(true);
         obs::trace::global().set_enabled(config.tracing);
+        // A job that is slower because its host lacks AVX2 must be
+        // explainable from a scrape.
+        obs::global().describe(
+            "phylo_kernel_lanes",
+            "Site patterns per register of the likelihood kernels on this host (4 = AVX2, 2 = portable).",
+        );
+        let lanes = phylo::likelihood::KernelTier::probe().lanes();
+        obs::global().gauge("phylo_kernel_lanes").set(lanes as f64);
         // One clock origin for everything: taken before journal replay so
         // every later offset (farm events, spans, sojourns) is positive.
         let epoch = Instant::now();

@@ -31,6 +31,19 @@ if [[ "$quick" -eq 0 ]]; then
 fi
 run cargo test --workspace -q
 
+# Which lane tier the kernels dispatch to on this host — so a log says
+# whether the suites above and below exercised the AVX2 path or the portable
+# one (`dispatch_follows_the_probe` holds the dispatch to it).
+run cargo test -q -p phylo --lib likelihood::kernels::tests::dispatch_follows_the_probe -- --nocapture
+
+# The kernels are arithmetic and `unsafe`: optimized builds reorder and
+# vectorize what debug builds run literally, so the bit-identity suites run
+# again in release.
+if [[ "$quick" -eq 0 ]]; then
+    run cargo test --release -q -p phylo likelihood::
+    run cargo test --release -q --test search_golden --test search_determinism
+fi
+
 # Determinism gate: the parallel-path tests must pass pinned to one thread,
 # at the default thread count and at an odd stripe count — stripe ownership
 # and the fixed-block reductions make parallel log-likelihoods bit-identical

@@ -238,6 +238,34 @@ fn single_pattern_alignment() {
     assert!(result.log_likelihood.is_finite());
 }
 
+/// A checkpoint's exact-tree header is outside input: whatever taxon count
+/// it claims, the reader answers with a typed error — it neither sizes an
+/// allocation from the claim (an allocation failure aborts) nor indexes by
+/// it.
+#[test]
+fn corrupt_exact_tree_headers_yield_typed_errors() {
+    use phylo::error::PhyloError as E;
+    use rand::SeedableRng;
+    let good = Tree::random(6, 0.1, &mut rand::rngs::StdRng::seed_from_u64(7)).unwrap();
+    let text = good.to_exact_string();
+    assert_eq!(Tree::from_exact_string(&text).unwrap(), good);
+    let body = text.split_once('\n').unwrap().1;
+    let truncated: String = text.lines().take(7).map(|l| format!("{l}\n")).collect();
+    let cases = [
+        ("petabytes of nodes", format!("40000000000000 1\n{body}")),
+        ("2n wraps to 2", format!("9223372036854775809 1\n{body}")),
+        ("2n overflows", format!("18446744073709551615 1\n{body}")),
+        ("more inner nodes in use than exist", format!("6 18446744073709551615\n{body}")),
+        ("truncated body", truncated),
+    ];
+    for (what, input) in cases {
+        match Tree::from_exact_string(&input) {
+            Err(e @ E::Parse { format: "exact-tree", .. }) => assert!(!e.to_string().is_empty()),
+            other => panic!("{what}: expected an exact-tree parse error, got {other:?}"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fault matrix: every fault kind × every scheduler, end to end.
 // ---------------------------------------------------------------------------

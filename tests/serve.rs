@@ -111,6 +111,9 @@ fn metrics_endpoint_serves_valid_prometheus_text() {
         assert!(text.contains(name), "scrape missing {name}:\n{text}");
         assert!(text.contains(&format!("# HELP {name} ")), "scrape missing HELP for {name}");
     }
+    // The kernel tier the jobs ran on is part of the scrape.
+    let lanes = phylo::likelihood::KernelTier::probe().lanes();
+    assert!(text.contains(&format!("\nphylo_kernel_lanes {lanes}\n")), "tier gauge:\n{text}");
     // Unknown paths 404 without killing the listener.
     let err = scrape_metrics_path(server.addr(), "/nope").unwrap_err();
     assert!(err.to_string().contains("404"), "unexpected error: {err}");
