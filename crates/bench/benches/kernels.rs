@@ -7,15 +7,18 @@
 //! * `exp/*`       — libm vs SDK-style exponential (§5.2.2, Table 2)
 //! * `scaling/*`   — float vs integer-cast conditional (§5.2.3, Table 3)
 //! * `evaluate/*`, `makenewz/*` — the other two offloaded kernels (§5.2.7)
+//! * `alignment/bootstrap_replicate` — one compacted replicate, aln42 shape
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use phylo::likelihood::kernels::{
-    build_sumtable, build_tip_tables, evaluate_lnl, newton_derivatives, newview, tile_partials,
-    tiled_len, Child, EvalOperand, Mat4,
+    build_sumtable, build_tip_tables, evaluate_lnl, newton_derivatives_scratch, newview,
+    tile_partials, tiled_len, Child, EvalOperand, Mat4, NewtonPass, NewtonScratch,
 };
 use phylo::likelihood::{KernelKind, ScalingCheck};
 use phylo::math::fast_exp;
 use phylo::model::{ExpImpl, GammaRates, SubstModel};
+use phylo::simulate::SimulationConfig;
+use rand::{rngs::StdRng, SeedableRng};
 
 const N_PATTERNS: usize = 250; // the 42_SC regime (~250 distinct patterns)
 const N_RATES: usize = 4;
@@ -194,22 +197,46 @@ fn bench_makenewz(c: &mut Criterion) {
             build_sumtable(black_box(&u), black_box(&v), &f.model.eigen().w, N_PATTERNS, N_RATES)
         })
     });
-    let st = build_sumtable(&u, &v, &f.model.eigen().w, N_PATTERNS, N_RATES);
-    for (exp, name) in [(ExpImpl::Libm, "derivatives/libm"), (ExpImpl::Sdk, "derivatives/sdk")] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                newton_derivatives(
-                    &st,
-                    &f.model.eigen().values,
-                    &f.rates,
-                    black_box(0.17),
-                    &f.weights,
-                    exp,
-                )
-            })
-        });
+    // One pass over the sum table as the engine calls it (caller-owned
+    // scratch), at the aln42 pattern count and a wide one.
+    let passes = [
+        (NewtonPass::Derivatives, ExpImpl::Libm, "derivatives"),
+        (NewtonPass::Derivatives, ExpImpl::Sdk, "derivatives_sdk"),
+        (NewtonPass::LnlOnly, ExpImpl::Libm, "lnl_only"),
+    ];
+    for n in [245usize, 1999] {
+        let aos: Vec<f64> = (0..n * N_RATES * 4).map(|i| 0.01 + (i * 7919 % 997) as f64).collect();
+        let x = tile_partials(&aos, n, N_RATES);
+        let inner = EvalOperand::Inner { x: &x, scale: &vec![0; n] };
+        let st = build_sumtable(&inner, &inner, &f.model.eigen().w, n, N_RATES);
+        let (weights, mut scratch) = (vec![2.0; n], NewtonScratch::default());
+        for (pass, exp, name) in passes {
+            group.bench_function(format!("newton_pass/{name}/{n}"), |b| {
+                b.iter(|| {
+                    newton_derivatives_scratch(
+                        &st.data,
+                        &st.scale,
+                        N_RATES,
+                        &f.model.eigen().values,
+                        &f.rates,
+                        black_box(0.17),
+                        &weights,
+                        exp,
+                        pass,
+                        &mut scratch,
+                    )
+                })
+            });
+        }
     }
     group.finish();
+}
+
+fn bench_bootstrap_replicate(c: &mut Criterion) {
+    let aln = SimulationConfig::aln42().generate().alignment;
+    c.benchmark_group("alignment").bench_function("bootstrap_replicate", |b| {
+        b.iter(|| aln.bootstrap_replicate(&mut StdRng::seed_from_u64(black_box(7))))
+    });
 }
 
 fn config() -> Criterion {
@@ -222,6 +249,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_newview, bench_scaling_checks, bench_exp, bench_evaluate, bench_makenewz
+    targets = bench_newview, bench_scaling_checks, bench_exp, bench_evaluate, bench_makenewz,
+        bench_bootstrap_replicate
 }
 criterion_main!(benches);

@@ -346,6 +346,8 @@ impl PatternAlignment {
     /// Reconstruct the raw (uncompressed) alignment by expanding every
     /// column through `site_to_pattern`. Inverse of [`Alignment::compress`];
     /// used by round-trip tests and by tools that need column order back.
+    /// On a [bootstrap replicate](Self::bootstrap_replicate) the columns are
+    /// the drawn ones, grouped by pattern.
     pub fn expand(&self) -> Result<Alignment> {
         let mut rows = vec![vec![0u8; self.n_sites]; self.n_taxa()];
         for (row, tips) in rows.iter_mut().zip(&self.tips) {
@@ -382,11 +384,27 @@ impl PatternAlignment {
         weights
     }
 
-    /// A copy of this alignment with bootstrap-resampled weights.
+    /// A bootstrap replicate at its own size: only the patterns a draw of
+    /// [`Self::bootstrap_weights`] gave weight (about two thirds), in this
+    /// alignment's pattern order, so no kernel walks a pattern of weight 0.
+    /// Taxon names, `n_sites` and the base frequencies are carried over;
+    /// `site_to_pattern` lists the drawn columns grouped by pattern, so
+    /// [`Self::expand`] compresses to exactly these patterns and weights.
     pub fn bootstrap_replicate<R: Rng>(&self, rng: &mut R) -> PatternAlignment {
-        let mut rep = self.clone();
-        rep.weights = self.bootstrap_weights(rng);
-        rep
+        let drawn = self.bootstrap_weights(rng);
+        let kept: Vec<usize> = (0..drawn.len()).filter(|&p| drawn[p] > 0.0).collect();
+        let mut site_to_pattern = Vec::with_capacity(self.n_sites);
+        for (&p, id) in kept.iter().zip(0u32..) {
+            site_to_pattern.extend(std::iter::repeat_n(id, drawn[p] as usize));
+        }
+        PatternAlignment {
+            names: self.names.clone(),
+            tips: self.tips.iter().map(|row| kept.iter().map(|&p| row[p]).collect()).collect(),
+            weights: kept.iter().map(|&p| drawn[p]).collect(),
+            site_to_pattern,
+            n_sites: self.n_sites,
+            base_frequencies: self.base_frequencies,
+        }
     }
 }
 
@@ -484,12 +502,25 @@ mod tests {
     }
 
     #[test]
-    fn bootstrap_replicate_differs_but_shares_patterns() {
+    fn bootstrap_replicate_keeps_exactly_the_drawn_patterns() {
         let p = toy().compress();
-        let mut rng = StdRng::seed_from_u64(3);
-        let rep = p.bootstrap_replicate(&mut rng);
-        assert_eq!(rep.n_patterns(), p.n_patterns());
-        assert_eq!(rep.tip_row(0), p.tip_row(0));
+        for seed in 0..20 {
+            let drawn = p.bootstrap_weights(&mut StdRng::seed_from_u64(seed));
+            let rep = p.bootstrap_replicate(&mut StdRng::seed_from_u64(seed));
+            assert!(rep.weights().iter().all(|&w| w > 0.0));
+            assert_eq!(rep.total_weight(), p.n_sites() as f64);
+            assert_eq!(rep.base_frequencies(), p.base_frequencies());
+            // Kept pattern `i` is the source's `i`-th pattern of weight > 0.
+            let kept = (0..p.n_patterns()).filter(|&q| drawn[q] > 0.0);
+            for (i, q) in kept.enumerate() {
+                assert_eq!(rep.weights()[i], drawn[q]);
+                assert!((0..p.n_taxa()).all(|t| rep.tip_row(t)[i] == p.tip_row(t)[q]));
+            }
+            // `expand()` is the resampled alignment: it compresses to the
+            // replicate, pattern for pattern.
+            let again = rep.expand().unwrap().compress();
+            assert_eq!((again.tips, again.weights), (rep.tips, rep.weights));
+        }
     }
 
     #[test]

@@ -216,15 +216,19 @@ impl BootstrapAnalysis {
         // Each farm worker owns one workspace arena for its whole lifetime:
         // `n_workers` arenas serve all replicates, so steady-state jobs
         // reuse the previous job's buffers instead of reallocating every
-        // partial vector (results are bit-identical either way).
+        // partial vector (results are bit-identical either way). An arena
+        // is sized for `aln` itself: a replicate holds a subset of its
+        // patterns, so whichever job a worker meets first, none regrows it.
         let search = &self.search;
+        let (n_taxa, n_patterns, n_rates) =
+            (aln.n_taxa(), aln.n_patterns(), search.n_rate_categories);
         let config = FarmConfig::new(self.n_workers.min((end - start).max(1)));
         let mut seal_err: Option<PhyloError> = None;
         let mut sealing_stopped = false;
         let outcome = run_farm(
             &config,
             jobs,
-            |_worker| LikelihoodWorkspace::new(),
+            |_worker| LikelihoodWorkspace::for_dimensions(n_taxa, n_patterns, n_rates),
             |ws: &mut LikelihoodWorkspace, _, job| {
                 let owned = std::mem::take(ws);
                 let outcome = match job {

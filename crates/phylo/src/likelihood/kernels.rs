@@ -198,8 +198,10 @@ fn lanes_below_threshold(block: &[f64], scaling: ScalingCheck) -> [bool; TILE] {
 /// What an implementation must guarantee, and all the kernel bodies rely on:
 /// every operation is lane-local and is the IEEE-754 double operation the
 /// scalar code would perform on that lane's pattern — `mul` one rounded
-/// multiply, `add` one rounded add, [`Lanes::madd`] a multiply *then* an add
-/// (never fused: a fused multiply-add rounds once, and would change bits);
+/// multiply, `add`/`sub`/`div` one rounded add, subtract, divide,
+/// [`Lanes::madd`] a multiply *then* an add (never fused: a fused
+/// multiply-add rounds once, and would change bits), [`Lanes::max`] as
+/// documented on it;
 /// `load`/`store` move lane `j` from/to `b[off + j]` and panic, like slice
 /// indexing, when `off + N` exceeds the slice; `tip_rows` reads
 /// `table[codes[j]]` for lane `j`. `N` divides [`TILE`].
@@ -232,6 +234,14 @@ trait Lanes: Copy {
     fn mul(self, o: Self) -> Self;
     /// Lane-wise add.
     fn add(self, o: Self) -> Self;
+    /// Lane-wise subtract.
+    fn sub(self, o: Self) -> Self;
+    /// Lane-wise divide.
+    fn div(self, o: Self) -> Self;
+    /// Lane-wise `f64::max` for an `o` that is neither NaN nor zero: the
+    /// value to clamp goes in `self`, the floor in `o`. (Where either lane
+    /// is NaN or both are zeros `vmaxpd` returns its second operand.)
+    fn max(self, o: Self) -> Self;
     /// `spu_madd`: lane-wise `a·b + c` as two rounded operations.
     #[inline(always)]
     fn madd(a: Self, b: Self, c: Self) -> Self {
@@ -277,6 +287,21 @@ impl<const W: usize> Lanes for [f64; W] {
     #[inline(always)]
     fn add(self, o: Self) -> Self {
         std::array::from_fn(|j| self[j] + o[j])
+    }
+
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        std::array::from_fn(|j| self[j] - o[j])
+    }
+
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        std::array::from_fn(|j| self[j] / o[j])
+    }
+
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        std::array::from_fn(|j| self[j].max(o[j]))
     }
 
     #[inline(always)]
@@ -330,6 +355,24 @@ impl Lanes for Avx2Lanes {
     fn add(self, o: Self) -> Self {
         // SAFETY: the feature is present; the intrinsic touches no memory.
         Avx2Lanes(unsafe { std::arch::x86_64::_mm256_add_pd(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        // SAFETY: the feature is present; the intrinsic touches no memory.
+        Avx2Lanes(unsafe { std::arch::x86_64::_mm256_sub_pd(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        // SAFETY: the feature is present; the intrinsic touches no memory.
+        Avx2Lanes(unsafe { std::arch::x86_64::_mm256_div_pd(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        // SAFETY: the feature is present; the intrinsic touches no memory.
+        Avx2Lanes(unsafe { std::arch::x86_64::_mm256_max_pd(self.0, o.0) })
     }
 
     /// Four 32-byte row loads — `table[code]` is the four states of one
@@ -771,7 +814,9 @@ pub fn evaluate_lnl(
     let mut lnl = 0.0;
     for i in 0..n_patterns {
         if weights[i] == 0.0 {
-            continue; // bootstrap replicates zero-out unsampled patterns
+            // A `set_weights` caller's zero costs nothing and adds nothing,
+            // exactly as if the pattern had been compacted away.
+            continue;
         }
         let mut site = 0.0;
         for (c, p) in pmats.iter().enumerate() {
@@ -1137,10 +1182,11 @@ fn newton_lanes<L: Lanes>(
 }
 
 /// The one Newton loop. Per block the per-pattern likelihood (and, with
-/// `DERIVS`, its two `t`-derivatives) accumulate lane-wise over the rates;
-/// the `ln`, the ratios and the weighted sums are then folded scalar, in
-/// pattern order, zero-weight patterns skipped. Without `DERIVS` the
-/// derivative rows are compiled out and the last two results are zero.
+/// `DERIVS`, its two `t`-derivatives) accumulate lane-wise over the rates
+/// and become the clamped `L` and the Newton ratios `L′/L`, `(L″L − L′²)/L²`
+/// on the same lanes; the `ln` and the three weighted sums are then folded
+/// scalar, in pattern order, zero-weight patterns skipped. Without `DERIVS`
+/// the derivative rows are compiled out and the last two results are zero.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn newton_pass<L: Lanes, const DERIVS: bool>(
@@ -1156,7 +1202,8 @@ fn newton_pass<L: Lanes, const DERIVS: bool>(
 ) -> (f64, f64, f64) {
     let n_patterns = weights.len();
     assert_eq!(st_data.len(), tiled_len(n_patterns, n_rates), "sum table size mismatch");
-    let inv_c = 1.0 / n_rates as f64;
+    let inv_c = L::splat(1.0 / n_rates as f64);
+    let floor = L::splat(1e-300);
 
     // The "small loop": per (rate, eigenvalue) exponentials — 4 × C exp
     // calls per Newton iteration (§5.2.2's hot spot).
@@ -1177,13 +1224,14 @@ fn newton_pass<L: Lanes, const DERIVS: bool>(
     let mut d2 = 0.0;
     let blocks = st_data.chunks_exact(n_rates * 4 * TILE);
     for ((tb, wb), sb) in blocks.zip(weights.chunks(TILE)).zip(st_scale.chunks(TILE)) {
-        // The likelihood and its two derivatives, summed over the rates one
-        // lane group at a time: each rate's four table rows against one row
-        // of an exponential table.
+        // The clamped likelihood and the two ratios of each lane. A padding
+        // lane's second ratio is 0/0: only `wb.len()` lanes are folded below.
         let mut li = [0.0; TILE];
-        let mut dli = [0.0; TILE];
-        let mut ddli = [0.0; TILE];
+        let mut r1 = [0.0; TILE];
+        let mut r2 = [0.0; TILE];
         for l0 in lane_groups::<L>() {
+            // Summed over the rates: each rate's four table rows against one
+            // row of an exponential table.
             let mut acc = [L::splat(0.0); 3];
             for c in 0..n_rates {
                 let s: [L; 4] = std::array::from_fn(|k| L::load(tb, (c * 4 + k) * TILE + l0));
@@ -1193,25 +1241,28 @@ fn newton_pass<L: Lanes, const DERIVS: bool>(
                     acc[2] = acc[2].add(row_dot(&e2[c], &s));
                 }
             }
-            acc[0].store(&mut li, l0);
+            let li_safe = acc[0].mul(inv_c).max(floor);
+            li_safe.store(&mut li, l0);
             if DERIVS {
-                acc[1].store(&mut dli, l0);
-                acc[2].store(&mut ddli, l0);
+                let dli = acc[1].mul(inv_c);
+                let ddli = acc[2].mul(inv_c);
+                dli.div(li_safe).store(&mut r1, l0);
+                let curvature = ddli.mul(li_safe).sub(dli.mul(dli));
+                curvature.div(li_safe.mul(li_safe)).store(&mut r2, l0);
             }
         }
         // The fold is scalar and in pattern order: the three sums are
-        // order-sensitive.
+        // order-sensitive. A zero weight (a `set_weights` caller's; bootstrap
+        // replicates hold none) is skipped: no `ln`, no `0 · ∞` from a clamped
+        // pattern's ratio, and the sums a compacted alignment would give.
         for (lane, (&wgt, &scale)) in wb.iter().zip(sb).enumerate() {
             if wgt == 0.0 {
-                continue; // bootstrap replicates zero-out unsampled patterns
+                continue;
             }
-            let li_safe = (li[lane] * inv_c).max(1e-300);
-            lnl += wgt * (li_safe.ln() + scale as f64 * LN_SCALE);
+            lnl += wgt * (li[lane].ln() + scale as f64 * LN_SCALE);
             if DERIVS {
-                let dli = dli[lane] * inv_c;
-                let ddli = ddli[lane] * inv_c;
-                d1 += wgt * (dli / li_safe);
-                d2 += wgt * ((ddli * li_safe - dli * dli) / (li_safe * li_safe));
+                d1 += wgt * r1[lane];
+                d2 += wgt * r2[lane];
             }
         }
     }
@@ -1505,7 +1556,8 @@ mod tests {
     /// `build_sumtable_into` and both Newton passes: every lane
     /// instantiation against the 1-lane one — table, scale counts, `lnl`,
     /// `d1`, `d2` to the bit — on operands with non-zero scale counts, tip
-    /// rows over all 16 codes and zero weights.
+    /// rows over all 16 codes (code 0 has no state: a likelihood of zero, on
+    /// the clamp) and zero weights.
     #[test]
     fn makenewz_is_bit_equal_across_lane_types() {
         use rand::rngs::StdRng;
@@ -1568,6 +1620,29 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `value.max(floor)` is `f64::max` on every lane type: NaN yields the
+    /// floor (`vmaxpd` with the operands swapped would yield the NaN).
+    #[test]
+    fn lane_max_is_the_scalar_clamp() {
+        #[inline(always)]
+        fn clamp_lanes<L: Lanes>(v: &[f64; TILE], out: &mut [f64; TILE]) {
+            for l0 in lane_groups::<L>() {
+                L::load(v, l0).max(L::splat(1e-300)).store(out, l0);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        fn clamp_avx2(v: &[f64; TILE], out: &mut [f64; TILE]) {
+            clamp_lanes::<Avx2Lanes>(v, out)
+        }
+        let v = [f64::NAN, -0.0, 5e-324, 1e-300, 2e-300, -1.0, f64::INFINITY, 0.0];
+        for inst in instantiations() {
+            let mut out = [0.0; TILE];
+            instantiate!(inst, clamp_lanes, clamp_avx2, (&v, &mut out));
+            assert_eq!(bits(&out), bits(&v.map(|x| x.max(1e-300))), "{inst:?}");
         }
     }
 
@@ -1848,7 +1923,7 @@ mod tests {
 
     /// Random `makenewz` operands for `n` patterns: two inner partials with
     /// non-zero scale counts, two tip rows, and weights a third of which are
-    /// zero (as in a bootstrap replicate).
+    /// zero (as a `set_weights` caller may pass).
     struct Operands {
         x: [Vec<f64>; 2],
         scale: [Vec<u32>; 2],
@@ -1894,7 +1969,7 @@ mod tests {
     /// `[pattern][rate][k]` formulas they replaced: every table entry, `lnl`,
     /// `d1` and `d2` to the bit, and the lnL-only pass equal to the full
     /// pass's `lnl`. Pattern counts cover a lone lane, ragged last tiles and
-    /// more than one `REDUCE_BLOCK`.
+    /// more than one `REDUCE_BLOCK`; a third of the weights are zero.
     #[test]
     fn tiled_makenewz_is_bit_equal_to_the_aos_reference() {
         use crate::likelihood::reference::{newton_derivatives_aos, sumtable_aos};
@@ -1907,8 +1982,11 @@ mod tests {
         for n in [1, 7, 8, 13, 193, 257] {
             for n_rates in 1..=4 {
                 let rates = &all_rates[..n_rates];
-                let ops = random_operands(&mut rng, n, n_rates);
+                let mut ops = random_operands(&mut rng, n, n_rates);
                 assert!(ops.weights.contains(&0.0) || n == 1);
+                // Tip code 0 has no state: wherever tip 0 is an operand the
+                // last pattern's likelihood is zero and sits on the clamp.
+                (ops.codes[0][n - 1], ops.weights[n - 1]) = (0, 2.0);
                 for (case, (u, v)) in ops.pairings().iter().enumerate() {
                     let what = format!("{n} patterns, {n_rates} rates, pairing {case}");
                     let (want, want_scale) = sumtable_aos(u, v, &w, n, n_rates);
@@ -1955,6 +2033,8 @@ mod tests {
                             assert_eq!(got.0.to_bits(), want.0.to_bits(), "{what}: lnl at {t}");
                             assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}: d1 at {t}");
                             assert_eq!(got.2.to_bits(), want.2.to_bits(), "{what}: d2 at {t}");
+                            // A padding lane's 0/0 ratio never reaches a sum.
+                            assert!(case == 0 || got.2.is_finite(), "{what}: d2 at {t}");
                             let lnl_only = pass(NewtonPass::LnlOnly);
                             assert_eq!(lnl_only.0.to_bits(), want.0.to_bits(), "{what}: lnL-only");
                             assert_eq!((lnl_only.1, lnl_only.2), (0.0, 0.0));

@@ -41,7 +41,7 @@ run cargo test -q -p phylo --lib likelihood::kernels::tests::dispatch_follows_th
 # again in release.
 if [[ "$quick" -eq 0 ]]; then
     run cargo test --release -q -p phylo likelihood::
-    run cargo test --release -q --test search_golden --test search_determinism
+    run cargo test --release -q --test search_golden --test search_determinism --test bootstrap_compaction
 fi
 
 # Determinism gate: the parallel-path tests must pass pinned to one thread,

@@ -2,6 +2,7 @@
 
 use phylo::alignment::Alignment;
 use phylo::bootstrap::BootstrapAnalysis;
+use phylo::checkpoint::SearchCheckpointer;
 use phylo::likelihood::engine::LikelihoodEngine;
 use phylo::likelihood::LikelihoodConfig;
 use phylo::model::{GammaRates, SubstModel};
@@ -264,6 +265,30 @@ fn corrupt_exact_tree_headers_yield_typed_errors() {
             other => panic!("{what}: expected an exact-tree parse error, got {other:?}"),
         }
     }
+}
+
+/// A bootstrap job's checkpoint from before replicates were compacted was
+/// written for the draw as weights on every pattern. The fingerprint counts
+/// patterns, so the job — now on fewer — refuses the file with a typed error.
+#[test]
+fn bootstrap_checkpoint_for_the_uncompacted_replicate_is_refused() {
+    use rand::{rngs::StdRng, SeedableRng};
+    let aln = SimulationConfig::new(7, 200, 13).generate().alignment;
+    let mut uncompacted = aln.clone();
+    uncompacted.set_weights(aln.bootstrap_weights(&mut StdRng::seed_from_u64(4)));
+    let replicate = aln.bootstrap_replicate(&mut StdRng::seed_from_u64(4));
+    assert!(replicate.n_patterns() < uncompacted.n_patterns());
+
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("uncompacted-job.ckpt");
+    let _ = std::fs::remove_file(&path);
+    let request = InferenceRequest::new(fast(), 4);
+    let resume = |target| {
+        let mut ckpt = SearchCheckpointer::new(&path, request.fingerprint(target));
+        run_inference(target, &request, InferenceOptions::new().with_checkpoint(&mut ckpt))
+    };
+    resume(&uncompacted).unwrap();
+    let err = resume(&replicate).unwrap_err();
+    assert!(matches!(err, phylo::error::PhyloError::Checkpoint { .. }), "{err}");
 }
 
 // ---------------------------------------------------------------------------
