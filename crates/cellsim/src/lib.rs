@@ -15,9 +15,9 @@
 //!   contention under its 204.8 GB/s aggregate bandwidth ([`eib`]); code
 //!   overlay residency ([`overlay`]),
 //! * the 256 KB software-managed local-store budget ([`localstore`]),
-//! * the event queue ([`engine`]), deterministic fault plan ([`fault`]),
-//!   utilization accounting ([`stats`]) and event log ([`tracelog`]) the
-//!   scheduler simulation in `raxml-cell` runs on.
+//! * the deterministic fault plan ([`fault`]), utilization accounting
+//!   ([`stats`]) and event log ([`tracelog`]) the scheduler simulation in
+//!   `raxml-cell` runs on.
 //!
 //! The simulator does **not** execute SPE code; it *prices* the actual
 //! likelihood workload. The `phylo` engine records every `newview` /
@@ -25,8 +25,7 @@
 //! (patterns, rate categories, `exp` calls, scaling conditionals, DMA
 //! bytes); [`cost::CostModel::kernel_cost`] converts each invocation into
 //! cycles under a given optimization configuration. Scheduling (which SPE
-//! runs what, when) is simulated by the `raxml-cell` crate on top of the
-//! event engine ([`engine`]).
+//! runs what, when) is simulated by the `raxml-cell` crate.
 //!
 //! ## Calibration
 //!
@@ -40,7 +39,6 @@ pub mod comm;
 pub mod cost;
 pub mod dma;
 pub mod eib;
-pub mod engine;
 pub mod fault;
 pub mod localstore;
 pub mod overlay;
@@ -50,7 +48,6 @@ pub mod tracelog;
 
 pub use comm::SignalKind;
 pub use cost::{CondKind, CostModel, ExecutionFlags, ExpKind, KernelCost, Location};
-pub use engine::EventQueue;
 pub use fault::{FaultKind, FaultPlan, FaultReport, SpeDeath};
 pub use time::Cycles;
 pub use tracelog::{EventData, TraceEvent, TraceLog, TraceSummary};

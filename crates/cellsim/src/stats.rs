@@ -71,24 +71,13 @@ impl SimStats {
     }
 
     /// Mean SPE utilization over the makespan (0–1): *useful* work only.
-    /// DMA-stall time is excluded — see [`SimStats::spe_occupancy`] for the
-    /// busy-or-stalled fraction.
+    /// DMA-stall time is excluded — see [`SimStats::spe_stall_fraction`].
     pub fn spe_utilization(&self) -> f64 {
         if self.makespan == 0 || self.spes.is_empty() {
             return 0.0;
         }
         let busy: Cycles = self.spes.iter().map(|s| s.busy()).sum();
         busy as f64 / (self.makespan as f64 * self.spes.len() as f64)
-    }
-
-    /// Mean fraction of the makespan the SPEs were busy *or* stalled on DMA
-    /// (0–1). This is what the old buggy `spe_utilization` reported.
-    pub fn spe_occupancy(&self) -> f64 {
-        if self.makespan == 0 || self.spes.is_empty() {
-            return 0.0;
-        }
-        let occupied: Cycles = self.spes.iter().map(|s| s.occupied()).sum();
-        occupied as f64 / (self.makespan as f64 * self.spes.len() as f64)
     }
 
     /// Mean fraction of the makespan the SPEs spent stalled on DMA (0–1).
@@ -98,19 +87,6 @@ impl SimStats {
         }
         let stalled: Cycles = self.spes.iter().map(|s| s.stalled()).sum();
         stalled as f64 / (self.makespan as f64 * self.spes.len() as f64)
-    }
-
-    /// Utilization of the busiest SPE (useful work only).
-    pub fn max_spe_utilization(&self) -> f64 {
-        if self.makespan == 0 {
-            return 0.0;
-        }
-        self.spes.iter().map(|s| s.busy() as f64 / self.makespan as f64).fold(0.0, f64::max)
-    }
-
-    /// Total kernel invocations across all SPEs.
-    pub fn total_invocations(&self) -> u64 {
-        self.spes.iter().map(|s| s.invocations).sum()
     }
 
     /// A compact human-readable utilization report.
@@ -193,9 +169,6 @@ mod tests {
         // Utilization counts useful work only; stall time reports separately.
         assert!((s.spe_utilization() - 0.5).abs() < 1e-12);
         assert!((s.spe_stall_fraction() - 5.0 / 2000.0).abs() < 1e-12);
-        assert!((s.spe_occupancy() - 1005.0 / 2000.0).abs() < 1e-12);
-        assert!((s.max_spe_utilization() - 1.0).abs() < 1e-12);
-        assert_eq!(s.total_invocations(), 1);
     }
 
     #[test]
@@ -208,15 +181,12 @@ mod tests {
         s.makespan = 1000;
         assert_eq!(s.spe_utilization(), 0.0);
         assert_eq!(s.spe_stall_fraction(), 1.0);
-        assert_eq!(s.spe_occupancy(), 1.0);
     }
 
     #[test]
     fn empty_stats_are_zero() {
         let s = SimStats::new(8);
         assert_eq!(s.spe_utilization(), 0.0);
-        assert_eq!(s.max_spe_utilization(), 0.0);
-        assert_eq!(s.total_invocations(), 0);
     }
 
     #[test]

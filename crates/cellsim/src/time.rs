@@ -9,18 +9,6 @@ pub fn cycles_to_seconds(cycles: Cycles, clock_hz: f64) -> f64 {
     cycles as f64 / clock_hz
 }
 
-/// Convert seconds to cycles at a given clock (rounded).
-#[inline]
-pub fn seconds_to_cycles(seconds: f64, clock_hz: f64) -> Cycles {
-    (seconds * clock_hz).round() as Cycles
-}
-
-/// Convert microseconds to cycles at a given clock (rounded).
-#[inline]
-pub fn micros_to_cycles(micros: f64, clock_hz: f64) -> Cycles {
-    seconds_to_cycles(micros * 1e-6, clock_hz)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -28,16 +16,8 @@ mod tests {
     const CLOCK: f64 = 3.2e9; // the Cell's 3.2 GHz
 
     #[test]
-    fn round_trips() {
-        assert_eq!(seconds_to_cycles(1.0, CLOCK), 3_200_000_000);
+    fn cycles_convert_to_seconds_at_the_clock() {
         assert!((cycles_to_seconds(3_200_000_000, CLOCK) - 1.0).abs() < 1e-12);
-        assert_eq!(micros_to_cycles(1.0, CLOCK), 3200);
-    }
-
-    #[test]
-    fn fractional_seconds() {
-        let c = seconds_to_cycles(0.5, CLOCK);
-        assert_eq!(c, 1_600_000_000);
-        assert!((cycles_to_seconds(c, CLOCK) - 0.5).abs() < 1e-12);
+        assert!((cycles_to_seconds(1_600_000_000, CLOCK) - 0.5).abs() < 1e-12);
     }
 }

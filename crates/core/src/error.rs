@@ -14,18 +14,12 @@ pub enum ExperimentError {
     InvalidSpec { field: &'static str, value: usize, reason: &'static str },
     /// A captured workload contains no kernel events (nothing to price).
     EmptyTrace,
-    /// A driver that schedules multiple distinct workloads received none.
-    NoWorkloads,
     /// The captured inference produced a non-finite log-likelihood.
     NonFiniteLikelihood(f64),
     /// A study parameter was out of its valid domain.
     InvalidParameter { name: &'static str, value: usize, reason: &'static str },
     /// An underlying phylogenetic-inference error.
     Phylo(phylo::error::PhyloError),
-    /// An inference-farm job failed (panicked, injected fault, or lost its
-    /// workers); `job` is the submission index, `message` the rendered
-    /// `phylo::farm::FarmError`.
-    Farm { job: usize, message: String },
 }
 
 impl fmt::Display for ExperimentError {
@@ -37,9 +31,6 @@ impl fmt::Display for ExperimentError {
             ExperimentError::EmptyTrace => {
                 write!(f, "workload trace is empty: no kernel invocations to price")
             }
-            ExperimentError::NoWorkloads => {
-                write!(f, "no workloads supplied: the varied scheduler needs at least one trace")
-            }
             ExperimentError::NonFiniteLikelihood(lnl) => {
                 write!(f, "captured inference produced a non-finite log-likelihood ({lnl})")
             }
@@ -47,9 +38,6 @@ impl fmt::Display for ExperimentError {
                 write!(f, "invalid value {value} for parameter {name}: {reason}")
             }
             ExperimentError::Phylo(e) => write!(f, "phylogenetic inference failed: {e}"),
-            ExperimentError::Farm { job, message } => {
-                write!(f, "inference farm job {job} failed: {message}")
-            }
         }
     }
 }

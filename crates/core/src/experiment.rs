@@ -10,11 +10,12 @@
 use crate::config::OptConfig;
 use crate::config::Scheduler;
 use crate::error::{ExperimentError, Result};
-use crate::offload::price_trace;
-use crate::offload::PricedTrace;
+use crate::offload::{price_trace, PricedTrace, Pricer};
 use crate::platform::PlatformModel;
 use crate::report::{Comparison, FIGURE3_BOOTSTRAPS, PAPER_LADDER, PAPER_TABLE_8, TABLE_ROWS};
-use crate::sched::{schedule_makespan, sync_workers_makespan, DesParams, SimOutcome};
+use crate::sched::{
+    mgps_outcomes, schedule_makespan, sync_makespan, sync_workers_makespan, DesParams, SimOutcome,
+};
 use cellsim::cost::CostModel;
 use cellsim::fault::FaultPlan;
 use cellsim::tracelog::TraceLog;
@@ -151,30 +152,6 @@ pub fn capture_workload(spec: &WorkloadSpec) -> Result<Workload> {
     })
 }
 
-/// Capture several workloads concurrently on the inference farm: one job
-/// per spec, `n_workers` worker threads, results in spec order. This is
-/// the multi-inference driver behind `run_table8_varied`-style studies —
-/// each capture is a full traced inference, so farming them out is the
-/// task-level parallelism of the paper's §3.1 applied to the experiment
-/// pipeline itself.
-///
-/// A spec that fails validation surfaces as its own typed error; a capture
-/// that panics surfaces as [`ExperimentError::Farm`] naming the job. In
-/// both cases the error reported is the first by spec order.
-pub fn capture_workloads(specs: &[WorkloadSpec], n_workers: usize) -> Result<Vec<Workload>> {
-    let jobs: Vec<WorkloadSpec> = specs.to_vec();
-    let outcome = phylo::farm::run_batch(jobs, n_workers.max(1), |_, spec| capture_workload(&spec));
-    outcome
-        .results
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| match r {
-            Ok(inner) => inner,
-            Err(fe) => Err(ExperimentError::Farm { job: i, message: fe.to_string() }),
-        })
-        .collect()
-}
-
 /// The fault-free, untraced schedule every table and figure prices.
 fn clean_schedule(
     scheduler: Scheduler,
@@ -208,19 +185,19 @@ pub struct LevelResult {
 /// synchronous-worker scheduling.
 pub fn run_ladder(workload: &Workload, model: &CostModel) -> Result<Vec<LevelResult>> {
     check_workload(workload)?;
+    let pricer = Pricer::new(&workload.events, model);
     let levels = OptConfig::ladder()
         .into_iter()
         .enumerate()
         .map(|(i, (label, config))| {
-            let priced = price_trace(&workload.events, model, &config);
+            let (ppe, spe) = pricer.cycles(&config);
             let rows = TABLE_ROWS
                 .iter()
                 .zip(PAPER_LADDER[i].iter())
                 .map(|(&(row_label, workers, bootstraps), &paper)| Comparison {
                     label: row_label.to_string(),
                     paper_seconds: paper,
-                    simulated_seconds: model
-                        .seconds(sync_workers_makespan(&priced, bootstraps, workers)),
+                    simulated_seconds: model.seconds(sync_makespan(ppe, spe, bootstraps, workers)),
                 })
                 .collect();
             LevelResult { label, config, rows }
@@ -238,60 +215,15 @@ pub fn run_table8(
 ) -> Result<Vec<Comparison>> {
     check_workload(workload)?;
     let priced = price_trace(&workload.events, model, &OptConfig::fully_optimized());
+    let counts = PAPER_TABLE_8.map(|(n, _)| n);
+    let outcomes = mgps_outcomes(&priced, &counts, model, params);
     Ok(PAPER_TABLE_8
         .iter()
-        .map(|&(n, paper)| Comparison {
+        .zip(&outcomes)
+        .map(|(&(n, paper), out)| Comparison {
             label: format!("{n} bootstrap{}", if n == 1 { "" } else { "s" }),
             paper_seconds: paper,
-            simulated_seconds: model
-                .seconds(clean_schedule(Scheduler::Mgps, &priced, n, model, params).makespan),
-        })
-        .collect())
-}
-
-/// Table 8 with *varied* jobs: every bootstrap is a genuinely distinct
-/// traced inference (different seed ⇒ different starting tree, search path
-/// and trace length), scheduled under MGPS. The identical-trace
-/// [`run_table8`] is the paper-style steady-state view; this one shows the
-/// load imbalance real replicates add.
-pub fn run_table8_varied(
-    workloads: &[Workload],
-    model: &CostModel,
-    params: &DesParams,
-) -> Result<Vec<Comparison>> {
-    use crate::sched::{compress_phases, des, simulate_task_parallel, DEFAULT_GRANULARITY};
-    if workloads.is_empty() {
-        return Err(ExperimentError::NoWorkloads);
-    }
-    for w in workloads {
-        check_workload(w)?;
-    }
-    let cfg = OptConfig::fully_optimized();
-    let priced: Vec<_> = workloads.iter().map(|w| price_trace(&w.events, model, &cfg)).collect();
-    // Pre-build per-workload phase lists for EDTLP (k = 1, oversubscribed).
-    let phase_sets: Vec<Vec<des::Phase>> = priced
-        .iter()
-        .map(|t| {
-            compress_phases(
-                &des::phases_for(t, 1, model.llp_dispatch, model.edtlp_context_switch, 1.0),
-                DEFAULT_GRANULARITY,
-            )
-        })
-        .collect();
-
-    Ok(PAPER_TABLE_8
-        .iter()
-        .map(|&(n, paper)| {
-            let jobs: Vec<&[des::Phase]> =
-                (0..n).map(|i| phase_sets[i % phase_sets.len()].as_slice()).collect();
-            let workers = n.min(params.n_spes);
-            let (plan, mut off) = (FaultPlan::none(), TraceLog::disabled());
-            let out = simulate_task_parallel(&jobs, workers, 1, params, &plan, &mut off);
-            Comparison {
-                label: format!("{n} varied bootstrap{}", if n == 1 { "" } else { "s" }),
-                paper_seconds: paper,
-                simulated_seconds: model.seconds(out.makespan),
-            }
+            simulated_seconds: model.seconds(out.makespan),
         })
         .collect())
 }
@@ -309,9 +241,9 @@ pub struct Figure3 {
 /// Reproduce Figure 3.
 pub fn run_figure3(workload: &Workload, model: &CostModel, params: &DesParams) -> Result<Figure3> {
     check_workload(workload)?;
-    let optimized = price_trace(&workload.events, model, &OptConfig::fully_optimized());
-    let ppe_only = price_trace(&workload.events, model, &OptConfig::ppe_only());
-    let ppe_bootstrap_seconds = model.seconds(ppe_only.sequential_cycles());
+    let pricer = Pricer::new(&workload.events, model);
+    let optimized = pricer.price(&OptConfig::fully_optimized());
+    let ppe_bootstrap_seconds = model.seconds(pricer.ppe_only_cycles());
 
     let power5 = PlatformModel::power5();
     let xeon = PlatformModel::xeon();
@@ -321,8 +253,8 @@ pub fn run_figure3(workload: &Workload, model: &CostModel, params: &DesParams) -
         power5: Vec::new(),
         xeon: Vec::new(),
     };
-    for &n in &FIGURE3_BOOTSTRAPS {
-        let mgps = clean_schedule(Scheduler::Mgps, &optimized, n, model, params);
+    let mgps = mgps_outcomes(&optimized, &FIGURE3_BOOTSTRAPS, model, params);
+    for (&n, mgps) in FIGURE3_BOOTSTRAPS.iter().zip(&mgps) {
         fig.cell.push(model.seconds(mgps.makespan));
         fig.power5.push(power5.makespan_seconds(ppe_bootstrap_seconds, n));
         fig.xeon.push(xeon.makespan_seconds(ppe_bootstrap_seconds, n));
@@ -572,7 +504,7 @@ pub fn profile_breakdown(workload: &Workload, model: &CostModel) -> Result<Profi
         };
         per_kernel[idx] += p.ppe;
     }
-    let other = crate::offload::other_work_cycles(&workload.events, model);
+    let other = Pricer::new(&workload.events, model).other_work();
     let total = (per_kernel.iter().sum::<u64>() + other) as f64;
     let nested =
         workload.counters.newview_nested as f64 / workload.counters.newview_calls.max(1) as f64;
@@ -699,31 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn varied_bootstraps_behave_like_identical_ones_on_average() {
-        let base = workload();
-        // A second, genuinely different inference on the same data.
-        let mut spec = WorkloadSpec::test_mid();
-        spec.seed = 1234;
-        let other = capture_workload(&spec).expect("capture");
-        assert_ne!(base.events.len(), other.events.len(), "traces should differ");
-
-        let model = CostModel::paper_calibrated();
-        let params = DesParams::default();
-        let varied = run_table8_varied(&[base.clone(), other], &model, &params).unwrap();
-        let uniform = run_table8(base, &model, &params).unwrap();
-        // Skip the 1-bootstrap row: the uniform path runs it under 8-way
-        // LLP (MGPS's tail rule) while the varied scheduler keeps k = 1,
-        // so they measure different things there by design.
-        for (v, u) in varied.iter().zip(&uniform).skip(1) {
-            assert!(v.simulated_seconds > 0.0);
-            // Varied jobs land in the same ballpark as the uniform model
-            // (trace lengths differ, not orders of magnitude).
-            let ratio = v.simulated_seconds / u.simulated_seconds;
-            assert!((0.4..2.5).contains(&ratio), "{}: ratio {ratio}", v.label);
-        }
-    }
-
-    #[test]
     fn ablation_is_consistent_with_the_ladder() {
         let w = workload();
         let model = CostModel::paper_calibrated();
@@ -832,36 +739,6 @@ mod tests {
         assert!(p.newview_mean_flops > 1000.0);
     }
 
-    /// Farm-captured workloads must be bit-identical to sequential
-    /// captures — the farm only changes where jobs run, never what they
-    /// compute — and spec errors must keep their types through the farm.
-    #[test]
-    fn farmed_captures_match_sequential_bit_for_bit() {
-        let mut a = WorkloadSpec::small();
-        a.seed = 21;
-        let mut b = WorkloadSpec::small();
-        b.seed = 22;
-        let specs = [a.clone(), b.clone()];
-
-        let farmed = capture_workloads(&specs, 2).unwrap();
-        let seq: Vec<Workload> = specs.iter().map(|s| capture_workload(s).unwrap()).collect();
-        assert_eq!(farmed.len(), 2);
-        for (f, s) in farmed.iter().zip(&seq) {
-            assert_eq!(f.log_likelihood.to_bits(), s.log_likelihood.to_bits());
-            assert_eq!(f.events.len(), s.events.len());
-            assert_eq!(f.counters.newview_calls, s.counters.newview_calls);
-            assert_eq!(f.n_patterns, s.n_patterns);
-        }
-
-        // A bad spec keeps its typed error (and its position).
-        let mut bad = WorkloadSpec::small();
-        bad.n_taxa = 3;
-        match capture_workloads(&[a, bad], 2) {
-            Err(ExperimentError::InvalidSpec { field: "n_taxa", .. }) => {}
-            other => panic!("expected InvalidSpec via the farm: {other:?}"),
-        }
-    }
-
     #[test]
     fn capture_rejects_degenerate_specs() {
         let mut spec = WorkloadSpec::small();
@@ -899,10 +776,6 @@ mod tests {
             ExperimentError::EmptyTrace
         );
         assert_eq!(profile_breakdown(&empty, &model).unwrap_err(), ExperimentError::EmptyTrace);
-        assert_eq!(
-            run_table8_varied(&[], &model, &params).unwrap_err(),
-            ExperimentError::NoWorkloads
-        );
         match run_scaling_study(workload(), &model, 0) {
             Err(ExperimentError::InvalidParameter { name: "n_bootstraps", .. }) => {}
             other => panic!("expected InvalidParameter: {other:?}"),

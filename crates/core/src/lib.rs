@@ -38,4 +38,4 @@ pub mod sched;
 
 pub use config::{OffloadStage, OptConfig, Scheduler};
 pub use error::ExperimentError;
-pub use experiment::{capture_workload, capture_workloads, Workload, WorkloadSpec};
+pub use experiment::{capture_workload, Workload, WorkloadSpec};

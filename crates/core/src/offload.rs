@@ -10,6 +10,8 @@ use crate::config::{OffloadStage, OptConfig};
 use cellsim::cost::{CostModel, ExecutionFlags, KernelCost, Location};
 use cellsim::Cycles;
 use phylo::trace::{CallParent, KernelEvent};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Fraction of total runtime outside the three kernels: the paper profiles
 /// 98.77% inside them (§5.2), so the remainder is 1.23% of the total —
@@ -167,40 +169,126 @@ impl PricedTrace {
     }
 }
 
-/// The PPE-only cost of a trace — used as the base for the "other work"
-/// estimate and for the PPE-only ladder rung.
-pub fn ppe_only_kernel_cycles(events: &[KernelEvent], model: &CostModel) -> Cycles {
-    let cfg = OptConfig::ppe_only();
-    events.iter().map(|ev| price_event(ev, model, &cfg).0.ppe).sum()
+/// A multiplicative hash for the event keys of [`Pricer::new`]: SipHash,
+/// the std default, costs more than pricing the event it would look up
+/// (≈ 0.9 ms of a 33k-event trace). The keys are fields of events this
+/// program recorded, so SipHash's resistance to crafted collisions buys
+/// nothing here.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-/// The per-bootstrap PPE-side work outside the three kernels.
-pub fn other_work_cycles(events: &[KernelEvent], model: &CostModel) -> Cycles {
-    (ppe_only_kernel_cycles(events, model) as f64 * OTHER_WORK_RATIO) as Cycles
+/// A trace's pricing inputs that no ladder level changes, derived once.
+///
+/// An event's price is a function of its fields, and a trace of tens of
+/// thousands of events has a few dozen distinct ones (55 in an ALN42
+/// capture). So each distinct event is priced once per ladder level and
+/// the trace is rebuilt from those prices; the "other work"
+/// pseudo-invocation, a fixed share of the PPE-only kernel time, is the
+/// same at every level and is computed here.
+#[derive(Debug, Clone)]
+pub struct Pricer<'m> {
+    model: &'m CostModel,
+    /// One event of each distinct kind, and how many events are that kind.
+    kinds: Vec<(KernelEvent, u64)>,
+    /// Each event's index into `kinds`, in trace order.
+    order: Vec<u32>,
+    /// PPE-only cycles of the three kernels over the whole trace.
+    ppe_kernels: Cycles,
+}
+
+impl<'m> Pricer<'m> {
+    /// Derive the pricing inputs of `events` under `model`.
+    pub fn new(events: &[KernelEvent], model: &'m CostModel) -> Pricer<'m> {
+        let mut index: HashMap<_, u32, BuildHasherDefault<KeyHasher>> = HashMap::default();
+        let mut kinds: Vec<(KernelEvent, u64)> = Vec::new();
+        let order = events
+            .iter()
+            .map(|ev| {
+                let counts = [ev.patterns, ev.rates, ev.exp_calls, ev.scaling_checks];
+                let key =
+                    (ev.op, ev.parent, counts, [ev.scalings, ev.newton_iters, ev.inner_operands]);
+                let i = *index.entry(key).or_insert_with(|| {
+                    kinds.push((*ev, 0));
+                    (kinds.len() - 1) as u32
+                });
+                kinds[i as usize].1 += 1;
+                i
+            })
+            .collect();
+        let ppe_only = OptConfig::ppe_only();
+        let ppe_kernels =
+            kinds.iter().map(|(ev, n)| n * price_event(ev, model, &ppe_only).0.ppe).sum();
+        Pricer { model, kinds, order, ppe_kernels }
+    }
+
+    /// The per-bootstrap PPE-side work outside the three kernels.
+    pub fn other_work(&self) -> Cycles {
+        (self.ppe_kernels as f64 * OTHER_WORK_RATIO) as Cycles
+    }
+
+    /// Cycles of one bootstrap run entirely on the PPE (Table 1a's rung):
+    /// the kernels plus the other work.
+    pub fn ppe_only_cycles(&self) -> Cycles {
+        self.ppe_kernels + self.other_work()
+    }
+
+    /// Each kind of event priced under `cfg`, with how many events it covers.
+    fn priced_kinds<'a>(
+        &'a self,
+        cfg: &'a OptConfig,
+    ) -> impl Iterator<Item = (u64, PricedInvocation, KernelCost)> + 'a {
+        self.kinds.iter().map(move |(ev, n)| {
+            let (priced, cost) = price_event(ev, self.model, cfg);
+            (*n, priced, cost)
+        })
+    }
+
+    /// The trace priced under `cfg`, with the "other work" entry appended.
+    pub fn price(&self, cfg: &OptConfig) -> PricedTrace {
+        let mut prices = Vec::with_capacity(self.kinds.len());
+        let mut totals = KernelCost::default();
+        for (n, priced, cost) in self.priced_kinds(cfg) {
+            totals.loop_cycles += n * cost.loop_cycles;
+            totals.cond_cycles += n * cost.cond_cycles;
+            totals.exp_cycles += n * cost.exp_cycles;
+            totals.dma_stall += n * cost.dma_stall;
+            totals.comm += n * cost.comm;
+            totals.ppe_overhead += n * cost.ppe_overhead;
+            prices.push(priced);
+        }
+        let other = PricedInvocation { ppe: self.other_work(), ..PricedInvocation::default() };
+        let invocations = self.order.iter().map(|&i| prices[i as usize]).chain([other]).collect();
+        PricedTrace { invocations, totals }
+    }
+
+    /// `(ppe_cycles, spe_cycles)` of [`Pricer::price`]`(cfg)` without
+    /// building the trace: all the synchronous-worker tables read.
+    pub fn cycles(&self, cfg: &OptConfig) -> (Cycles, Cycles) {
+        self.priced_kinds(cfg).fold((self.other_work(), 0), |(ppe, spe), (n, p, _)| {
+            (ppe + n * p.ppe, spe + n * p.spe_busy())
+        })
+    }
 }
 
 /// Price a full trace under a ladder level, appending the "other work"
 /// pseudo-invocation.
 pub fn price_trace(events: &[KernelEvent], model: &CostModel, cfg: &OptConfig) -> PricedTrace {
-    let mut invocations = Vec::with_capacity(events.len() + 1);
-    let mut totals = KernelCost::default();
-    for ev in events {
-        let (priced, cost) = price_event(ev, model, cfg);
-        totals.loop_cycles += cost.loop_cycles;
-        totals.cond_cycles += cost.cond_cycles;
-        totals.exp_cycles += cost.exp_cycles;
-        totals.dma_stall += cost.dma_stall;
-        totals.comm += cost.comm;
-        totals.ppe_overhead += cost.ppe_overhead;
-        invocations.push(priced);
-    }
-    invocations.push(PricedInvocation {
-        ppe: other_work_cycles(events, model),
-        spe_serial: 0,
-        spe_parallel: 0,
-        spe_dma: 0,
-    });
-    PricedTrace { invocations, totals }
+    Pricer::new(events, model).price(cfg)
 }
 
 #[cfg(test)]
@@ -283,10 +371,13 @@ mod tests {
     fn other_work_is_small_and_constant_across_levels() {
         let model = CostModel::paper_calibrated();
         let events = vec![ev(KernelOp::NewviewInnerInner, CallParent::Search); 10];
-        let other = other_work_cycles(&events, &model);
-        let ppe_total = ppe_only_kernel_cycles(&events, &model);
-        let frac = other as f64 / (other + ppe_total) as f64;
+        let pricer = Pricer::new(&events, &model);
+        let other = pricer.other_work();
+        let frac = other as f64 / pricer.ppe_only_cycles() as f64;
         assert!((frac - 0.0123).abs() < 1e-3, "other fraction {frac}");
+        for (label, cfg) in OptConfig::ladder() {
+            assert_eq!(pricer.price(&cfg).invocations.last().unwrap().ppe, other, "{label}");
+        }
     }
 
     #[test]

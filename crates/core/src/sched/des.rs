@@ -20,11 +20,12 @@
 //! phases. With an inert plan the event sequence — and therefore every
 //! makespan and statistic — is the fault-free one, bit for bit.
 
+use super::DEFAULT_GRANULARITY;
 use crate::offload::PricedTrace;
 use cellsim::fault::{FaultPlan, FaultReport};
 use cellsim::stats::SimStats;
 use cellsim::tracelog::TraceLog;
-use cellsim::{Cycles, EventQueue};
+use cellsim::Cycles;
 use std::collections::VecDeque;
 
 /// One scheduling phase of a worker: PPE work followed by an SPE offload.
@@ -69,13 +70,17 @@ pub struct SimOutcome {
     pub faults: FaultReport,
 }
 
-/// Turn a priced trace into scheduling phases with `k`-way loop-level
-/// parallelization of each offloaded invocation. `ctx_switch` is added to
-/// the PPE side of every *offloading* invocation (one with both PPE
-/// marshalling and SPE work) — the per-offload process switch an
+/// Turn a priced trace into the scheduling phases of one job, with `k`-way
+/// loop-level parallelization of each offloaded invocation. `ctx_switch`
+/// is added to the PPE side of every *offloading* invocation (one with both
+/// PPE marshalling and SPE work) — the per-offload process switch an
 /// oversubscribed PPE pays under EDTLP's switch-on-offload policy.
 /// `eib_factor` (≥ 1) models Element Interconnect Bus contention on the DMA
 /// share when many SPEs stream concurrently.
+///
+/// Consecutive invocations are merged in equal groups so the job has at
+/// most [`DEFAULT_GRANULARITY`] macro-phases: total PPE, SPE and DMA cycles
+/// are preserved exactly, the alternation is coarsened.
 pub fn phases_for(
     trace: &PricedTrace,
     k: usize,
@@ -83,50 +88,120 @@ pub fn phases_for(
     ctx_switch: Cycles,
     eib_factor: f64,
 ) -> Vec<Phase> {
+    let group = trace.invocations.len().div_ceil(DEFAULT_GRANULARITY).max(1);
     trace
         .invocations
-        .iter()
-        .map(|inv| {
-            let is_offload = inv.spe_busy() > 0 && inv.ppe > 0;
-            let total = inv.spe_busy_llp(k, dispatch, eib_factor);
-            let dma = inv.spe_dma_llp(k, eib_factor);
-            Phase { ppe: inv.ppe + if is_offload { ctx_switch } else { 0 }, spe: total - dma, dma }
-        })
-        .collect()
-}
-
-/// Merge consecutive phases so a job has at most `target` macro-phases.
-/// Preserves total PPE and SPE cycles exactly; coarsens the alternation.
-pub fn compress_phases(phases: &[Phase], target: usize) -> Vec<Phase> {
-    if phases.len() <= target {
-        return phases.to_vec();
-    }
-    let group = phases.len().div_ceil(target);
-    phases
         .chunks(group)
         .map(|chunk| {
             let mut m = Phase::default();
-            for p in chunk {
-                m.ppe += p.ppe;
-                m.spe += p.spe;
-                m.dma += p.dma;
+            for inv in chunk {
+                let is_offload = inv.spe_busy() > 0 && inv.ppe > 0;
+                let total = inv.spe_busy_llp(k, dispatch, eib_factor);
+                let dma = inv.spe_dma_llp(k, eib_factor);
+                m.ppe += inv.ppe + if is_offload { ctx_switch } else { 0 };
+                m.spe += total - dma;
+                m.dma += dma;
             }
             m
         })
         .collect()
 }
 
+/// A phase as the simulation runs it: its PPE duration is SMT-inflated once
+/// per distinct phase list per run, not on every visit.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    phase: Phase,
+    /// `phase.ppe` under the run's SMT penalty.
+    ppe_dur: Cycles,
+}
+
+fn steps(phases: &[Phase], smt: f64) -> Vec<Step> {
+    phases
+        .iter()
+        .map(|&phase| Step { phase, ppe_dur: (phase.ppe as f64 * smt).round() as Cycles })
+        .collect()
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
-    PpeDone(usize),
-    SpeDone(usize),
+    PpeDone,
+    SpeDone,
+}
+
+/// The pending events of a run, one slot per worker.
+///
+/// A worker is only ever waiting on one thing — its PPE grant or its SPE
+/// burst — so it never has more than one event pending, and the calendar
+/// is a fixed slot per worker rather than a queue that grows with the run.
+/// The next event is the earliest slot; equal times go in the order they
+/// were scheduled, which is the order a time-ordered queue with
+/// first-in-first-out ties pops them in.
+#[derive(Debug, Clone)]
+struct Calendar {
+    /// Per worker, a key ordering its event: the due time in the high 64
+    /// bits, then the schedule sequence, then the worker id in the low 16.
+    /// Sequences are unique, so the smallest key is the next event and
+    /// carries its worker. `EMPTY` when nothing is pending; padded with
+    /// `EMPTY` to a multiple of eight slots.
+    keys: Vec<u128>,
+    events: Vec<Ev>,
+    seq: u64,
+    /// The due time of the last event popped.
+    now: Cycles,
+}
+
+const EMPTY: u128 = u128::MAX;
+
+impl Calendar {
+    fn new(n_workers: usize) -> Calendar {
+        assert!(n_workers <= 1 << 16, "worker ids take 16 bits of a calendar key");
+        Calendar {
+            keys: vec![EMPTY; n_workers.next_multiple_of(8)],
+            events: vec![Ev::PpeDone; n_workers],
+            seq: 0,
+            now: 0,
+        }
+    }
+
+    /// Schedule worker `wid`'s event `delay` cycles from now.
+    fn schedule(&mut self, wid: usize, delay: Cycles, ev: Ev) {
+        debug_assert_eq!(self.keys[wid], EMPTY, "worker {wid} already has an event pending");
+        let order = self.seq << 16 | wid as u64;
+        self.keys[wid] = u128::from(self.now + delay) << 64 | u128::from(order);
+        self.events[wid] = ev;
+        self.seq += 1;
+    }
+
+    /// Pop the earliest event, advancing the clock to it.
+    fn pop(&mut self) -> Option<(usize, Ev)> {
+        // Pairwise minima: three dependent comparisons per eight slots, and
+        // no branch on which slot wins.
+        let min8 = |k: &[u128]| {
+            let (a, b) = (k[0].min(k[1]).min(k[2].min(k[3])), k[4].min(k[5]).min(k[6].min(k[7])));
+            a.min(b)
+        };
+        let key = self.keys.chunks_exact(8).map(min8).fold(EMPTY, u128::min);
+        if key == EMPTY {
+            return None;
+        }
+        let wid = (key & 0xffff) as usize;
+        self.keys[wid] = EMPTY;
+        self.now = (key >> 64) as Cycles;
+        Some((wid, self.events[wid]))
+    }
 }
 
 /// Consecutive exhausted offloads before a member of the worker's SPE set
 /// is blacklisted as a repeat offender.
 const BLACKLIST_AFTER: u32 = 2;
 
-struct Worker {
+#[derive(Debug, Clone)]
+struct Worker<'a> {
+    /// The SPEs this worker owns, as a bit mask.
+    spes: u64,
+    /// The steps of the current job (empty before the first).
+    steps: &'a [Step],
     /// Index into the phase list of the current job.
     phase: usize,
     /// The job currently held (an index into the job list).
@@ -143,9 +218,10 @@ struct Worker {
     burst: Option<Burst>,
 }
 
+#[derive(Debug, Clone, Copy)]
 struct Burst {
-    /// Absolute SPE ids that were alive when the burst started.
-    members: Vec<usize>,
+    /// SPEs that were alive when the burst started, as a bit mask.
+    members: u64,
     /// Wall duration the burst was scheduled for.
     duration: Cycles,
     /// Nominal SPE busy cycles of the phase (for re-dispatch).
@@ -154,66 +230,161 @@ struct Burst {
     dma_cycles: Cycles,
 }
 
+#[derive(Clone)]
 struct Sim<'a> {
-    jobs: &'a [&'a [Phase]],
+    jobs: &'a [&'a [Step]],
+    /// Jobs handed out at most: a worker that finds this many out goes
+    /// idle and is noted in `starved`.
+    limit: usize,
     plan: &'a FaultPlan,
-    queue: EventQueue<Ev>,
+    inert: bool,
+    calendar: Calendar,
     stats: SimStats,
     report: FaultReport,
     next_job: usize,
     ppe_free: usize,
     /// Workers waiting for a PPE thread, with the duration to charge.
     ppe_waiting: VecDeque<(usize, Cycles)>,
-    workers: Vec<Worker>,
+    workers: Vec<Worker<'a>>,
     smt: f64,
     spes_per_worker: usize,
-    spe_dead: Vec<bool>,
-    tlog: &'a mut TraceLog,
+    /// SPEs out of service, as a bit mask.
+    spe_dead: u64,
+    /// The last worker that went idle because `limit` jobs were out.
+    starved: Option<usize>,
+    tlog: TraceLog,
 }
 
-impl Sim<'_> {
+impl<'a> Sim<'a> {
+    /// A run of `jobs` (each a step list) on `n_workers` workers, each
+    /// owning `spes_per_worker` SPEs; the caller has checked the shape.
+    fn new(
+        jobs: &'a [&'a [Step]],
+        (n_workers, spes_per_worker, smt): (usize, usize, f64),
+        params: &DesParams,
+        plan: &'a FaultPlan,
+        tlog: TraceLog,
+    ) -> Sim<'a> {
+        assert!(params.n_spes <= 64, "SPE sets are bit masks: at most 64 SPEs");
+        let set = if spes_per_worker == 0 { 0 } else { u64::MAX >> (64 - spes_per_worker) };
+        Sim {
+            jobs,
+            limit: jobs.len(),
+            plan,
+            inert: plan.is_inert(),
+            calendar: Calendar::new(n_workers),
+            stats: SimStats::new(params.n_spes),
+            report: FaultReport::default(),
+            next_job: 0,
+            ppe_free: params.n_ppe_threads,
+            ppe_waiting: VecDeque::new(),
+            workers: (0..n_workers)
+                .map(|wid| Worker {
+                    spes: set << (wid * spes_per_worker),
+                    steps: &[],
+                    phase: 0,
+                    job: None,
+                    seq: 0,
+                    fallback: false,
+                    degraded: false,
+                    failures: 0,
+                    burst: None,
+                })
+                .collect(),
+            smt,
+            spes_per_worker,
+            spe_dead: 0,
+            starved: None,
+            tlog,
+        }
+    }
+
+    /// Start every worker and run to the last event, with job limits
+    /// `counts` (increasing): the outcome at each, and the log.
+    ///
+    /// Runs of `n` and `N > n` jobs on the same workers are the same event
+    /// sequence until a worker asks for job `n`; the smaller run leaves it
+    /// idle there. A worker asks as the last thing its event does, so when
+    /// one finds `limit` jobs out, the state is the `limit`-job run's: a
+    /// copy is drained for that count, the limit rises to the next, and the
+    /// worker takes its job.
+    fn run(mut self, counts: &[usize]) -> (Vec<SimOutcome>, TraceLog) {
+        let mut outcomes = Vec::with_capacity(counts.len());
+        self.limit = counts[0];
+        let mut fork_if_starved = |sim: &mut Sim| {
+            while let Some(wid) = sim.starved.take() {
+                if outcomes.len() + 1 == counts.len() {
+                    return;
+                }
+                outcomes.push(sim.clone().finish().0);
+                sim.limit = counts[outcomes.len()];
+                sim.advance(wid);
+            }
+        };
+        for wid in 0..self.workers.len() {
+            self.advance(wid);
+            fork_if_starved(&mut self);
+        }
+        while self.step() {
+            fork_if_starved(&mut self);
+        }
+        let (last, tlog) = self.finish();
+        outcomes.push(last);
+        (outcomes, tlog)
+    }
+
+    /// Process the next event; false when none is left.
+    fn step(&mut self) -> bool {
+        match self.calendar.pop() {
+            Some((wid, Ev::PpeDone)) => self.on_ppe_done(wid),
+            Some((wid, Ev::SpeDone)) => self.on_spe_done(wid),
+            None => return false,
+        }
+        true
+    }
+
+    /// Run to the last event and report.
+    fn finish(mut self) -> (SimOutcome, TraceLog) {
+        while self.step() {}
+        let makespan = self.calendar.now;
+        self.stats.makespan = makespan;
+        (SimOutcome { makespan, stats: self.stats, faults: self.report }, self.tlog)
+    }
+
     /// Advance a worker to its next phase with nonzero work; start the PPE
     /// request or SPE burst.
     fn advance(&mut self, wid: usize) {
         loop {
-            let now = self.queue.now();
+            let now = self.calendar.now;
             let w = &mut self.workers[wid];
-            let done = match w.job {
-                None => true,
-                Some(j) => w.phase >= self.jobs[j].len(),
-            };
-            if done {
+            let Some(&step) = w.steps.get(w.phase) else {
+                // The job is done (or there was none): take the next.
                 if let Some(j) = w.job.take() {
                     self.tlog.task_complete(now, wid, j);
                 }
-                if self.next_job >= self.jobs.len() {
+                if self.next_job >= self.limit {
+                    self.starved = Some(wid);
                     return;
                 }
                 let j = self.next_job;
                 self.next_job += 1;
                 let w = &mut self.workers[wid];
                 w.job = Some(j);
+                w.steps = self.jobs[j];
                 w.phase = 0;
                 self.tlog.task_start(now, wid, j);
-            }
-            let w = &self.workers[wid];
-            let job = self.jobs[w.job.expect("worker holds a job")];
-            if w.phase >= job.len() {
-                // Zero-length job: loop to take the next one.
                 continue;
-            }
-            let phase = job[w.phase];
-            if phase.ppe > 0 {
-                let dur = (phase.ppe as f64 * self.smt).round() as Cycles;
-                self.request_ppe(wid, dur, false);
+            };
+            if step.phase.ppe > 0 {
+                self.request_ppe(wid, step.ppe_dur, false);
                 return;
             }
-            if phase.spe + phase.dma > 0 {
-                self.start_spe(wid, phase.spe, phase.dma);
+            if step.phase.spe + step.phase.dma > 0 {
+                self.start_spe(wid, step.phase.spe, step.phase.dma);
                 return;
             }
             // Empty phase: skip.
-            self.workers[wid].phase += 1;
+            w.phase += 1;
         }
     }
 
@@ -223,8 +394,8 @@ impl Sim<'_> {
         if self.ppe_free > 0 {
             self.ppe_free -= 1;
             self.stats.ppe_busy += dur;
-            self.tlog.ppe_span(self.queue.now(), wid, dur, fallback);
-            self.queue.schedule_after(dur, Ev::PpeDone(wid));
+            self.tlog.ppe_span(self.calendar.now, wid, dur, fallback);
+            self.calendar.schedule(wid, dur, Ev::PpeDone);
         } else {
             self.ppe_waiting.push_back((wid, dur));
         }
@@ -232,23 +403,13 @@ impl Sim<'_> {
 
     /// Mark every death scheduled at or before `now`, once.
     fn apply_deaths(&mut self, now: Cycles) {
-        if self.plan.deaths.is_empty() {
-            return;
-        }
         for d in &self.plan.deaths {
-            if d.at <= now && d.spe < self.spe_dead.len() && !self.spe_dead[d.spe] {
-                self.spe_dead[d.spe] = true;
+            if d.at <= now && d.spe < self.stats.spes.len() && self.spe_dead & (1 << d.spe) == 0 {
+                self.spe_dead |= 1 << d.spe;
                 self.report.blacklisted += 1;
                 self.tlog.fault(now, "spe_death", d.spe);
             }
         }
-    }
-
-    /// The worker's SPEs that are still in service.
-    fn alive_set(&self, wid: usize) -> Vec<usize> {
-        (wid * self.spes_per_worker..(wid + 1) * self.spes_per_worker)
-            .filter(|&s| !self.spe_dead[s])
-            .collect()
     }
 
     /// Start an SPE burst of nominally `spe_cycles` busy + `dma_cycles`
@@ -257,16 +418,18 @@ impl Sim<'_> {
     /// total, exactly as the pre-split simulator's single figure was.
     fn start_spe(&mut self, wid: usize, spe_cycles: Cycles, dma_cycles: Cycles) {
         let total = spe_cycles + dma_cycles;
-        self.apply_deaths(self.queue.now());
+        if !self.plan.deaths.is_empty() {
+            self.apply_deaths(self.calendar.now);
+        }
         loop {
-            let now = self.queue.now();
-            let alive = self.alive_set(wid);
-            if alive.is_empty() {
+            let now = self.calendar.now;
+            let alive = self.workers[wid].spes & !self.spe_dead;
+            if alive == 0 {
                 self.degrade(wid, total);
                 return;
             }
             let mut extra: Cycles = 0;
-            if !self.plan.is_inert() {
+            if !self.inert {
                 let seq = self.workers[wid].seq;
                 self.workers[wid].seq += 1;
                 let rec = self.plan.offload_recovery(wid as u64, seq);
@@ -286,9 +449,10 @@ impl Sim<'_> {
                         // Repeat offender: blacklist one member and retry on
                         // the reduced set (degrading if none remain).
                         self.workers[wid].failures = 0;
-                        self.spe_dead[alive[0]] = true;
+                        let first = alive.trailing_zeros() as usize;
+                        self.spe_dead |= 1 << first;
                         self.report.blacklisted += 1;
-                        self.tlog.fault(now, "blacklist", alive[0]);
+                        self.tlog.fault(now, "blacklist", first);
                         continue;
                     }
                 } else {
@@ -301,36 +465,45 @@ impl Sim<'_> {
             // split across fewer SPEs). Busy and DMA-stall shares divide
             // separately so stall time never inflates busy accounting.
             let k = self.spes_per_worker;
-            let duration =
-                if alive.len() == k { total } else { total * k as u64 / alive.len() as u64 };
-            let busy_share = spe_cycles / alive.len() as u64;
-            let dma_share = dma_cycles / alive.len() as u64;
-            if alive.len() < k {
+            let n_alive =
+                if alive == self.workers[wid].spes { k } else { alive.count_ones() as usize };
+            let duration = if n_alive == k { total } else { total * k as u64 / n_alive as u64 };
+            let (busy_share, dma_share) = if n_alive == 1 {
+                (spe_cycles, dma_cycles)
+            } else {
+                (spe_cycles / n_alive as u64, dma_cycles / n_alive as u64)
+            };
+            if n_alive < k {
                 self.report.penalty_cycles += duration - total;
             }
             let duration = duration + extra;
-            for (i, &s) in alive.iter().enumerate() {
-                self.stats.spes[s].loop_cycles += busy_share;
-                self.stats.spes[s].dma_stall += dma_share;
+            let alive_ids = (wid * k..(wid + 1) * k).filter(|&s| alive >> s & 1 == 1);
+            for (i, s) in alive_ids.enumerate() {
+                let spe = &mut self.stats.spes[s];
+                spe.loop_cycles += busy_share;
+                spe.dma_stall += dma_share;
                 if i == 0 {
-                    self.stats.spes[s].invocations += 1;
+                    spe.invocations += 1;
                 }
                 self.tlog.spe_burst(now, s, wid, duration, busy_share, dma_share);
             }
-            self.workers[wid].burst =
-                Some(Burst { members: alive, duration, spe_cycles, dma_cycles });
-            self.queue.schedule_after(duration, Ev::SpeDone(wid));
+            if !self.plan.deaths.is_empty() {
+                self.workers[wid].burst =
+                    Some(Burst { members: alive, duration, spe_cycles, dma_cycles });
+            }
+            self.calendar.schedule(wid, duration, Ev::SpeDone);
             return;
         }
     }
 
     /// All of the worker's SPEs are dead: run the SPE phase on the PPE at
     /// the plan's fallback slowdown, through the normal thread queue.
+    #[cold]
     fn degrade(&mut self, wid: usize, spe_cycles: Cycles) {
         if !self.workers[wid].degraded {
             self.workers[wid].degraded = true;
             self.report.degradations += 1;
-            self.tlog.fault(self.queue.now(), "degradation", wid);
+            self.tlog.fault(self.calendar.now, "degradation", wid);
         }
         let dur = (spe_cycles as f64 * self.plan.ppe_fallback_factor * self.smt).round() as Cycles;
         self.report.penalty_cycles += dur.saturating_sub(spe_cycles);
@@ -344,8 +517,8 @@ impl Sim<'_> {
             self.ppe_free -= 1;
             self.stats.ppe_busy += dur;
             let fb = self.workers[next].fallback;
-            self.tlog.ppe_span(self.queue.now(), next, dur, fb);
-            self.queue.schedule_after(dur, Ev::PpeDone(next));
+            self.tlog.ppe_span(self.calendar.now, next, dur, fb);
+            self.calendar.schedule(next, dur, Ev::PpeDone);
         }
         // The finishing worker proceeds: SPE burst or next phase.
         if self.workers[wid].fallback {
@@ -356,7 +529,7 @@ impl Sim<'_> {
             return;
         }
         let w = &self.workers[wid];
-        let phase = self.jobs[w.job.expect("worker holds a job")][w.phase];
+        let phase = w.steps[w.phase].phase;
         if phase.spe + phase.dma > 0 {
             self.start_spe(wid, phase.spe, phase.dma);
         } else {
@@ -365,11 +538,13 @@ impl Sim<'_> {
         }
     }
 
-    fn on_spe_done(&mut self, wid: usize, now: Cycles) {
-        let burst = self.workers[wid].burst.take().expect("SpeDone without a burst");
+    fn on_spe_done(&mut self, wid: usize) {
+        let now = self.calendar.now;
         if !self.plan.deaths.is_empty() {
-            let died_in_flight =
-                burst.members.iter().any(|&s| !self.spe_dead[s] && self.plan.dead_at(s, now));
+            let burst = self.workers[wid].burst.take().expect("SpeDone without a burst");
+            let died_in_flight = (0..self.stats.spes.len()).any(|s| {
+                (burst.members & !self.spe_dead) >> s & 1 == 1 && self.plan.dead_at(s, now)
+            });
             if died_in_flight {
                 // The burst's output is lost with the dead SPE: blacklist
                 // the casualties and re-dispatch the whole phase from now.
@@ -384,6 +559,24 @@ impl Sim<'_> {
         self.workers[wid].phase += 1;
         self.advance(wid);
     }
+}
+
+/// Check a run's shape: the workers it uses (no more than jobs), each
+/// owning `spes_per_worker` SPEs, and the SMT factor that count implies.
+fn shape(
+    n_jobs: usize,
+    n_workers: usize,
+    spes_per_worker: usize,
+    params: &DesParams,
+) -> (usize, usize, f64) {
+    assert!(n_workers >= 1, "need at least one worker");
+    assert!(
+        n_workers * spes_per_worker <= params.n_spes,
+        "worker SPE sets exceed the machine ({n_workers} × {spes_per_worker} > {})",
+        params.n_spes
+    );
+    let n_workers = n_workers.min(n_jobs.max(1));
+    (n_workers, spes_per_worker, if n_workers >= 2 { params.smt_penalty } else { 1.0 })
 }
 
 /// Simulate `jobs` (one phase list each — real bootstrap replicates differ
@@ -407,58 +600,44 @@ pub fn simulate_task_parallel(
     plan: &FaultPlan,
     tlog: &mut TraceLog,
 ) -> SimOutcome {
-    let n_jobs = jobs.len();
-    assert!(n_workers >= 1, "need at least one worker");
-    assert!(
-        n_workers * spes_per_worker <= params.n_spes,
-        "worker SPE sets exceed the machine ({n_workers} × {spes_per_worker} > {})",
-        params.n_spes
-    );
-    let n_workers = n_workers.min(n_jobs.max(1));
-    let smt = if n_workers >= 2 { params.smt_penalty } else { 1.0 };
-
-    let mut sim = Sim {
-        jobs,
-        plan,
-        queue: EventQueue::new(),
-        stats: SimStats::new(params.n_spes),
-        report: FaultReport::default(),
-        next_job: 0,
-        ppe_free: params.n_ppe_threads,
-        ppe_waiting: VecDeque::new(),
-        workers: (0..n_workers)
-            .map(|_| Worker {
-                phase: 0,
-                job: None,
-                seq: 0,
-                fallback: false,
-                degraded: false,
-                failures: 0,
-                burst: None,
-            })
-            .collect(),
-        smt,
-        spes_per_worker,
-        spe_dead: vec![false; params.n_spes],
-        tlog,
-    };
-
-    // Kick off every worker.
-    for wid in 0..n_workers {
-        sim.advance(wid);
-    }
-
-    let mut makespan: Cycles = 0;
-    while let Some((t, ev)) = sim.queue.pop() {
-        makespan = t;
-        match ev {
-            Ev::PpeDone(wid) => sim.on_ppe_done(wid),
-            Ev::SpeDone(wid) => sim.on_spe_done(wid, t),
+    let shape = shape(jobs.len(), n_workers, spes_per_worker, params);
+    // Steps once per distinct phase list: a schedule's jobs usually share one.
+    let mut lists: Vec<(&[Phase], Vec<Step>)> = Vec::new();
+    for &job in jobs {
+        if !lists.iter().any(|&(p, _)| std::ptr::eq(p, job)) {
+            lists.push((job, steps(job, shape.2)));
         }
     }
+    let steps_of = |job| &lists.iter().find(|&&(p, _)| std::ptr::eq(p, job)).unwrap().1[..];
+    let job_steps: Vec<&[Step]> = jobs.iter().map(|&job| steps_of(job)).collect();
+    let sim = Sim::new(&job_steps, shape, params, plan, std::mem::take(tlog));
+    let (mut outcomes, log) = sim.run(&[jobs.len()]);
+    *tlog = log;
+    outcomes.pop().expect("one outcome per count")
+}
 
-    sim.stats.makespan = makespan;
-    SimOutcome { makespan, stats: sim.stats, faults: sim.report }
+/// Fault-free, untraced outcomes of `counts[i]` copies of `phases` on
+/// `n_workers` workers — for every count, what [`simulate_task_parallel`]
+/// returns — from one simulation at the largest count (see `Sim::run`).
+/// The counts must increase and be at least `n_workers`: with fewer jobs a
+/// run has fewer workers and a different SMT factor.
+pub(crate) fn simulate_counts(
+    phases: &[Phase],
+    counts: &[usize],
+    n_workers: usize,
+    spes_per_worker: usize,
+    params: &DesParams,
+) -> Vec<SimOutcome> {
+    assert!(counts.windows(2).all(|w| w[0] < w[1]), "counts must increase: {counts:?}");
+    let (Some(&first), Some(&last)) = (counts.first(), counts.last()) else {
+        return Vec::new();
+    };
+    assert!(first >= n_workers, "{first} jobs leave some of {n_workers} workers idle");
+    let shape = shape(last, n_workers, spes_per_worker, params);
+    let steps = steps(phases, shape.2);
+    let job_steps = vec![&steps[..]; last];
+    let plan = FaultPlan::none();
+    Sim::new(&job_steps, shape, params, &plan, TraceLog::disabled()).run(counts).0
 }
 
 #[cfg(test)]
@@ -567,18 +746,63 @@ mod tests {
     }
 
     #[test]
-    fn compress_preserves_totals() {
-        let phases: Vec<Phase> =
-            (0..1000).map(|i| Phase { ppe: i % 7, spe: 100 + i % 13, dma: 0 }).collect();
-        let compressed = compress_phases(&phases, 64);
-        assert!(compressed.len() <= 64);
-        let tp: Cycles = phases.iter().map(|p| p.ppe).sum();
-        let ts: Cycles = phases.iter().map(|p| p.spe).sum();
-        let cp: Cycles = compressed.iter().map(|p| p.ppe).sum();
-        let cs: Cycles = compressed.iter().map(|p| p.spe).sum();
-        assert_eq!((tp, ts), (cp, cs));
-        // Short inputs pass through untouched.
-        assert_eq!(compress_phases(&phases[..10], 64), phases[..10].to_vec());
+    fn phases_for_merges_long_traces_and_preserves_totals() {
+        use crate::offload::PricedInvocation;
+        let invocations: Vec<PricedInvocation> = (0..10_000)
+            .map(|i| PricedInvocation {
+                ppe: i % 7,
+                spe_serial: 10,
+                spe_parallel: 100 + i % 13,
+                spe_dma: i % 5,
+            })
+            .collect();
+        let phases = |invs: &[PricedInvocation]| {
+            let trace = PricedTrace { invocations: invs.to_vec(), totals: Default::default() };
+            phases_for(&trace, 2, 30, 500, 1.5)
+        };
+        let sum = |ps: Vec<Phase>| {
+            ps.iter().fold((0, 0, 0), |a, p| (a.0 + p.ppe, a.1 + p.spe, a.2 + p.dma))
+        };
+        let merged = phases(&invocations);
+        assert!(merged.len() <= DEFAULT_GRANULARITY);
+        // Short traces keep one phase per invocation.
+        assert_eq!(phases(&invocations[..10]).len(), 10);
+        let unmerged = invocations.chunks(1).flat_map(phases).collect();
+        assert_eq!(sum(merged), sum(unmerged));
+    }
+
+    #[test]
+    fn calendar_matches_a_stable_priority_queue() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        // Each popped worker reschedules after a small pseudo-random delay,
+        // so many events tie: the calendar must pop exactly what a heap
+        // ordered by time, then by schedule sequence, pops.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut delay = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % 4
+        };
+        let mut cal = Calendar::new(8);
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0;
+        for wid in 0..8 {
+            let d = delay();
+            cal.schedule(wid, d, Ev::PpeDone);
+            heap.push(Reverse((d, seq, wid)));
+            seq += 1;
+        }
+        for _ in 0..2_000 {
+            let Reverse((at, _, wid)) = heap.pop().unwrap();
+            assert_eq!(cal.pop(), Some((wid, Ev::PpeDone)));
+            assert_eq!(cal.now, at);
+            let d = delay();
+            cal.schedule(wid, d, Ev::PpeDone);
+            heap.push(Reverse((at + d, seq, wid)));
+            seq += 1;
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 pub mod des;
 
-pub use des::{compress_phases, simulate_task_parallel, DesParams, Phase, SimOutcome};
+pub use des::{simulate_task_parallel, DesParams, Phase, SimOutcome};
 
 use crate::config::Scheduler;
 use crate::offload::PricedTrace;
@@ -29,7 +29,7 @@ use cellsim::Cycles;
 /// ×1.407 slower under SMT contention.
 pub const SMT_PENALTY: f64 = 1.407;
 
-/// Default number of macro-phases each job is compressed to before the
+/// Number of macro-phases each job is merged down to before the
 /// discrete-event simulation (keeps Figure 3's 128-bootstrap runs fast
 /// while preserving the PPE/SPE alternation structure).
 pub const DEFAULT_GRANULARITY: usize = 4096;
@@ -38,16 +38,25 @@ pub const DEFAULT_GRANULARITY: usize = 4096;
 /// worker alternates PPE work (slowed by SMT when ≥2 workers share the
 /// PPE) and blocking SPE offloads; jobs are processed in waves.
 pub fn sync_workers_makespan(trace: &PricedTrace, n_jobs: usize, w: usize) -> Cycles {
+    sync_makespan(trace.ppe_cycles(), trace.spe_cycles(), n_jobs, w)
+}
+
+/// [`sync_workers_makespan`] of a trace with `ppe` PPE-thread and `spe`
+/// SPE-busy cycles per bootstrap.
+pub(crate) fn sync_makespan(ppe: Cycles, spe: Cycles, n_jobs: usize, w: usize) -> Cycles {
     assert!(w >= 1);
     let smt = if w >= 2 { SMT_PENALTY } else { 1.0 };
-    let per_job = (trace.ppe_cycles() as f64 * smt) as Cycles + trace.spe_cycles();
+    let per_job = (ppe as f64 * smt) as Cycles + spe;
     (n_jobs.div_ceil(w)) as Cycles * per_job
 }
 
-/// EDTLP: up to eight workers over the shared PPE. When the PPE is
-/// oversubscribed (more workers than hardware threads) every offload pays
-/// the switch-on-offload context switch.
-fn edtlp(
+/// EDTLP or LLP as one discrete-event run. EDTLP: up to eight workers over
+/// the shared PPE, one SPE each. LLP: `workers` processes, each splitting
+/// its offloaded loops across `n_spes / workers` SPEs; a dead SPE stretches
+/// its worker's loop splits across the survivors, a fully dead set degrades
+/// to the PPE.
+fn task_parallel(
+    scheduler: Scheduler,
     trace: &PricedTrace,
     n_jobs: usize,
     model: &CostModel,
@@ -55,40 +64,33 @@ fn edtlp(
     plan: &FaultPlan,
     tlog: &mut TraceLog,
 ) -> SimOutcome {
-    let workers = n_jobs.clamp(1, params.n_spes);
-    let ctx = if workers > params.n_ppe_threads { model.edtlp_context_switch } else { 0 };
-    let eib = EibModel::default().contention_factor(workers);
-    let phases = des::phases_for(trace, 1, model.llp_dispatch, ctx, eib);
-    let phases = compress_phases(&phases, DEFAULT_GRANULARITY);
-    let jobs: Vec<&[Phase]> = (0..n_jobs).map(|_| phases.as_slice()).collect();
-    let out = simulate_task_parallel(&jobs, workers, 1, params, plan, tlog);
-    annotate_schedule(tlog, "EDTLP", &out, trace, eib);
+    let (name, workers, k) = match scheduler {
+        Scheduler::Llp { workers } => {
+            let workers = workers.clamp(1, params.n_spes);
+            ("LLP", workers, (params.n_spes / workers).max(1))
+        }
+        _ => ("EDTLP", n_jobs.clamp(1, params.n_spes), 1),
+    };
+    let (phases, eib) = des_phases(trace, workers, k, model, params);
+    let out = simulate_task_parallel(&vec![&phases[..]; n_jobs], workers, k, params, plan, tlog);
+    annotate_schedule(tlog, name, &out, trace, eib);
     out
 }
 
-/// LLP with `workers` processes, each splitting its offloaded loops across
-/// `n_spes / workers` SPEs. A dead SPE stretches its worker's loop splits
-/// across the survivors; a fully dead set degrades to the PPE.
-fn llp(
+/// One job's phases on `workers` workers of `k` SPEs each, and the EIB
+/// contention factor of their `k × workers` concurrent streams. When the
+/// PPE is oversubscribed (more workers than hardware threads) every offload
+/// pays the switch-on-offload context switch.
+fn des_phases(
     trace: &PricedTrace,
-    n_jobs: usize,
     workers: usize,
+    k: usize,
     model: &CostModel,
     params: &DesParams,
-    plan: &FaultPlan,
-    tlog: &mut TraceLog,
-) -> SimOutcome {
-    let workers = workers.clamp(1, params.n_spes);
-    let k = (params.n_spes / workers).max(1);
+) -> (Vec<Phase>, f64) {
     let ctx = if workers > params.n_ppe_threads { model.edtlp_context_switch } else { 0 };
-    // All workers' SPE sets stream concurrently: k × workers active streams.
     let eib = EibModel::default().contention_factor(k * workers);
-    let phases = des::phases_for(trace, k, model.llp_dispatch, ctx, eib);
-    let phases = compress_phases(&phases, DEFAULT_GRANULARITY);
-    let jobs: Vec<&[Phase]> = (0..n_jobs).map(|_| phases.as_slice()).collect();
-    let out = simulate_task_parallel(&jobs, workers, k, params, plan, tlog);
-    annotate_schedule(tlog, "LLP", &out, trace, eib);
-    out
+    (des::phases_for(trace, k, model.llp_dispatch, ctx, eib), eib)
 }
 
 /// MGPS: full batches of eight bootstraps run EDTLP; a tail of fewer than
@@ -119,21 +121,19 @@ fn mgps(
     let mut stats = SimStats::new(params.n_spes);
     let mut faults = FaultReport::default();
     if full_batches > 0 {
-        let out = edtlp(trace, full_batches * batch, model, params, plan, tlog);
+        let out =
+            task_parallel(Scheduler::Edtlp, trace, full_batches * batch, model, params, plan, tlog);
         total += out.makespan;
         stats = out.stats;
         faults = out.faults;
     }
     if tail > 0 {
         tlog.set_offset(base + total);
-        let out = if tail <= 4 {
-            // LLP: `tail` workers, 8/tail SPEs each.
-            llp(trace, tail, tail, model, params, plan, tlog)
-        } else {
-            // 5–7 leftover tasks: not enough SPEs for ≥2-way loop splits;
-            // run them EDTLP-style.
-            edtlp(trace, tail, model, params, plan, tlog)
-        };
+        // LLP: `tail` workers, 8/tail SPEs each. 5–7 leftover tasks: not
+        // enough SPEs for ≥2-way loop splits; run them EDTLP-style.
+        let tail_scheduler =
+            if tail <= 4 { Scheduler::Llp { workers: tail } } else { Scheduler::Edtlp };
+        let out = task_parallel(tail_scheduler, trace, tail, model, params, plan, tlog);
         total += out.makespan;
         for (a, b) in stats.spes.iter_mut().zip(&out.stats.spes) {
             a.loop_cycles += b.loop_cycles;
@@ -208,10 +208,36 @@ pub fn schedule_makespan(
             annotate_schedule(tlog, "SyncWorkers", &out, trace, 1.0);
             out
         }
-        Scheduler::Edtlp => edtlp(trace, n_jobs, model, params, plan, tlog),
-        Scheduler::Llp { workers } => llp(trace, n_jobs, workers, model, params, plan, tlog),
+        Scheduler::Edtlp | Scheduler::Llp { .. } => {
+            task_parallel(scheduler, trace, n_jobs, model, params, plan, tlog)
+        }
         Scheduler::Mgps => mgps(trace, n_jobs, model, params, plan, tlog),
     }
+}
+
+/// Fault-free, untraced MGPS outcomes at each of `counts` (increasing)
+/// bootstraps — for every count, what [`schedule_makespan`] returns for
+/// [`Scheduler::Mgps`]. A count of whole batches is one EDTLP run on every
+/// SPE, so all of those are read off a single run at the largest
+/// ([`des::simulate_counts`]); counts with a tail keep their own runs.
+pub(crate) fn mgps_outcomes(
+    trace: &PricedTrace,
+    counts: &[usize],
+    model: &CostModel,
+    params: &DesParams,
+) -> Vec<SimOutcome> {
+    let batch = params.n_spes;
+    let batched: Vec<usize> = counts.iter().copied().filter(|&n| n > 0 && n % batch == 0).collect();
+    let (phases, _) = des_phases(trace, batch, 1, model, params);
+    let one_run = des::simulate_counts(&phases, &batched, batch, 1, params);
+    let (plan, mut off) = (FaultPlan::none(), TraceLog::disabled());
+    counts
+        .iter()
+        .map(|&n| match batched.binary_search(&n) {
+            Ok(i) => one_run[i].clone(),
+            Err(_) => mgps(trace, n, model, params, &plan, &mut off),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -411,6 +437,26 @@ mod tests {
                     traced.stats.spes[s].stalled(),
                     "{sched:?} SPE{s} stalled"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn one_run_per_table_equals_a_run_per_count() {
+        let model = CostModel::paper_calibrated();
+        let t = priced();
+        let counts: Vec<usize> = (1..=40).collect();
+        for p in [params(), DesParams { n_spes: 4, n_ppe_threads: 3, ..params() }] {
+            let shared = mgps_outcomes(&t, &counts, &model, &p);
+            for (&n, got) in counts.iter().zip(&shared) {
+                let off = &mut TraceLog::disabled();
+                let own =
+                    schedule_makespan(Scheduler::Mgps, &t, n, &model, &p, &FaultPlan::none(), off);
+                assert_eq!(got.makespan, own.makespan, "n={n}");
+                assert_eq!(got.stats.makespan, own.stats.makespan, "n={n}");
+                assert_eq!(got.stats.ppe_busy, own.stats.ppe_busy, "n={n}");
+                assert_eq!(got.stats.spes, own.stats.spes, "n={n}");
+                assert!(got.faults.is_clean(), "n={n}");
             }
         }
     }

@@ -59,9 +59,14 @@ if [[ "$quick" -eq 0 ]]; then
 fi
 
 # Paper regeneration: every table, the figure and the profile on the reduced
-# workload, then the per-scheduler traces of one SPR round — each emitted
-# Chrome trace re-parsed by python3, the one parser here we did not write.
+# workload, then on the full ALN42 capture with its stdout diffed against the
+# recorded tables (every line is simulated cycles, deterministic), then the
+# per-scheduler traces of one SPR round — each emitted Chrome trace re-parsed
+# by python3, the one parser here we did not write.
 run cargo run -q -p bench --bin paper -- all --quick
+if [[ "$quick" -eq 0 ]]; then
+    run diff -u tests/data/golden/paper_all.txt <(cargo run -q --release -p bench --bin paper -- all)
+fi
 trace_dir="$(mktemp -d)"
 run cargo run -q -p bench --bin paper -- traces --quick --out "$trace_dir"
 for f in "$trace_dir"/*.trace.json; do

@@ -8,7 +8,6 @@ use cellsim::dma::{
     build_dma_list, stream_stall_blocking, stream_stall_double_buffered, validate_transfer,
     DmaCosts, MAX_TRANSFER,
 };
-use cellsim::engine::EventQueue;
 use phylo::alignment::Alignment;
 use phylo::alphabet::{decode_base, encode_base};
 use phylo::bipartitions::{robinson_foulds, tree_bipartitions};
@@ -651,26 +650,6 @@ proptest! {
         prop_assert!(dbuf <= blocking);
         let dbuf_more = stream_stall_double_buffered(total, 2048, compute * 2, &costs);
         prop_assert!(dbuf_more <= dbuf);
-    }
-
-    /// The event queue pops in exactly sorted order with FIFO ties.
-    #[test]
-    fn event_queue_is_a_stable_priority_queue(times in proptest::collection::vec(0u64..1000, 1..100)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(t, i);
-        }
-        let mut popped: Vec<(u64, usize)> = Vec::new();
-        while let Some(ev) = q.pop() {
-            popped.push(ev);
-        }
-        prop_assert_eq!(popped.len(), times.len());
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time order");
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO tie-break");
-            }
-        }
     }
 }
 
