@@ -1,12 +1,10 @@
-//! Fused `TraversalOps` dispatch vs per-node dispatch, and workspace
-//! pooling vs fresh allocation — the host-side benchmarks of the
-//! zero-allocation hot-path redesign.
+//! Fused `TraversalOps` dispatch and workspace pooling vs fresh
+//! allocation — the host-side benchmarks of the zero-allocation hot path.
 //!
 //! `dispatch/*` measures one full-tree likelihood on the ALN42-sized
 //! workload (42 taxa × 1167 sites, ~250 patterns): every inner partial
-//! recomputed, then one `evaluate`. The fused engine compiles the
-//! traversal into a descriptor list executed out of preallocated arenas;
-//! the per-node engine walks the historical allocating path.
+//! recomputed, then one `evaluate`, with the traversal compiled into a
+//! descriptor list executed out of preallocated arenas.
 //!
 //! `workspace/*` measures a complete small inference end-to-end, fresh
 //! arenas each run vs one recycled workspace (the bootstrap worker's
@@ -14,7 +12,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use phylo::likelihood::engine::LikelihoodEngine;
-use phylo::likelihood::{LikelihoodConfig, LikelihoodWorkspace, WorkspaceOptions};
+use phylo::likelihood::{LikelihoodConfig, LikelihoodWorkspace};
 use phylo::model::{GammaRates, SubstModel};
 use phylo::search::{run_inference, InferenceOptions, InferenceRequest, SearchConfig};
 use phylo::simulate::SimulationConfig;
@@ -29,29 +27,24 @@ fn bench_dispatch(c: &mut Criterion) {
     let edge = tree.edges()[0];
 
     let mut group = c.benchmark_group("dispatch");
-    for (name, options) in
-        [("fused", WorkspaceOptions::default()), ("per_node", WorkspaceOptions::per_node())]
-    {
-        let mut engine =
-            LikelihoodEngine::with_options(aln, model.clone(), rates.clone(), config, options);
-        group.bench_function(format!("{name}/full_traversal_aln42"), |b| {
-            b.iter(|| {
-                engine.invalidate_all();
-                black_box(engine.log_likelihood_at(tree, edge))
-            })
-        });
-        group.bench_function(format!("{name}/branch_sweep_aln42"), |b| {
-            let edges = tree.edges();
-            b.iter(|| {
-                let mut acc = 0.0;
-                for &e in edges.iter().step_by(8) {
-                    engine.invalidate_for_branch(tree, e.0, e.1);
-                    acc += engine.log_likelihood_at(tree, e);
-                }
-                black_box(acc)
-            })
-        });
-    }
+    let mut engine = LikelihoodEngine::new(aln, model, rates, config);
+    group.bench_function("fused/full_traversal_aln42", |b| {
+        b.iter(|| {
+            engine.invalidate_all();
+            black_box(engine.log_likelihood_at(tree, edge))
+        })
+    });
+    group.bench_function("fused/branch_sweep_aln42", |b| {
+        let edges = tree.edges();
+        b.iter(|| {
+            let mut acc = 0.0;
+            for &e in edges.iter().step_by(8) {
+                engine.invalidate_for_branch(tree, e.0, e.1);
+                acc += engine.log_likelihood_at(tree, e);
+            }
+            black_box(acc)
+        })
+    });
     group.finish();
 }
 

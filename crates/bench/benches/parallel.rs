@@ -1,6 +1,6 @@
 //! Criterion benchmarks of the parallelism layers on the host CPU.
 //!
-//! * `llp/*` — rayon loop-level parallelism over site patterns (the paper's
+//! * `llp/*` — loop-level parallelism over site-pattern stripes (the paper's
 //!   third parallelization layer / the RAxML-OMP analogue) on a multi-gene-
 //!   sized alignment, where the paper says it "scales particularly well".
 //! * `task_level/*` — the master–worker bootstrap scheme (§3.1) on the
@@ -30,7 +30,7 @@ fn bench_llp(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("llp");
     group.sample_size(15);
-    for (parallel, name) in [(false, "sequential"), (true, "rayon")] {
+    for (parallel, name) in [(false, "sequential"), (true, "parallel")] {
         let cfg = LikelihoodConfig { parallel, ..LikelihoodConfig::optimized() };
         let mut engine = LikelihoodEngine::new(&aln, model.clone(), rates.clone(), cfg);
         group.bench_function(format!("full_tree_lnl/{name}"), |b| {

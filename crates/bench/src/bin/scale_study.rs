@@ -32,10 +32,9 @@ use phylo::alignment::{Alignment, PatternAlignment};
 use phylo::alphabet::DnaCode;
 use phylo::checkpoint::{SearchCheckpoint, SearchCheckpointer};
 use phylo::io::{parse_phylip_reader, write_phylip_to};
-use phylo::likelihood::kernels::{build_tip_tables, tiled_len, Child, Mat4, TipTable16};
+use phylo::likelihood::kernels::{self, build_tip_tables, tiled_len, Child, Mat4, TipTable16};
 use phylo::likelihood::{KernelKind, LikelihoodWorkspace, ScalingCheck};
 use phylo::model::{ExpImpl, GammaRates, SubstModel};
-use phylo::parallel::newview_dispatch;
 use phylo::tree::Tree;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -237,10 +236,8 @@ fn measure_tier(tier: Tier, quick: bool) -> Result<TierMeasurement, String> {
     })
 }
 
-/// Synthetic inner/inner operands for the *parallel* `newview` dispatcher
-/// at a given pattern count — this exercises the adaptive granule at the
-/// tier's real pattern count, unlike the per-kernel study which measures
-/// the sequential kernels.
+/// Single-thread tip/tip `newview` throughput, in patterns per second, at
+/// the tier's real pattern count.
 fn newview_throughput(n_patterns: usize, reps: usize) -> f64 {
     let model = SubstModel::gtr([0.3, 0.2, 0.25, 0.25], [1.2, 3.1, 0.8, 0.9, 3.4, 1.0]).unwrap();
     let gamma = GammaRates::standard(0.7).unwrap();
@@ -254,8 +251,8 @@ fn newview_throughput(n_patterns: usize, reps: usize) -> f64 {
     let codes: Vec<u8> = (0..n_patterns).map(|_| 1u8 << (splitmix(&mut state) % 4)).collect();
     let mut out = vec![0.0f64; tiled_len(n_patterns, N_RATES)];
     let mut scale = vec![0u32; n_patterns];
-    for _ in 0..2 {
-        black_box(newview_dispatch(
+    let mut newview = || {
+        black_box(kernels::newview(
             &Child::Tip { codes: &codes, tables: &tables_l },
             &Child::Tip { codes: &codes, tables: &tables_r },
             &mut out,
@@ -263,21 +260,13 @@ fn newview_throughput(n_patterns: usize, reps: usize) -> f64 {
             N_RATES,
             KernelKind::Vector,
             ScalingCheck::IntegerCast,
-            true,
         ));
-    }
+    };
+    newview();
+    newview();
     let secs = best_of(3, || {
         for _ in 0..reps {
-            black_box(newview_dispatch(
-                &Child::Tip { codes: &codes, tables: &tables_l },
-                &Child::Tip { codes: &codes, tables: &tables_r },
-                &mut out,
-                &mut scale,
-                N_RATES,
-                KernelKind::Vector,
-                ScalingCheck::IntegerCast,
-                true,
-            ));
+            newview();
         }
     });
     (n_patterns * reps) as f64 / secs

@@ -15,7 +15,7 @@
 //! determinism tests in `tests/robustness.rs` lock down.
 
 use crate::time::Cycles;
-use obs::trace::splitmix64;
+use obs::trace::counter_draw;
 
 /// The kinds of fault the plan can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -179,15 +179,7 @@ impl FaultPlan {
     /// the drawing component (e.g. a worker id), `index` the operation
     /// within the stream, `attempt` the retry, and `salt` the category.
     fn draw(&self, stream: u64, index: u64, attempt: u32, salt: u64) -> f64 {
-        let mut x = self.seed ^ salt;
-        x = splitmix64(x);
-        x ^= stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x = splitmix64(x);
-        x ^= index.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= (attempt as u64).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let bits = splitmix64(x);
-        // 53 high bits → uniform double in [0, 1).
-        (bits >> 11) as f64 / (1u64 << 53) as f64
+        counter_draw(self.seed, salt, stream, index, attempt.into())
     }
 
     /// Does this DMA transfer attempt fault, and how?

@@ -39,13 +39,30 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// SplitMix64: the one-shot mixer used across the workspace for
 /// deterministic, stateless ID derivation (also the hash behind
-/// `cellsim::fault`'s counter-mode draws).
+/// [`counter_draw`]).
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The counter-mode fault draw: a uniform double in `[0, 1)` that is a pure
+/// function of `(seed, salt, stream, index, attempt)`, so a fault plan
+/// carries no RNG state and any site can be asked in any order. `salt`
+/// names the fault category, `stream` the drawing component, `index` the
+/// operation within it and `attempt` the retry; a plan without retries
+/// passes 0, which drops the attempt term. `cellsim::fault` and
+/// `serve::fault` both draw through this.
+pub fn counter_draw(seed: u64, salt: u64, stream: u64, index: u64, attempt: u64) -> f64 {
+    let mut x = splitmix64(seed ^ salt);
+    x ^= stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x = splitmix64(x);
+    x ^= index.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= attempt.wrapping_mul(0x94d0_49bb_1331_11eb);
+    // 53 high bits → uniform double in [0, 1).
+    (splitmix64(x) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// 64-bit FNV-1a over a byte string (also the registry's shard hash).

@@ -8,13 +8,12 @@
 //! All buffers live in a [`LikelihoodWorkspace`] arena owned by the engine:
 //! after warm-up, `newview`/`evaluate`/`makenewz` perform **zero heap
 //! allocation**. Traversals compile into a [`TraversalOps`] descriptor list
-//! executed by one kernel-driver loop ([`WorkspaceOptions::fused_dispatch`],
-//! the default); the historical per-node dispatch is retained behind
-//! [`WorkspaceOptions::per_node`] as the measured baseline.
+//! executed by one kernel-driver loop, sequentially or once per pattern
+//! stripe under loop-level parallelism.
 
 use super::kernels::{
-    self, build_sumtable_into, build_tip_tables, fill_tip_tables, Child, EvalOperand, Mat4,
-    NewtonPass, ScaleStats, TipTable16,
+    self, build_sumtable_into, fill_tip_tables, Child, EvalOperand, Mat4, NewtonPass, ScaleStats,
+    TipTable16,
 };
 use super::workspace::{
     LikelihoodWorkspace, SprScratch, TraversalOp, TraversalOps, WorkspaceOptions,
@@ -22,9 +21,7 @@ use super::workspace::{
 use super::LikelihoodConfig;
 use crate::alignment::PatternAlignment;
 use crate::model::{ExpImpl, GammaRates, SubstModel};
-use crate::parallel::{
-    evaluate_dispatch, newton_dispatch, newview_dispatch, run_striped, stripe_width,
-};
+use crate::parallel::{evaluate_dispatch, newton_dispatch, run_striped, stripe_width};
 use crate::trace::{CallParent, KernelEvent, KernelOp, Trace};
 use crate::tree::{clamp_branch, Edge, NodeId, Tree};
 
@@ -99,7 +96,6 @@ pub struct LikelihoodEngine<'a> {
     model: SubstModel,
     rates: GammaRates,
     config: LikelihoodConfig,
-    options: WorkspaceOptions,
     n_patterns: usize,
     n_rates: usize,
     n_taxa: usize,
@@ -112,7 +108,7 @@ pub struct LikelihoodEngine<'a> {
 
 impl<'a> LikelihoodEngine<'a> {
     /// Create an engine for an alignment, substitution model and rate model
-    /// with default workspace options and a fresh arena.
+    /// on a fresh arena.
     pub fn new(
         aln: &'a PatternAlignment,
         model: SubstModel,
@@ -124,25 +120,7 @@ impl<'a> LikelihoodEngine<'a> {
             model,
             rates,
             config,
-            WorkspaceOptions::default(),
-            LikelihoodWorkspace::new(),
-        )
-    }
-
-    /// As [`Self::new`] with explicit workspace/dispatch options.
-    pub fn with_options(
-        aln: &'a PatternAlignment,
-        model: SubstModel,
-        rates: GammaRates,
-        config: LikelihoodConfig,
-        options: WorkspaceOptions,
-    ) -> LikelihoodEngine<'a> {
-        LikelihoodEngine::with_workspace(
-            aln,
-            model,
-            rates,
-            config,
-            options,
+            WorkspaceOptions,
             LikelihoodWorkspace::new(),
         )
     }
@@ -151,12 +129,13 @@ impl<'a> LikelihoodEngine<'a> {
     /// arena: the arena is resized for this problem's geometry — reusing
     /// its capacity — and all cached partials are invalidated. This is how
     /// pooled workers avoid reallocating buffers per bootstrap replicate.
+    /// `_options` is the vestigial [`WorkspaceOptions`]; it selects nothing.
     pub fn with_workspace(
         aln: &'a PatternAlignment,
         model: SubstModel,
         rates: GammaRates,
         config: LikelihoodConfig,
-        options: WorkspaceOptions,
+        _options: WorkspaceOptions,
         mut ws: LikelihoodWorkspace,
     ) -> LikelihoodEngine<'a> {
         let n_taxa = aln.n_taxa();
@@ -168,7 +147,6 @@ impl<'a> LikelihoodEngine<'a> {
             model,
             rates,
             config,
-            options,
             n_patterns,
             n_rates,
             n_taxa,
@@ -209,13 +187,8 @@ impl<'a> LikelihoodEngine<'a> {
         &self.config
     }
 
-    /// Workspace/dispatch options.
-    pub fn options(&self) -> WorkspaceOptions {
-        self.options
-    }
-
-    /// The descriptor list compiled by the most recent fused traversal
-    /// (empty before any traversal or when running per-node dispatch).
+    /// The descriptor list compiled by the most recent traversal (empty
+    /// before any traversal, or when every partial it needed was cached).
     pub fn last_traversal(&self) -> &TraversalOps {
         &self.ws.ops
     }
@@ -223,7 +196,7 @@ impl<'a> LikelihoodEngine<'a> {
     /// The cached partial vector and scale counts of an inner node, if that
     /// node currently holds a valid partial: `(partial, scales, toward)`.
     /// Tips and stale inner nodes return `None`. Exposed for equivalence
-    /// tests between dispatch modes.
+    /// tests (sequential vs striped, fresh vs recycled arenas).
     pub fn node_partial(&self, node: NodeId) -> Option<(&[f64], &[u32], NodeId)> {
         if node < self.n_taxa {
             return None;
@@ -653,20 +626,10 @@ impl<'a> LikelihoodEngine<'a> {
 
     /// Ensure the partials facing the branch `(u, v)` are up to date:
     /// compile the stale sub-traversals into one [`TraversalOps`] list and
-    /// execute it with the fused kernel driver, or (per-node mode) run the
-    /// historical recursive dispatch.
+    /// execute it with the fused kernel driver.
     fn prepare(&mut self, tree: &Tree, u: NodeId, v: NodeId, parent: CallParent) {
-        if self.options.fused_dispatch {
-            self.compile_traversal(tree, u, v);
-            self.execute_ops(parent);
-        } else {
-            if !tree.is_tip(u) {
-                self.newview_traverse(tree, u, v, parent);
-            }
-            if !tree.is_tip(v) {
-                self.newview_traverse(tree, v, u, parent);
-            }
-        }
+        self.compile_traversal(tree, u, v);
+        self.execute_ops(parent);
     }
 
     /// Compile the stale portion of the traversal toward branch `(u, v)`
@@ -872,105 +835,6 @@ impl<'a> LikelihoodEngine<'a> {
             inner_operands: inner_children + 1,
         });
     }
-
-    /// Recompute (lazily) the partial at inner node `p` oriented toward
-    /// `toward`, recursing into stale children first. Iterative post-order
-    /// so deep trees cannot overflow the stack. This is the historical
-    /// per-node dispatch path (fresh scratch per call), retained behind
-    /// [`WorkspaceOptions::per_node`] as the fused dispatcher's baseline.
-    fn newview_traverse(&mut self, tree: &Tree, p: NodeId, toward: NodeId, parent: CallParent) {
-        debug_assert!(!tree.is_tip(p));
-        // Collect the stale (node, toward) pairs in reverse finish order.
-        let mut order: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut stack: Vec<(NodeId, NodeId)> = vec![(p, toward)];
-        while let Some((node, tw)) = stack.pop() {
-            let idx = self.inner_idx(node);
-            if self.ws.orientation[idx] == Some(tw) && self.slot_is_current(idx) {
-                self.reuse.partials_reused += 1;
-                continue; // already valid — subtree under it is too
-            }
-            order.push((node, tw));
-            for (child, _) in tree.other_neighbors(node, tw) {
-                if !tree.is_tip(child) {
-                    stack.push((child, node));
-                }
-            }
-        }
-        // Compute bottom-up. Every newview of this traversal is tagged with
-        // the high-level caller: RAxML's `makenewz`/`evaluate` execute the
-        // whole traversal descriptor internally, so under full offloading
-        // (§5.2.7) these invocations run back-to-back on the SPE with no
-        // per-node PPE↔SPE communication.
-        for &(node, tw) in order.iter().rev() {
-            self.compute_newview(tree, node, tw, parent);
-        }
-    }
-
-    /// Unconditionally recompute the partial at `p` oriented toward `toward`
-    /// (per-node path: allocates its P matrices and tip tables per call).
-    fn compute_newview(&mut self, tree: &Tree, p: NodeId, toward: NodeId, parent: CallParent) {
-        let [(a, la), (b, lb)] = tree.other_neighbors(p, toward);
-        let mut pa = vec![[[0.0; 4]; 4]; self.n_rates];
-        let mut pb = pa.clone();
-        fill_pmats(&self.model, self.rates.rates(), la, self.config.exp_impl, &mut pa);
-        fill_pmats(&self.model, self.rates.rates(), lb, self.config.exp_impl, &mut pb);
-
-        // Tip lookup tables are built only for tip children.
-        let ta = tree.is_tip(a).then(|| build_tip_tables(&pa));
-        let tb = tree.is_tip(b).then(|| build_tip_tables(&pb));
-
-        // Move the output buffers out to satisfy the borrow checker while
-        // reading sibling partials.
-        let idx = self.inner_idx(p);
-        let ws = &mut self.ws;
-        let mut out_x = std::mem::take(&mut ws.partials[idx]);
-        let mut out_scale = std::mem::take(&mut ws.scales[idx]);
-
-        let stats = {
-            let ca: Child<'_> = if tree.is_tip(a) {
-                Child::Tip {
-                    codes: self.aln.tip_row(a),
-                    tables: ta.as_ref().expect("tip tables built for tip child"),
-                }
-            } else {
-                let i = a - self.n_taxa;
-                Child::Inner { x: &ws.partials[i], scale: &ws.scales[i], pmats: &pa }
-            };
-            let cb: Child<'_> = if tree.is_tip(b) {
-                Child::Tip {
-                    codes: self.aln.tip_row(b),
-                    tables: tb.as_ref().expect("tip tables built for tip child"),
-                }
-            } else {
-                let i = b - self.n_taxa;
-                Child::Inner { x: &ws.partials[i], scale: &ws.scales[i], pmats: &pb }
-            };
-            newview_dispatch(
-                &ca,
-                &cb,
-                &mut out_x,
-                &mut out_scale,
-                self.n_rates,
-                self.config.kernel,
-                self.config.scaling,
-                self.config.parallel,
-            )
-        };
-
-        ws.partials[idx] = out_x;
-        ws.scales[idx] = out_scale;
-        let op = TraversalOp {
-            node: p,
-            toward,
-            left: a,
-            left_len: la,
-            right: b,
-            right_len: lb,
-            left_tip: tree.is_tip(a),
-            right_tip: tree.is_tip(b),
-        };
-        self.finish_op(op, stats, parent);
-    }
 }
 
 #[cfg(test)]
@@ -1004,20 +868,6 @@ mod tests {
             SubstModel::gtr(aln.base_frequencies(), [1.0, 2.0, 1.0, 1.0, 2.0, 1.0]).unwrap(),
             GammaRates::standard(0.8).unwrap(),
             cfg,
-        )
-    }
-
-    fn engine_with<'a>(
-        aln: &'a PatternAlignment,
-        cfg: LikelihoodConfig,
-        options: WorkspaceOptions,
-    ) -> LikelihoodEngine<'a> {
-        LikelihoodEngine::with_options(
-            aln,
-            SubstModel::gtr(aln.base_frequencies(), [1.0, 2.0, 1.0, 1.0, 2.0, 1.0]).unwrap(),
-            GammaRates::standard(0.8).unwrap(),
-            cfg,
-            options,
         )
     }
 
@@ -1088,43 +938,6 @@ mod tests {
         }
     }
 
-    /// The fused descriptor-list driver and the historical per-node
-    /// dispatch must produce bit-identical likelihoods, partials and scale
-    /// counts, and the same kernel-call counts.
-    #[test]
-    fn fused_dispatch_bit_equal_to_per_node() {
-        let (aln, mut tree) = toy_setup();
-        let mut fused =
-            engine_with(&aln, LikelihoodConfig::optimized(), WorkspaceOptions::default());
-        let mut legacy =
-            engine_with(&aln, LikelihoodConfig::optimized(), WorkspaceOptions::per_node());
-        assert!(fused.options().fused_dispatch);
-        assert!(!legacy.options().fused_dispatch);
-
-        let a = fused.log_likelihood(&tree);
-        let b = legacy.log_likelihood(&tree);
-        assert_eq!(a, b, "dispatch modes must agree bit-for-bit");
-        assert_eq!(fused.trace().counters().newview_calls, legacy.trace().counters().newview_calls);
-        assert!(fused.trace().counters().fused_batches >= 1);
-        assert!(fused.trace().counters().fused_ops >= 3);
-        assert_eq!(legacy.trace().counters().fused_batches, 0);
-        assert!(!fused.last_traversal().is_empty());
-        assert!(legacy.last_traversal().is_empty());
-
-        for node in aln.n_taxa()..tree.n_nodes() {
-            let fa = fused.node_partial(node);
-            let fb = legacy.node_partial(node);
-            assert_eq!(fa, fb, "partials at node {node} differ");
-        }
-
-        // Branch optimization exercises makenewz + targeted invalidation.
-        let mut tree2 = tree.clone();
-        let la = fused.optimize_all_branches(&mut tree, 2);
-        let lb = legacy.optimize_all_branches(&mut tree2, 2);
-        assert_eq!(la, lb);
-        assert_eq!(tree, tree2);
-    }
-
     /// A workspace recycled through `into_workspace`/`with_workspace` gives
     /// bit-identical answers to a fresh allocation.
     #[test]
@@ -1139,7 +952,7 @@ mod tests {
             SubstModel::gtr(aln.base_frequencies(), [1.0, 2.0, 1.0, 1.0, 2.0, 1.0]).unwrap(),
             GammaRates::standard(0.8).unwrap(),
             LikelihoodConfig::optimized(),
-            WorkspaceOptions::default(),
+            WorkspaceOptions,
             ws,
         );
         let again = reused.log_likelihood(&tree);
@@ -1242,6 +1055,8 @@ mod tests {
         eng.optimize_branch(&mut tree, e);
         let c = eng.trace().counters();
         assert!(c.newview_calls >= 3);
+        assert!(c.fused_batches >= 1);
+        assert!(c.fused_ops >= 3);
         assert_eq!(c.evaluate_calls, 1);
         assert_eq!(c.makenewz_calls, 1);
         assert!(c.newton_iters >= 1);

@@ -18,30 +18,14 @@
 use super::kernels::{tiled_len, Mat4, NewtonScratch, TipTable16};
 use crate::tree::{Edge, NodeId};
 
-/// Engine-level switches for the workspace/dispatch layer, threaded through
-/// [`crate::search::SearchConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkspaceOptions {
-    /// Execute traversals as one fused [`TraversalOps`] descriptor list
-    /// (the default). `false` restores the historical per-node dispatch in
-    /// which every `newview` allocates its own scratch — kept as the
-    /// baseline the `dispatch` Criterion group measures against.
-    pub fused_dispatch: bool,
-}
-
-impl Default for WorkspaceOptions {
-    fn default() -> WorkspaceOptions {
-        WorkspaceOptions { fused_dispatch: true }
-    }
-}
-
-impl WorkspaceOptions {
-    /// The historical per-node dispatch path (fresh scratch per kernel
-    /// call).
-    pub fn per_node() -> WorkspaceOptions {
-        WorkspaceOptions { fused_dispatch: false }
-    }
-}
+/// Vestigial and fieldless: the engine has one traversal driver, so there
+/// is nothing left to switch. The type survives only because the standalone
+/// `benchmark/` package still names it ([`crate::search::SearchConfig`]'s
+/// `workspace` field and
+/// [`crate::likelihood::engine::LikelihoodEngine::with_workspace`]'s
+/// argument list); it goes when that package stops naming it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkspaceOptions;
 
 /// One `newview` work descriptor: everything the kernel driver needs to
 /// recompute the partial at `node` oriented toward `toward`, without

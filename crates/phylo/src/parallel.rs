@@ -6,19 +6,20 @@
 //!    master–worker scheme (§3.1). Here: [`crate::farm`], the work-stealing
 //!    inference farm (the MPI analogue).
 //! 2. **Loop level** — the likelihood loops distributed across processors
-//!    (the RAxML-OMP / LLP-across-SPEs layer). Here: `newview` by pattern
-//!    stripes, one thread owning its stripe of every partial for a whole
-//!    traversal (`run_striped`), and the rayon-chunked reductions
-//!    ([`evaluate_dispatch`], [`newton_dispatch`]).
-//! 3. **Data level** — the 2-lane vector kernels themselves
-//!    ([`crate::likelihood::kernels`]).
+//!    (the RAxML-OMP / LLP-across-SPEs layer). Here: one rule
+//!    (`stripe_width`) cuts the pattern range into block-aligned stripes and
+//!    one runner gives each stripe a thread. A fused `newview` traversal owns
+//!    its stripe of every partial start to end (`run_striped`); the
+//!    reductions ([`evaluate_dispatch`], [`newton_dispatch`]) write one slot
+//!    per `REDUCE_BLOCK` and fold the slots in block order.
+//! 3. **Data level** — the lane-generic vector kernels themselves, 4 lanes
+//!    on AVX2 hosts and 2 elsewhere ([`crate::likelihood::kernels`]).
 
 use crate::likelihood::kernels::{
-    self, evaluate_lnl, Child, EvalOperand, Mat4, NewtonPass, NewtonScratch, ScaleStats,
+    self, evaluate_lnl, EvalOperand, Mat4, NewtonPass, NewtonScratch,
 };
-use crate::likelihood::{KernelKind, ScalingCheck, TILE};
+use crate::likelihood::TILE;
 use crate::model::ExpImpl;
-use rayon::prelude::*;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -28,42 +29,17 @@ const MIN_CHUNK: usize = 64;
 
 /// Fixed floating-point *association unit* for the parallel reductions.
 ///
-/// Deliberately *not* derived from `rayon::current_num_threads()`: these
-/// 256-pattern block boundaries define the floating-point association of
-/// the reduction, so they must be a pure function of the alignment. Each
+/// Deliberately *not* derived from the thread count: these 256-pattern
+/// block boundaries define the floating-point association of the
+/// reduction, so they must be a pure function of the alignment. Each
 /// block's partial log-likelihood lands in its own indexed slot and the
 /// slots are folded sequentially in block order, which makes
 /// `evaluate_dispatch`/`newton_dispatch` bit-reproducible run-to-run and
-/// across any thread count — the BEAGLE-style determinism contract for
-/// parallel likelihood accumulation.
+/// across any thread count and stripe width — the BEAGLE-style determinism
+/// contract for parallel likelihood accumulation.
 const REDUCE_BLOCK: usize = 256;
 
-/// How many whole [`REDUCE_BLOCK`]s one scheduled task covers.
-///
-/// A fixed 256-pattern scheduling chunk is wrong at both ends of the scale
-/// axis: at 250 patterns there is nothing to schedule, and at 10⁶ patterns
-/// it creates ~4000 tasks whose queueing overhead swamps the kernels. The
-/// *granule* (task size) therefore adapts to the pattern count and worker
-/// count — about `OVERSUBSCRIBE` tasks per worker for stealing slack,
-/// bounded by [`MAX_GRANULE_BLOCKS`] so one straggler task cannot serialize
-/// the tail. Crucially the granule is always a whole number of
-/// `REDUCE_BLOCK`s and per-block partials keep their own slots, so the
-/// *association* of every floating-point sum is untouched: any granule,
-/// any worker count, and the sequential-slot fold all produce bit-identical
-/// results (the adaptive-granule tests below pin this).
-fn granule_blocks(n_patterns: usize) -> usize {
-    /// Scheduling slack: target tasks per worker, so work stealing can
-    /// rebalance ragged progress.
-    const OVERSUBSCRIBE: usize = 4;
-    /// Granule cap in blocks (32 × 256 = 8192 patterns per task) — bounds
-    /// the tail latency a single task can add.
-    const MAX_GRANULE_BLOCKS: usize = 32;
-    let blocks = n_patterns.div_ceil(REDUCE_BLOCK);
-    let workers = rayon::current_num_threads().max(1);
-    blocks.div_ceil(workers * OVERSUBSCRIBE).clamp(1, MAX_GRANULE_BLOCKS)
-}
-
-/// Wall-clock telemetry for the loop-level dispatchers: batch latency
+/// Wall-clock telemetry for the loop-level reductions: batch latency
 /// histograms (`evaluate_dispatch_ns`, `newton_dispatch_ns`) and pattern
 /// throughput counters (`*_patterns_total`, patterns/sec once divided by
 /// wall time). Handles are resolved from the global [`obs`] registry once
@@ -71,10 +47,6 @@ fn granule_blocks(n_patterns: usize) -> usize {
 /// atomic load and skips the clock reads entirely, so the instrumented
 /// path stays allocation-free and — because timing never feeds back into
 /// the arithmetic — bit-identical in its likelihood results.
-///
-/// `newview_dispatch` is deliberately *not* instrumented: it runs per tree
-/// node rather than per optimization pass, and two clock reads per node
-/// would be measurable against the ~100ns/pattern kernel.
 struct DispatchMetrics {
     evaluate_ns: obs::Histogram,
     newton_ns: obs::Histogram,
@@ -107,16 +79,6 @@ fn tiled_range(lo: usize, hi: usize, n_rates: usize) -> std::ops::Range<usize> {
     (lo / TILE) * block..hi.div_ceil(TILE) * block
 }
 
-/// Restrict a `newview` child operand to the pattern range `[lo, hi)`.
-fn slice_child<'a>(c: &Child<'a>, lo: usize, hi: usize, n_rates: usize) -> Child<'a> {
-    match *c {
-        Child::Tip { codes, tables } => Child::Tip { codes: &codes[lo..hi], tables },
-        Child::Inner { x, scale, pmats } => {
-            Child::Inner { x: &x[tiled_range(lo, hi, n_rates)], scale: &scale[lo..hi], pmats }
-        }
-    }
-}
-
 /// Restrict an evaluate/makenewz operand to the pattern range `[lo, hi)`.
 fn slice_operand<'a>(
     op: &EvalOperand<'a>,
@@ -132,17 +94,49 @@ fn slice_operand<'a>(
     }
 }
 
-/// Stripe width, in patterns, of a traversal under loop-level parallelism:
-/// the [`REDUCE_BLOCK`]s of the pattern range dealt evenly to the threads,
-/// so there are at most that many stripes and every boundary is
-/// block-aligned. `None` when loop-level parallelism does not engage
-/// (`parallel` off, or too few patterns to pay for a thread). Reads the
-/// thread count from the environment: call it once per traversal, not once
-/// per kernel.
+/// Loop-level threads: `RAYON_NUM_THREADS` when it holds a positive integer
+/// (the variable CI and the determinism tests set), otherwise the host's
+/// available parallelism. Read per call, so tests can vary it in-process.
+fn thread_count() -> usize {
+    std::env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Stripe width, in patterns, of loop-level work: the [`REDUCE_BLOCK`]s of
+/// the pattern range dealt evenly to the threads, so there are at most that
+/// many stripes and every boundary is block-aligned. `None` when loop-level
+/// parallelism does not engage (`parallel` off, or too few patterns to pay
+/// for a thread). This is the one engagement and width rule for `newview`,
+/// `evaluate` and Newton alike. Reads the thread count from the
+/// environment: call it once per traversal or reduction, not once per
+/// kernel.
 pub(crate) fn stripe_width(parallel: bool, n_patterns: usize) -> Option<usize> {
-    (parallel && n_patterns >= 2 * MIN_CHUNK).then(|| {
-        let blocks = n_patterns.div_ceil(REDUCE_BLOCK);
-        blocks.div_ceil(rayon::current_num_threads().max(1)) * REDUCE_BLOCK
+    (parallel && n_patterns >= 2 * MIN_CHUNK)
+        .then(|| n_patterns.div_ceil(REDUCE_BLOCK).div_ceil(thread_count()) * REDUCE_BLOCK)
+}
+
+/// The one place loop-level threads are spawned: `body(k, stripe)` for
+/// every stripe, stripe 0 on the caller and each other stripe on a scoped
+/// thread of its own. Results come back in stripe order; a stripe's panic
+/// is resumed on the caller.
+fn run_stripes<T: Send, R: Send>(
+    stripes: impl IntoIterator<Item = T>,
+    body: impl Fn(usize, T) -> R + Sync,
+) -> Vec<R> {
+    let body = &body;
+    std::thread::scope(|s| {
+        let mut stripes = stripes.into_iter().enumerate();
+        let first = stripes.next();
+        let spawned: Vec<_> = stripes.map(|(k, stripe)| s.spawn(move || body(k, stripe))).collect();
+        let mut out = Vec::with_capacity(spawned.len() + 1);
+        out.extend(first.map(|(k, stripe)| body(k, stripe)));
+        for handle in spawned {
+            out.push(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        out
     })
 }
 
@@ -155,9 +149,7 @@ pub(crate) type StripeSlot<'a> = (&'a mut [f64], &'a mut [u32]);
 /// multiple of [`TILE`], so the cuts fall on whole blocks and the last
 /// stripe keeps the zero-padded tail); stripe `k` of *every* node goes to
 /// one thread, which runs `body(first pattern, its slots in node order)` —
-/// typically a whole descriptor list — start to end. Threads are entered
-/// once per call, the first stripe runs on the caller, and the results come
-/// back in stripe order.
+/// typically a whole descriptor list — start to end.
 ///
 /// Because `newview` is pattern-local, what a stripe computes does not
 /// depend on where the other cuts fall: any `width` and any thread count
@@ -182,68 +174,33 @@ pub(crate) fn run_striped<'a, R: Send>(
             stripes[k].push(slot);
         }
     }
-    let body = &body;
-    std::thread::scope(|s| {
-        let mut stripes = stripes.into_iter().enumerate();
-        let first = stripes.next();
-        let spawned: Vec<_> =
-            stripes.map(|(k, mut slots)| s.spawn(move || body(k * width, &mut slots))).collect();
-        let mut out = Vec::with_capacity(spawned.len() + 1);
-        out.extend(first.map(|(_, mut slots)| body(0, &mut slots)));
-        for handle in spawned {
-            out.push(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-        }
-        out
-    })
+    run_stripes(stripes, |k, mut slots| body(k * width, &mut slots))
 }
 
-/// One `newview` with optional loop-level parallelism over site patterns —
-/// the single-kernel form of `run_striped`, for per-node dispatch and
-/// kernel studies; a fused traversal enters the threads once for its whole
-/// descriptor list instead.
-#[allow(clippy::too_many_arguments)]
-pub fn newview_dispatch(
-    left: &Child<'_>,
-    right: &Child<'_>,
-    out_x: &mut [f64],
-    out_scale: &mut [u32],
-    n_rates: usize,
-    kind: KernelKind,
-    scaling: ScalingCheck,
-    parallel: bool,
-) -> ScaleStats {
-    match stripe_width(parallel, out_scale.len()) {
-        None => kernels::newview(left, right, out_x, out_scale, n_rates, kind, scaling),
-        Some(width) => {
-            newview_striped(left, right, out_x, out_scale, n_rates, kind, scaling, width)
-        }
-    }
-}
-
-/// Parallel `newview` body with an explicit stripe width (a multiple of
-/// [`TILE`]); factored out so tests can prove width invariance.
-#[allow(clippy::too_many_arguments)]
-fn newview_striped(
-    left: &Child<'_>,
-    right: &Child<'_>,
-    out_x: &mut [f64],
-    out_scale: &mut [u32],
-    n_rates: usize,
-    kind: KernelKind,
-    scaling: ScalingCheck,
+/// The striped body of a reduction over `n` patterns: stripes of `width`
+/// patterns (a whole number of [`REDUCE_BLOCK`]s), `block(lo, hi, state)`
+/// once per block with one `St` per stripe, and the per-block results
+/// returned in block order — the order every caller folds them in, so the
+/// association is the same at any width.
+fn per_block<S, St>(
+    n: usize,
     width: usize,
-) -> ScaleStats {
-    // `ScaleStats::merge` is integer addition (associative and
-    // commutative), so there is no association to pin.
-    run_striped(std::iter::once((out_x, out_scale)), n_rates, width, |lo, mine| {
-        let (ox, os) = std::mem::take(&mut mine[0]);
-        let hi = lo + os.len();
-        let l = slice_child(left, lo, hi, n_rates);
-        let r = slice_child(right, lo, hi, n_rates);
-        kernels::newview(&l, &r, ox, os, n_rates, kind, scaling)
-    })
-    .into_iter()
-    .fold(ScaleStats::default(), ScaleStats::merge)
+    block: impl Fn(usize, usize, &mut St) -> S + Sync,
+) -> Vec<S>
+where
+    S: Copy + Default + Send,
+    St: Default,
+{
+    assert!(width > 0 && width.is_multiple_of(REDUCE_BLOCK), "stripes must cover whole blocks");
+    let mut slots = vec![S::default(); n.div_ceil(REDUCE_BLOCK)];
+    run_stripes(slots.chunks_mut(width / REDUCE_BLOCK), |k, stripe| {
+        let mut state = St::default();
+        for (b, slot) in stripe.iter_mut().enumerate() {
+            let lo = k * width + b * REDUCE_BLOCK;
+            *slot = block(lo, n.min(lo + REDUCE_BLOCK), &mut state);
+        }
+    });
+    slots
 }
 
 /// `evaluate` with optional loop-level parallelism over site patterns.
@@ -251,7 +208,7 @@ fn newview_striped(
 /// Deterministic: each fixed 256-pattern `REDUCE_BLOCK` writes its
 /// partial log-likelihood into an indexed slot and the slots are summed
 /// sequentially in block order, so the result is bit-identical run-to-run,
-/// across thread counts, and across scheduling granules.
+/// across thread counts, and across stripe widths.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_dispatch(
     u: &EvalOperand<'_>,
@@ -265,10 +222,9 @@ pub fn evaluate_dispatch(
     let n = weights.len();
     let metrics = dispatch_metrics();
     let t0 = metrics.map(|_| Instant::now());
-    let lnl = if !parallel || n < 2 * MIN_CHUNK {
-        evaluate_lnl(u, v, pmats, freqs, weights, n_rates)
-    } else {
-        evaluate_blocks(u, v, pmats, freqs, weights, n_rates, granule_blocks(n))
+    let lnl = match stripe_width(parallel, n) {
+        None => evaluate_lnl(u, v, pmats, freqs, weights, n_rates),
+        Some(width) => evaluate_striped(u, v, pmats, freqs, weights, n_rates, width),
     };
     if let (Some(m), Some(t0)) = (metrics, t0) {
         m.evaluate_ns.record(t0.elapsed().as_nanos() as u64);
@@ -277,50 +233,31 @@ pub fn evaluate_dispatch(
     lnl
 }
 
-/// Parallel `evaluate` body with an explicit granule (in blocks); factored
-/// out so tests can prove granule invariance. Each task covers
-/// `granule_blocks` consecutive [`REDUCE_BLOCK`]s and evaluates them
-/// block-by-block into per-block slots; the final fold is sequential in
-/// block order regardless of the granule, so the floating-point
-/// association never changes.
-fn evaluate_blocks(
+/// Parallel `evaluate` at an explicit stripe width (a multiple of
+/// [`REDUCE_BLOCK`]); factored out so tests can prove width invariance.
+fn evaluate_striped(
     u: &EvalOperand<'_>,
     v: &EvalOperand<'_>,
     pmats: &[Mat4],
     freqs: &[f64; 4],
     weights: &[f64],
     n_rates: usize,
-    granule_blocks: usize,
+    width: usize,
 ) -> f64 {
-    let n = weights.len();
-    let granule = granule_blocks * REDUCE_BLOCK;
-    let mut partials = vec![0.0f64; n.div_ceil(REDUCE_BLOCK)];
-    // `ceil(ceil(n/B)/k) == ceil(n/(k·B))`, so the slot chunks and weight
-    // chunks pair off exactly.
-    partials
-        .par_chunks_mut(granule_blocks)
-        .zip(weights.par_chunks(granule))
-        .enumerate()
-        .map(|(gi, (slots, w))| {
-            let base = gi * granule;
-            for (bi, (slot, wb)) in slots.iter_mut().zip(w.chunks(REDUCE_BLOCK)).enumerate() {
-                let lo = base + bi * REDUCE_BLOCK;
-                let hi = lo + wb.len();
-                let su = slice_operand(u, lo, hi, n_rates);
-                let sv = slice_operand(v, lo, hi, n_rates);
-                *slot = evaluate_lnl(&su, &sv, pmats, freqs, wb, n_rates);
-            }
-        })
-        .reduce(|| (), |(), ()| ());
-    partials.iter().sum()
+    per_block(weights.len(), width, |lo, hi, _: &mut ()| {
+        let su = slice_operand(u, lo, hi, n_rates);
+        let sv = slice_operand(v, lo, hi, n_rates);
+        evaluate_lnl(&su, &sv, pmats, freqs, &weights[lo..hi], n_rates)
+    })
+    .iter()
+    .sum()
 }
 
 /// One pass over the `makenewz` sum table — Newton derivatives, or the
 /// log-likelihood alone — with optional loop-level parallelism, on raw
 /// tiled sum-table slices (see [`kernels::SumTable`]) with caller-owned
 /// exponential scratch (the sequential path is zero-allocation; each
-/// parallel chunk fills a thread-local scratch from sub-slices, no
-/// sum-table copies).
+/// stripe fills a scratch of its own from sub-slices, no sum-table copies).
 #[allow(clippy::too_many_arguments)]
 pub fn newton_dispatch(
     st_data: &[f64],
@@ -338,23 +275,13 @@ pub fn newton_dispatch(
     let n = weights.len();
     let metrics = dispatch_metrics();
     let t0 = metrics.map(|_| Instant::now());
-    let derivs = if !parallel || n < 2 * MIN_CHUNK {
-        kernels::newton_derivatives_scratch(
+    let derivs = match stripe_width(parallel, n) {
+        None => kernels::newton_derivatives_scratch(
             st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, pass, scratch,
-        )
-    } else {
-        newton_blocks(
-            st_data,
-            st_scale,
-            n_rates,
-            lambdas,
-            rates,
-            t,
-            weights,
-            exp_impl,
-            pass,
-            granule_blocks(n),
-        )
+        ),
+        Some(width) => newton_striped(
+            st_data, st_scale, n_rates, lambdas, rates, t, weights, exp_impl, pass, width,
+        ),
     };
     if let (Some(m), Some(t0)) = (metrics, t0) {
         m.newton_ns.record(t0.elapsed().as_nanos() as u64);
@@ -363,13 +290,13 @@ pub fn newton_dispatch(
     derivs
 }
 
-/// Parallel Newton body with an explicit granule (in blocks); same
-/// deterministic scheme as [`evaluate_blocks`] — indexed per-block partial
-/// triples folded sequentially in block order. Each task reuses one
-/// exponential scratch across its blocks. The tiled table is cut on
-/// [`REDUCE_BLOCK`] boundaries, which are whole-tile boundaries.
+/// Parallel Newton pass at an explicit stripe width; same deterministic
+/// scheme as [`evaluate_striped`] — indexed per-block partial triples
+/// folded sequentially in block order. Each stripe reuses one exponential
+/// scratch across its blocks. The tiled table is cut on [`REDUCE_BLOCK`]
+/// boundaries, which are whole-tile boundaries.
 #[allow(clippy::too_many_arguments)]
-fn newton_blocks(
+fn newton_striped(
     st_data: &[f64],
     st_scale: &[u32],
     n_rates: usize,
@@ -379,50 +306,43 @@ fn newton_blocks(
     weights: &[f64],
     exp_impl: ExpImpl,
     pass: NewtonPass,
-    granule_blocks: usize,
+    width: usize,
 ) -> (f64, f64, f64) {
-    let n = weights.len();
-    let granule = granule_blocks * REDUCE_BLOCK;
-    let mut partials = vec![[0.0f64; 3]; n.div_ceil(REDUCE_BLOCK)];
-    partials
-        .par_chunks_mut(granule_blocks)
-        .zip(weights.par_chunks(granule))
-        .enumerate()
-        .map(|(gi, (slots, w))| {
-            let base = gi * granule;
-            let mut local = NewtonScratch::default();
-            for (bi, (slot, wb)) in slots.iter_mut().zip(w.chunks(REDUCE_BLOCK)).enumerate() {
-                let lo = base + bi * REDUCE_BLOCK;
-                let hi = lo + wb.len();
-                let (l, d1, d2) = kernels::newton_derivatives_scratch(
-                    &st_data[tiled_range(lo, hi, n_rates)],
-                    &st_scale[lo..hi],
-                    n_rates,
-                    lambdas,
-                    rates,
-                    t,
-                    wb,
-                    exp_impl,
-                    pass,
-                    &mut local,
-                );
-                *slot = [l, d1, d2];
-            }
-        })
-        .reduce(|| (), |(), ()| ());
-    partials.iter().fold((0.0, 0.0, 0.0), |a, p| (a.0 + p[0], a.1 + p[1], a.2 + p[2]))
+    per_block(weights.len(), width, |lo, hi, scratch: &mut NewtonScratch| {
+        let (l, d1, d2) = kernels::newton_derivatives_scratch(
+            &st_data[tiled_range(lo, hi, n_rates)],
+            &st_scale[lo..hi],
+            n_rates,
+            lambdas,
+            rates,
+            t,
+            &weights[lo..hi],
+            exp_impl,
+            pass,
+            scratch,
+        );
+        [l, d1, d2]
+    })
+    .iter()
+    .fold((0.0, 0.0, 0.0), |a, p| (a.0 + p[0], a.1 + p[1], a.2 + p[2]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::likelihood::engine::LikelihoodEngine;
-    use crate::likelihood::LikelihoodConfig;
+    use crate::likelihood::kernels::Child;
+    use crate::likelihood::{KernelKind, LikelihoodConfig, ScalingCheck};
     use crate::model::{GammaRates, SubstModel};
     use crate::simulate::SimulationConfig;
     use crate::tree::Tree;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The stripe widths the invariance tests sweep, in patterns: one
+    /// block, small and odd multiples, and one stripe wider than the input.
+    const WIDTHS: [usize; 5] =
+        [REDUCE_BLOCK, 2 * REDUCE_BLOCK, 3 * REDUCE_BLOCK, 5 * REDUCE_BLOCK, 32 * REDUCE_BLOCK];
 
     /// Loop-level parallelism only engages above MIN_CHUNK patterns; this
     /// exercises it on a large-pattern alignment and checks agreement with
@@ -458,14 +378,16 @@ mod tests {
 
         let a = seq_engine.log_likelihood(&tree);
         let b = par_engine.log_likelihood(&tree);
-        // Seq vs par may differ by the chunked reduction's floating-point
-        // association (documented epsilon); par vs par must be bit-equal.
+        // Seq vs par may differ by the blocked reduction's floating-point
+        // association (documented epsilon); par vs par must be bit-equal,
+        // and equal to the value the parallel path has always produced.
         assert!((a - b).abs() < 1e-9, "evaluate: {a} vs {b}");
         let b2 = par_engine.log_likelihood(&tree);
         assert_eq!(b.to_bits(), b2.to_bits(), "parallel evaluate not reproducible");
+        assert_eq!(b.to_bits(), 0xc0de_74f7_2394_6d44, "parallel lnL moved: {b}");
 
-        // Branch optimization drives newton_dispatch + newview_dispatch.
-        // The chunked reduction changes floating-point association, which
+        // Branch optimization drives newton_dispatch + the striped newview.
+        // The blocked reduction changes floating-point association, which
         // can shift Newton's final iterate slightly — so the seq-vs-par
         // comparison is near-equality, not bit-equality.
         let tree0 = tree.clone();
@@ -473,6 +395,7 @@ mod tests {
         let la = seq_engine.optimize_all_branches(&mut tree, 2);
         let lb = par_engine.optimize_all_branches(&mut tree2, 2);
         assert!((la - lb).abs() < 1e-3, "optimize: {la} vs {lb}");
+        assert_eq!(lb.to_bits(), 0xc0dc_6491_16f3_02ee, "parallel optimize moved: {lb}");
         for (e1, e2) in tree.edges().iter().zip(tree2.edges().iter()) {
             assert_eq!(e1, e2);
             let l1 = tree.branch_length(e1.0, e1.1);
@@ -588,7 +511,7 @@ mod tests {
         }
     }
 
-    /// Synthetic tip codes for the granule-invariance tests: a cycle of the
+    /// Synthetic tip codes for the width-invariance tests: a cycle of the
     /// four unambiguous DNA bit codes plus occasional ambiguity codes, so
     /// per-pattern likelihoods vary and a mis-sliced block would change the
     /// sum.
@@ -612,53 +535,44 @@ mod tests {
             .collect()
     }
 
-    /// The tentpole invariant for the adaptive granule: `evaluate_blocks`
-    /// must be bit-identical for *every* scheduling granule, because the
-    /// floating-point association is pinned to [`REDUCE_BLOCK`]-sized
-    /// slots, not to the task size. Granule 1 is exactly the old fixed
-    /// 256-pattern scheme, so this also pins backward bit-compatibility.
+    /// `evaluate_striped` must be bit-identical at *every* stripe width,
+    /// because the floating-point association is pinned to
+    /// [`REDUCE_BLOCK`]-sized slots, not to the stripe. The constant is the
+    /// value the parallel path has produced since the block association
+    /// was introduced, so it also pins the association across commits.
     #[test]
-    fn evaluate_is_bit_identical_across_granules() {
+    fn evaluate_is_bit_identical_across_stripe_widths() {
+        const PINNED: u64 = 0xc0d8_688b_575d_9484;
         let n = 3001; // ragged tail: not a multiple of REDUCE_BLOCK or TILE
         let n_rates = 4;
         let codes_u = synthetic_codes(n);
         let codes_v: Vec<u8> = synthetic_codes(n).into_iter().rev().collect();
+        let (u, v) = (EvalOperand::Tip { codes: &codes_u }, EvalOperand::Tip { codes: &codes_v });
         let pmats = synthetic_pmats(n_rates);
         let freqs = [0.22, 0.28, 0.31, 0.19];
         let weights: Vec<f64> = (0..n).map(|i| (i % 7 + 1) as f64).collect();
 
-        let eval = |granule_blocks: usize| {
-            evaluate_blocks(
-                &EvalOperand::Tip { codes: &codes_u },
-                &EvalOperand::Tip { codes: &codes_v },
-                &pmats,
-                &freqs,
-                &weights,
-                n_rates,
-                granule_blocks,
-            )
-        };
-        let reference = eval(1);
-        for granule in [2, 3, 5, 32, 64] {
-            assert_eq!(
-                reference.to_bits(),
-                eval(granule).to_bits(),
-                "granule {granule} changed the evaluate association"
-            );
+        for width in WIDTHS {
+            let got = evaluate_striped(&u, &v, &pmats, &freqs, &weights, n_rates, width);
+            assert_eq!(got.to_bits(), PINNED, "width {width} changed the evaluate association");
         }
+        let dispatched = evaluate_dispatch(&u, &v, &pmats, &freqs, &weights, n_rates, true);
+        assert_eq!(dispatched.to_bits(), PINNED, "dispatch at this run's thread count");
     }
 
     /// Same invariant for the Newton reduction over the tiled sum table:
-    /// per-block partial triples keep their own slots, so any granule — and
-    /// the dispatcher at whatever thread count the run has — folds in the
-    /// same order, run after run. The blocked fold differs from the
+    /// per-block partial triples keep their own slots, so any stripe width
+    /// — and the dispatcher at whatever thread count the run has — folds in
+    /// the same order, to pinned bits. The blocked fold differs from the
     /// sequential one in association only, so it stays within 1e-9 of the
     /// scalar `[pattern][rate][k]` reference, and the lnL-only pass is the
     /// full pass's `lnl` to the bit.
     #[test]
-    fn newton_is_bit_identical_across_granules() {
+    fn newton_is_bit_identical_across_stripe_widths() {
         use crate::likelihood::reference::{newton_derivatives_aos, sumtable_aos};
         use rand::Rng;
+        const PINNED: [u64; 3] =
+            [0xc12e_cc79_19ca_c810, 0x4074_1aad_467a_0492, 0xc097_2d22_c2fb_5329];
         let n = 2817; // eleven REDUCE_BLOCKs and a ragged last tile
         let n_rates = 4;
         let mut rng = StdRng::seed_from_u64(23);
@@ -676,32 +590,23 @@ mod tests {
         let weights: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
         let (t, exp) = (0.083, ExpImpl::Libm);
 
-        let newton = |pass: NewtonPass, granule_blocks: usize| {
-            newton_blocks(
-                &st.data,
-                &st.scale,
-                n_rates,
-                &lambdas,
-                &rates,
-                t,
-                &weights,
-                exp,
-                pass,
-                granule_blocks,
-            )
-        };
         let bits = |(l, d1, d2): (f64, f64, f64)| [l.to_bits(), d1.to_bits(), d2.to_bits()];
-        let one = newton(NewtonPass::Derivatives, 1);
-        assert!(one.0.is_finite() && one.1.is_finite() && one.2.is_finite());
-        for granule in [2, 4, 7, 32] {
-            assert_eq!(bits(one), bits(newton(NewtonPass::Derivatives, granule)), "{granule}");
+        let newton = |pass: NewtonPass, width: usize| {
+            let (data, scale) = (&st.data, &st.scale);
+            bits(newton_striped(
+                data, scale, n_rates, &lambdas, &rates, t, &weights, exp, pass, width,
+            ))
+        };
+        let lnl_only = [PINNED[0], 0, 0];
+        for width in WIDTHS {
+            assert_eq!(newton(NewtonPass::Derivatives, width), PINNED, "width {width}");
+            assert_eq!(newton(NewtonPass::LnlOnly, width), lnl_only, "width {width}");
         }
-        assert_eq!(newton(NewtonPass::LnlOnly, 3).0.to_bits(), one.0.to_bits());
 
-        for pass in [NewtonPass::Derivatives, NewtonPass::LnlOnly] {
+        for (pass, want) in [(NewtonPass::Derivatives, PINNED), (NewtonPass::LnlOnly, lnl_only)] {
             let mut scratch = NewtonScratch::default();
             let mut dispatch = || {
-                newton_dispatch(
+                bits(newton_dispatch(
                     &st.data,
                     &st.scale,
                     n_rates,
@@ -713,18 +618,18 @@ mod tests {
                     pass,
                     true,
                     &mut scratch,
-                )
+                ))
             };
-            let first = dispatch();
-            assert_eq!(bits(first), bits(dispatch()), "{pass:?} is not reproducible");
-            assert_eq!(bits(first), bits(newton(pass, 1)), "{pass:?} dispatch vs one granule");
+            assert_eq!(dispatch(), want, "{pass:?} dispatch");
+            assert_eq!(dispatch(), want, "{pass:?} is not reproducible");
         }
 
         let (aos_table, aos_scale) = sumtable_aos(&u, &v, &w, n, n_rates);
         let want = newton_derivatives_aos(
             &aos_table, &aos_scale, n_rates, &lambdas, &rates, t, &weights, exp,
         );
-        for (got, want) in [(one.0, want.0), (one.1, want.1), (one.2, want.2)] {
+        let got = PINNED.map(f64::from_bits);
+        for (got, want) in [(got[0], want.0), (got[1], want.1), (got[2], want.2)] {
             assert!((got - want).abs() <= 1e-9 * want.abs(), "blocked {got} vs sequential {want}");
         }
     }
@@ -743,32 +648,34 @@ mod tests {
         let tables_l = kernels::build_tip_tables(&pmats);
         let tables_r = kernels::build_tip_tables(&pmats);
         let len = kernels::tiled_len(n, n_rates);
+        let newview = |codes_l: &[u8], codes_r: &[u8], x: &mut [f64], scale: &mut [u32]| {
+            let left = Child::Tip { codes: codes_l, tables: &tables_l };
+            let right = Child::Tip { codes: codes_r, tables: &tables_r };
+            let (kind, scaling) = (KernelKind::Vector, ScalingCheck::IntegerCast);
+            kernels::newview(&left, &right, x, scale, n_rates, kind, scaling)
+        };
 
         let mut seq_x = vec![0.0f64; len];
         let mut seq_scale = vec![0u32; n];
-        let seq_stats = kernels::newview(
-            &Child::Tip { codes: &codes_l, tables: &tables_l },
-            &Child::Tip { codes: &codes_r, tables: &tables_r },
-            &mut seq_x,
-            &mut seq_scale,
-            n_rates,
-            KernelKind::Vector,
-            ScalingCheck::IntegerCast,
-        );
+        let seq_stats = newview(&codes_l, &codes_r, &mut seq_x, &mut seq_scale);
 
-        for width in [1, 2, 3, 5, 32].map(|blocks| blocks * REDUCE_BLOCK) {
+        for width in WIDTHS {
             let mut x = vec![0.0f64; len];
             let mut scale = vec![0u32; n];
-            let stats = newview_striped(
-                &Child::Tip { codes: &codes_l, tables: &tables_l },
-                &Child::Tip { codes: &codes_r, tables: &tables_r },
-                &mut x,
-                &mut scale,
+            // `ScaleStats::merge` is integer addition (associative and
+            // commutative), so there is no association to pin.
+            let stats = run_striped(
+                std::iter::once((&mut x[..], &mut scale[..])),
                 n_rates,
-                KernelKind::Vector,
-                ScalingCheck::IntegerCast,
                 width,
-            );
+                |lo, mine| {
+                    let (ox, os) = std::mem::take(&mut mine[0]);
+                    let hi = lo + os.len();
+                    newview(&codes_l[lo..hi], &codes_r[lo..hi], ox, os)
+                },
+            )
+            .into_iter()
+            .fold(kernels::ScaleStats::default(), kernels::ScaleStats::merge);
             assert_eq!(stats, seq_stats, "width {width} changed the scale stats");
             assert_eq!(scale, seq_scale, "width {width} changed the scale counts");
             assert!(
@@ -776,19 +683,5 @@ mod tests {
                 "width {width} changed the partials"
             );
         }
-    }
-
-    /// The granule is clamped to [1, 32] blocks and scales with the
-    /// pattern count, never below one block.
-    #[test]
-    fn granule_adapts_within_bounds() {
-        for n in [1, 100, 511, 512, 10_000, 1_000_000, 10_000_000] {
-            let g = granule_blocks(n);
-            assert!((1..=32).contains(&g), "granule {g} out of bounds at {n} patterns");
-        }
-        // Tiny inputs always get the minimum granule.
-        assert_eq!(granule_blocks(1), 1);
-        // Huge inputs hit the cap regardless of worker count.
-        assert_eq!(granule_blocks(100_000_000), 32);
     }
 }

@@ -56,7 +56,7 @@ pub struct SearchConfig {
     pub model: Option<SubstModel>,
     /// Initial branch length for starting trees.
     pub initial_branch_length: f64,
-    /// Workspace arena / traversal-dispatch options for the engine.
+    /// Vestigial (fieldless, selects nothing); see [`WorkspaceOptions`].
     pub workspace: WorkspaceOptions,
 }
 
@@ -75,7 +75,7 @@ impl SearchConfig {
             epsilon: 1e-3,
             model: None,
             initial_branch_length: 0.1,
-            workspace: WorkspaceOptions::default(),
+            workspace: WorkspaceOptions,
         }
     }
 
@@ -155,8 +155,6 @@ impl SearchConfigBuilder {
         epsilon: f64,
         /// Initial branch length for starting trees.
         initial_branch_length: f64,
-        /// Workspace arena / traversal-dispatch options for the engine.
-        workspace: WorkspaceOptions,
     }
 
     /// Use an explicit substitution model instead of empirical GTR.
@@ -600,12 +598,10 @@ mod tests {
             .spr_radius(11)
             .epsilon(1e-5)
             .optimize_exchangeabilities(false)
-            .workspace(WorkspaceOptions::per_node())
             .build();
         assert_eq!(cfg.spr_radius, 11);
         assert_eq!(cfg.epsilon, 1e-5);
         assert!(!cfg.optimize_exchangeabilities);
-        assert!(!cfg.workspace.fused_dispatch);
         // Untouched fields keep the standard preset's values.
         let std_cfg = SearchConfig::standard();
         assert_eq!(cfg.max_spr_rounds, std_cfg.max_spr_rounds);
@@ -640,21 +636,6 @@ mod tests {
         assert_eq!(fresh.tree, pooled.tree);
         assert_eq!(fresh.log_likelihood, pooled.log_likelihood);
         assert_eq!(fresh.alpha, pooled.alpha);
-    }
-
-    /// Fused descriptor-list dispatch and per-node dispatch drive the whole
-    /// search to identical results.
-    #[test]
-    fn search_agrees_across_dispatch_modes() {
-        let w = SimulationConfig::new(6, 200, 21).generate();
-        let fused = infer(&w.alignment, &SearchConfig::fast(), 2);
-        let per_node_cfg =
-            SearchConfig::fast().to_builder().workspace(WorkspaceOptions::per_node()).build();
-        let per_node = infer(&w.alignment, &per_node_cfg, 2);
-        assert_eq!(fused.tree, per_node.tree);
-        assert_eq!(fused.log_likelihood, per_node.log_likelihood);
-        assert!(fused.trace.counters().fused_batches > 0);
-        assert_eq!(per_node.trace.counters().fused_batches, 0);
     }
 
     /// Event recording is pure observation: it must not perturb any result.

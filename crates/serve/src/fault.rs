@@ -4,11 +4,12 @@
 //! `cellsim::fault`: every fault decision is a **pure function** of
 //! `(seed, stream, index, salt)` hashed through splitmix64, so no RNG state
 //! is carried between draws and two runs under the same plan replay the
-//! exact same fault history. This module applies the identical discipline
-//! to the TCP front door: a [`ServeFaultPlan`] decides, per connection and
-//! per I/O operation, whether to drop the connection, truncate a write
-//! mid-frame, corrupt a byte, or stall — and a [`FaultyStream`] wrapper
-//! injects those decisions around any `Read + Write` transport.
+//! exact same fault history. This module draws through the same function
+//! (`obs::trace::counter_draw`) at the TCP front door: a [`ServeFaultPlan`]
+//! decides, per connection and per I/O operation, whether to drop the
+//! connection, truncate a write mid-frame, corrupt a byte, or stall — and
+//! a [`FaultyStream`] wrapper injects those decisions around any
+//! `Read + Write` transport.
 //!
 //! Determinism is the point: a chaos run that loses a job is only
 //! debuggable if the same plan replays the same faults bit-exactly.
@@ -21,7 +22,7 @@
 //! code under test cannot tell chaos from a hostile network — which is the
 //! property the exactly-once retry machinery must survive.
 
-use obs::trace::splitmix64;
+use obs::trace::{counter_draw, splitmix64};
 use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -131,16 +132,10 @@ impl ServeFaultPlan {
             && self.stall_rate == 0.0
     }
 
-    /// A uniform draw in `[0, 1)` for the given site — identical mixing to
-    /// `cellsim::fault`, so the replay guarantees carry over verbatim.
+    /// A uniform draw in `[0, 1)` for the given site — `cellsim::fault`'s
+    /// draw at attempt 0, so the replay guarantees carry over verbatim.
     fn draw(&self, stream: u64, op: u64, salt: u64) -> f64 {
-        let mut x = self.seed ^ salt;
-        x = splitmix64(x);
-        x ^= stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x = splitmix64(x);
-        x ^= op.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        let bits = splitmix64(x);
-        (bits >> 11) as f64 / (1u64 << 53) as f64
+        counter_draw(self.seed, salt, stream, op, 0)
     }
 
     /// Fault decision for read operation `op` on `stream`, if any.
@@ -405,6 +400,20 @@ mod tests {
             a.sequence_fingerprint(8, 256),
             c.sequence_fingerprint(8, 256),
             "different seed must diverge"
+        );
+    }
+
+    /// The decision sequences recorded before both plans drew through
+    /// `obs::trace::counter_draw`: sharing the draw moved no fault.
+    #[test]
+    fn fingerprints_match_the_recording() {
+        assert_eq!(
+            ServeFaultPlan::uniform(42, 0.3).sequence_fingerprint(8, 256),
+            0x06c0_83cd_6d0c_6ab0
+        );
+        assert_eq!(
+            ServeFaultPlan::aggressive(7).sequence_fingerprint(4, 64),
+            0xb54d_02c3_d901_1fcf
         );
     }
 

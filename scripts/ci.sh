@@ -26,8 +26,10 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # Deletions leave dangling intra-doc links; rustdoc is what notices.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+# `--locked`: a dependency change whose `Cargo.lock` edit was not committed
+# fails here instead of drifting.
 if [[ "$quick" -eq 0 ]]; then
-    run cargo build --release
+    run cargo build --release --locked
 fi
 run cargo test --workspace -q
 
@@ -44,11 +46,12 @@ if [[ "$quick" -eq 0 ]]; then
     run cargo test --release -q --test search_golden --test search_determinism --test bootstrap_compaction
 fi
 
-# Determinism gate: the parallel-path tests must pass pinned to one thread,
-# at the default thread count and at an odd stripe count — stripe ownership
-# and the fixed-block reductions make parallel log-likelihoods bit-identical
-# regardless of RAYON_NUM_THREADS.
+# Determinism gate: the parallel-path tests must pass pinned to one, two and
+# three stripes and at the default thread count — stripe ownership and the
+# fixed-block reductions make parallel log-likelihoods bit-identical (and
+# equal to the recorded pins) regardless of RAYON_NUM_THREADS.
 run env RAYON_NUM_THREADS=1 cargo test -q -p phylo parallel::
+run env RAYON_NUM_THREADS=2 cargo test -q -p phylo parallel::
 run cargo test -q -p phylo parallel::
 run env RAYON_NUM_THREADS=3 cargo test -q -p phylo parallel::
 

@@ -558,7 +558,7 @@ proptest! {
 
         let mut fresh = LikelihoodEngine::new(&w.alignment, model.clone(), rates.clone(), cfg);
         let mut pooled = LikelihoodEngine::with_workspace(
-            &w.alignment, model, rates, cfg, WorkspaceOptions::default(), recycled,
+            &w.alignment, model, rates, cfg, WorkspaceOptions, recycled,
         );
 
         let la = fresh.log_likelihood(&tree_fresh);
@@ -573,49 +573,42 @@ proptest! {
         assert_partials_identical(&fresh, &pooled, 6)?;
     }
 
-    /// Fused `TraversalOps` execution is indistinguishable from per-node
-    /// dispatch: same likelihood bits, same cached partials and scale
-    /// counts, same optimized trees — over random trees and rootings.
+    /// The fused `TraversalOps` driver, evaluated at a random branch of a
+    /// random tree, agrees with the naive reference — series `expm`, direct
+    /// recursion, no kernel code shared with the engine — to 1e-10
+    /// relative. The lnL is branch-independent for a reversible model, so
+    /// any rooting the compiled segments take must land on the same value.
     #[test]
-    fn fused_dispatch_matches_per_node(seed in 0u64..40, edge_pick in 0usize..64) {
+    fn fused_dispatch_matches_naive_reference(seed in 0u64..40, edge_pick in 0usize..64) {
         let w = SimulationConfig::new(7, 120, seed).generate();
         let model = SubstModel::gtr(w.alignment.base_frequencies(), [1.0; 6]).unwrap();
         let rates = GammaRates::standard(0.7).unwrap();
-        let cfg = LikelihoodConfig::optimized();
 
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(5));
-        let mut tree_fused = Tree::random(7, 0.2, &mut rng).unwrap();
-        let mut tree_node = tree_fused.clone();
-
-        let mut fused = LikelihoodEngine::with_options(
-            &w.alignment, model.clone(), rates.clone(), cfg, WorkspaceOptions::default(),
-        );
-        let mut node = LikelihoodEngine::with_options(
-            &w.alignment, model, rates, cfg, WorkspaceOptions::per_node(),
+        let tree = Tree::random(7, 0.2, &mut rng).unwrap();
+        let mut fused = LikelihoodEngine::new(
+            &w.alignment, model.clone(), rates.clone(), LikelihoodConfig::optimized(),
         );
 
         // Evaluate at a random branch so the compiled segments vary.
-        let edges = tree_fused.edges();
+        let edges = tree.edges();
         let at = edges[edge_pick % edges.len()];
-        let la = fused.log_likelihood_at(&tree_fused, at);
-        let lb = node.log_likelihood_at(&tree_node, at);
-        prop_assert_eq!(la.to_bits(), lb.to_bits(), "lnl {} vs {}", la, lb);
-        assert_partials_identical(&fused, &node, 7)?;
+        let got = fused.log_likelihood_at(&tree, at);
+        let want = log_likelihood_naive(&tree, &w.alignment, &model, &rates);
+        prop_assert!((got - want).abs() <= 1e-10 * want.abs(), "fused {} vs naive {}", got, want);
 
-        // The fused engine actually compiled a descriptor list; the
-        // per-node engine never does.
-        prop_assert!(!fused.last_traversal().is_empty());
-        prop_assert!(node.last_traversal().is_empty());
-        // Descriptor lists execute children before parents within segments.
-        for op in fused.last_traversal() {
+        // The engine actually compiled a descriptor list. It targets inner
+        // nodes only and, the engine being cold, runs every inner child
+        // (oriented toward its parent) before that parent.
+        let ops = fused.last_traversal().as_slice();
+        prop_assert!(!ops.is_empty());
+        for (i, op) in ops.iter().enumerate() {
             prop_assert!(op.node >= 7, "ops target inner nodes only");
+            for (child, tip) in [(op.left, op.left_tip), (op.right, op.right_tip)] {
+                let before = ops[..i].iter().any(|o| o.node == child && o.toward == op.node);
+                prop_assert!(tip || before, "op {} reads node {} before it ran", i, child);
+            }
         }
-
-        let oa = fused.optimize_all_branches(&mut tree_fused, 2);
-        let ob = node.optimize_all_branches(&mut tree_node, 2);
-        prop_assert_eq!(oa.to_bits(), ob.to_bits(), "optimized lnl {} vs {}", oa, ob);
-        prop_assert_eq!(&tree_fused, &tree_node);
-        assert_partials_identical(&fused, &node, 7)?;
     }
 }
 

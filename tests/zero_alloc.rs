@@ -24,7 +24,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 #[test]
 fn steady_state_hot_path_does_not_touch_the_heap() {
     use phylo::likelihood::engine::LikelihoodEngine;
-    use phylo::likelihood::{LikelihoodConfig, WorkspaceOptions};
+    use phylo::likelihood::LikelihoodConfig;
     use phylo::model::{GammaRates, SubstModel};
     use phylo::simulate::SimulationConfig;
     use phylo::tree::Tree;
@@ -37,13 +37,7 @@ fn steady_state_hot_path_does_not_touch_the_heap() {
     // Sequential dispatch: loop-level parallelism hands stripes to threads,
     // whose bookkeeping is outside the zero-allocation contract.
     let config = LikelihoodConfig { parallel: false, ..LikelihoodConfig::optimized() };
-    let mut engine = LikelihoodEngine::with_options(
-        &w.alignment,
-        model,
-        rates,
-        config,
-        WorkspaceOptions::default(),
-    );
+    let mut engine = LikelihoodEngine::new(&w.alignment, model, rates, config);
 
     let mut rng = StdRng::seed_from_u64(9);
     let mut tree = Tree::random(12, 0.15, &mut rng).unwrap();
