@@ -1,11 +1,8 @@
-//! Criterion microbenchmarks of the real (host-CPU) likelihood kernels.
+//! Criterion microbenchmarks of the real (host-CPU) likelihood kernels:
 //!
-//! Each group is the host-side ablation of one paper optimization:
-//!
-//! * `newview/*`   — the 1-lane portable loops vs the dispatched ones: four
-//!   lanes with AVX2, else two (§5.2.5, Table 5)
+//! * `newview/*`   — the three §5.2.3 cases on the dispatched lanes, labelled
+//!   with the probed tier: four lanes with AVX2, else two (§5.2.5)
 //! * `exp/*`       — libm vs SDK-style exponential (§5.2.2, Table 2)
-//! * `scaling/*`   — float vs integer-cast conditional (§5.2.3, Table 3)
 //! * `evaluate/*`, `makenewz/*` — the other two offloaded kernels (§5.2.7)
 //! * `alignment/bootstrap_replicate` — one compacted replicate, aln42 shape
 
@@ -14,7 +11,7 @@ use phylo::likelihood::kernels::{
     build_sumtable, build_tip_tables, evaluate_lnl, newton_derivatives_scratch, newview,
     tile_partials, tiled_len, Child, EvalOperand, Mat4, NewtonPass, NewtonScratch,
 };
-use phylo::likelihood::{KernelKind, ScalingCheck};
+use phylo::likelihood::KernelTier;
 use phylo::math::fast_exp;
 use phylo::model::{ExpImpl, GammaRates, SubstModel};
 use phylo::simulate::SimulationConfig;
@@ -65,74 +62,30 @@ fn bench_newview(c: &mut Criterion) {
     let mut out = vec![0.0; tiled_len(N_PATTERNS, N_RATES)];
     let mut scale = vec![0u32; N_PATTERNS];
 
+    let tier = KernelTier::probe().name();
+    let lt = build_tip_tables(&f.pl);
+    let rt = build_tip_tables(&f.pr);
+    let cases = [
+        (
+            "inner_inner",
+            Child::Inner { x: &f.xl, scale: &f.zeros, pmats: &f.pl },
+            Child::Inner { x: &f.xr, scale: &f.zeros, pmats: &f.pr },
+        ),
+        (
+            "tip_inner",
+            Child::Tip { codes: &f.codes, tables: &lt },
+            Child::Inner { x: &f.xr, scale: &f.zeros, pmats: &f.pr },
+        ),
+        (
+            "tip_tip",
+            Child::Tip { codes: &f.codes, tables: &lt },
+            Child::Tip { codes: &f.codes, tables: &rt },
+        ),
+    ];
     let mut group = c.benchmark_group("newview");
-    // The 1-lane portable path against the dispatched one (`KernelTier::probe`).
-    for (kind, kind_name) in [(KernelKind::Scalar, "scalar"), (KernelKind::Vector, "vector")] {
-        group.bench_function(format!("inner_inner/{kind_name}"), |b| {
-            b.iter(|| {
-                newview(
-                    &Child::Inner { x: &f.xl, scale: &f.zeros, pmats: &f.pl },
-                    &Child::Inner { x: &f.xr, scale: &f.zeros, pmats: &f.pr },
-                    black_box(&mut out),
-                    &mut scale,
-                    N_RATES,
-                    kind,
-                    ScalingCheck::IntegerCast,
-                )
-            })
-        });
-        let lt = build_tip_tables(&f.pl);
-        group.bench_function(format!("tip_inner/{kind_name}"), |b| {
-            b.iter(|| {
-                newview(
-                    &Child::Tip { codes: &f.codes, tables: &lt },
-                    &Child::Inner { x: &f.xr, scale: &f.zeros, pmats: &f.pr },
-                    black_box(&mut out),
-                    &mut scale,
-                    N_RATES,
-                    kind,
-                    ScalingCheck::IntegerCast,
-                )
-            })
-        });
-        let rt = build_tip_tables(&f.pr);
-        group.bench_function(format!("tip_tip/{kind_name}"), |b| {
-            b.iter(|| {
-                newview(
-                    &Child::Tip { codes: &f.codes, tables: &lt },
-                    &Child::Tip { codes: &f.codes, tables: &rt },
-                    black_box(&mut out),
-                    &mut scale,
-                    N_RATES,
-                    kind,
-                    ScalingCheck::IntegerCast,
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_scaling_checks(c: &mut Criterion) {
-    let f = fixture();
-    let mut out = vec![0.0; tiled_len(N_PATTERNS, N_RATES)];
-    let mut scale = vec![0u32; N_PATTERNS];
-    let mut group = c.benchmark_group("scaling");
-    for (check, name) in
-        [(ScalingCheck::FloatCompare, "float_compare"), (ScalingCheck::IntegerCast, "integer_cast")]
-    {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                newview(
-                    &Child::Inner { x: &f.xl, scale: &f.zeros, pmats: &f.pl },
-                    &Child::Inner { x: &f.xr, scale: &f.zeros, pmats: &f.pr },
-                    black_box(&mut out),
-                    &mut scale,
-                    N_RATES,
-                    KernelKind::Vector,
-                    check,
-                )
-            })
+    for (name, left, right) in &cases {
+        group.bench_function(format!("{name}/{tier}"), |b| {
+            b.iter(|| newview(left, right, black_box(&mut out), &mut scale, N_RATES))
         });
     }
     group.finish();
@@ -249,7 +202,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_newview, bench_scaling_checks, bench_exp, bench_evaluate, bench_makenewz,
+    targets = bench_newview, bench_exp, bench_evaluate, bench_makenewz,
         bench_bootstrap_replicate
 }
 criterion_main!(benches);

@@ -33,7 +33,7 @@ use phylo::alphabet::DnaCode;
 use phylo::checkpoint::{SearchCheckpoint, SearchCheckpointer};
 use phylo::io::{parse_phylip_reader, write_phylip_to};
 use phylo::likelihood::kernels::{self, build_tip_tables, tiled_len, Child, Mat4, TipTable16};
-use phylo::likelihood::{KernelKind, LikelihoodWorkspace, ScalingCheck};
+use phylo::likelihood::LikelihoodWorkspace;
 use phylo::model::{ExpImpl, GammaRates, SubstModel};
 use phylo::tree::Tree;
 use rand::rngs::StdRng;
@@ -258,8 +258,6 @@ fn newview_throughput(n_patterns: usize, reps: usize) -> f64 {
             &mut out,
             &mut scale,
             N_RATES,
-            KernelKind::Vector,
-            ScalingCheck::IntegerCast,
         ));
     };
     newview();

@@ -55,8 +55,11 @@ pub fn parse_phylip_reader<R: BufRead>(mut reader: R) -> Result<Alignment> {
         message: "header must contain the site count".into(),
     })?;
 
-    let mut names: Vec<String> = Vec::with_capacity(n_taxa);
-    let mut rows: Vec<Vec<DnaCode>> = Vec::with_capacity(n_taxa);
+    // The header is untrusted: nothing is sized from it. The vectors grow as
+    // records arrive, and a row after the first is sized by the first, whose
+    // length the input has already proven.
+    let mut names: Vec<String> = Vec::new();
+    let mut rows: Vec<Vec<DnaCode>> = Vec::new();
     // In-flight record: name plus the row encoded so far.
     let mut current: Option<(String, Vec<DnaCode>)> = None;
     loop {
@@ -76,7 +79,7 @@ pub fn parse_phylip_reader<R: BufRead>(mut reader: R) -> Result<Alignment> {
                 let mut parts = line.splitn(2, char::is_whitespace);
                 let name = parts.next().unwrap_or("").to_string();
                 let rest = parts.next().unwrap_or("");
-                current = Some((name, Vec::with_capacity(n_sites)));
+                current = Some((name, Vec::with_capacity(rows.first().map_or(0, Vec::len))));
                 rest
             }
             Some(_) => line,

@@ -351,11 +351,10 @@ impl<'a> LikelihoodEngine<'a> {
     }
 
     /// [`Self::log_likelihood`] with a numerical guard at the engine
-    /// boundary: a non-finite value (NaN/−∞ from under-scaled partials in
-    /// the optimized kernels) triggers exactly one re-evaluation under the
-    /// most conservative configuration — scalar kernel, float-compare
-    /// scaling checks, `libm` exp, no parallelism — with every cached
-    /// partial invalidated so rescaling is applied from scratch. If even
+    /// boundary: a non-finite value (NaN/−∞ from under-scaled partials)
+    /// triggers exactly one re-evaluation under
+    /// [`LikelihoodConfig::optimized`] — `libm` exp, no parallelism — with
+    /// every cached partial invalidated so rescaling is applied from scratch. If even
     /// that is non-finite, the alignment/model combination is genuinely
     /// degenerate and a typed [`crate::error::PhyloError::Numerical`] is returned.
     pub fn try_log_likelihood(&mut self, tree: &Tree) -> crate::error::Result<f64> {
@@ -369,7 +368,7 @@ impl<'a> LikelihoodEngine<'a> {
         }
         // Forced conservative re-evaluation.
         let saved = self.config;
-        self.config = LikelihoodConfig::baseline();
+        self.config = LikelihoodConfig::optimized();
         self.invalidate_all();
         let recovered = self.log_likelihood(tree);
         self.config = saved;
@@ -735,8 +734,6 @@ impl<'a> LikelihoodEngine<'a> {
             &mut out_x,
             &mut out_scale,
             self.n_rates,
-            self.config.kernel,
-            self.config.scaling,
         );
         ws.partials[idx] = out_x;
         ws.scales[idx] = out_scale;
@@ -786,15 +783,7 @@ impl<'a> LikelihoodEngine<'a> {
                         Child::Inner { x, scale, pmats: &pmats[side] }
                     }
                 });
-                stats.push(kernels::newview(
-                    &left,
-                    &right,
-                    out_x,
-                    out_scale,
-                    n_rates,
-                    config.kernel,
-                    config.scaling,
-                ));
+                stats.push(kernels::newview(&left, &right, out_x, out_scale, n_rates));
                 mine[op.node - n_taxa] = (out_x, out_scale);
             }
             stats
@@ -841,7 +830,6 @@ impl<'a> LikelihoodEngine<'a> {
 mod tests {
     use super::*;
     use crate::alignment::Alignment;
-    use crate::likelihood::KernelKind;
     use crate::model::ExpImpl;
 
     fn toy_setup() -> (PatternAlignment, Tree) {
@@ -883,13 +871,15 @@ mod tests {
     #[test]
     fn numerical_guard_recovers_from_a_poisoned_evaluation() {
         let (aln, tree) = toy_setup();
-        let mut eng = engine(&aln, LikelihoodConfig::optimized());
+        // Not the guard's own configuration, so restoring it is observable.
+        let own = LikelihoodConfig { parallel: true, ..LikelihoodConfig::cell() };
+        let mut eng = engine(&aln, own);
         let clean = eng.try_log_likelihood(&tree).unwrap();
         assert_eq!(clean, eng.log_likelihood(&tree), "guard is a no-op on finite values");
 
         // Poison the next evaluation: the guard must fall back to the
-        // conservative configuration and recover a finite value close to
-        // the healthy one (baseline vs optimized agree to rounding).
+        // sequential libm configuration and recover a finite value close to
+        // the healthy one (the two `exp`s agree to rounding).
         eng.poison_next_evaluation();
         let recovered = eng.try_log_likelihood(&tree).unwrap();
         assert!(recovered.is_finite());
@@ -898,7 +888,7 @@ mod tests {
             "recovered {recovered} vs clean {clean}"
         );
         // The engine's own configuration is restored afterwards.
-        assert_eq!(eng.config().kernel, LikelihoodConfig::optimized().kernel);
+        assert_eq!(*eng.config(), own);
         // And subsequent evaluations are healthy again.
         assert_eq!(eng.try_log_likelihood(&tree).unwrap(), clean);
     }
@@ -921,19 +911,12 @@ mod tests {
         let (aln, tree) = toy_setup();
         let mut reference = None;
         for exp_impl in [ExpImpl::Libm, ExpImpl::Sdk] {
-            for kernel in [KernelKind::Scalar, KernelKind::Vector] {
-                for scaling in [
-                    super::super::ScalingCheck::FloatCompare,
-                    super::super::ScalingCheck::IntegerCast,
-                ] {
-                    for parallel in [false, true] {
-                        let cfg = LikelihoodConfig { exp_impl, kernel, scaling, parallel };
-                        let mut eng = engine(&aln, cfg);
-                        let lnl = eng.log_likelihood(&tree);
-                        let r = *reference.get_or_insert(lnl);
-                        assert!((lnl - r).abs() < 1e-9, "config {cfg:?} disagrees: {lnl} vs {r}");
-                    }
-                }
+            for parallel in [false, true] {
+                let cfg = LikelihoodConfig { exp_impl, parallel };
+                let mut eng = engine(&aln, cfg);
+                let lnl = eng.log_likelihood(&tree);
+                let r = *reference.get_or_insert(lnl);
+                assert!((lnl - r).abs() < 1e-9, "config {cfg:?} disagrees: {lnl} vs {r}");
             }
         }
     }

@@ -1,10 +1,10 @@
 //! The likelihood core: the three kernels RAxML-Cell offloads to the SPEs.
 //!
 //! * [`kernels`] — case-specialized `newview` partial-likelihood loops
-//!   (paper §5.2.3: tip/tip, tip/inner, inner/inner), in scalar and
-//!   vectorized form (§5.2.5, Figure 2: two lanes, or four where the CPU has
-//!   AVX2 — [`KernelTier`]), with both the floating-point and the
-//!   integer-cast underflow-scaling conditional (§5.2.3).
+//!   (paper §5.2.3: tip/tip, tip/inner, inner/inner), vectorized over site
+//!   patterns (§5.2.5, Figure 2: two lanes, or four where the CPU has AVX2 —
+//!   [`KernelTier`] picks, there is no setting), with the integer-cast
+//!   underflow-scaling conditional (§5.2.3).
 //! * [`cat`] — the CAT per-site rate approximation (fit, per-site rate
 //!   estimation, CAT likelihood).
 //! * [`engine`] — the [`engine::LikelihoodEngine`]: per-node partial
@@ -42,49 +42,20 @@ pub const LN_SCALE: f64 = -177.445_678_223_346; // -256 · ln 2
 /// divides it reads full lanes from one contiguous tile row.
 pub const TILE: usize = 8;
 
-/// Which arithmetic formulation the `newview` loops use. Lanes map to
-/// *patterns* (never to states), so both kinds perform the identical
-/// per-pattern operation sequence and are bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelKind {
-    /// One pattern at a time in portable code, whatever the CPU (the
-    /// paper's starting point, and the tests' reference).
-    Scalar,
-    /// The widest lanes this CPU has ([`KernelTier::probe`]): four patterns
-    /// per AVX2 register, else two per 128-bit register as on the SPE
-    /// (paper Figure 2).
-    #[default]
-    Vector,
-}
-
-/// How the underflow-scaling conditional is evaluated (paper §5.2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScalingCheck {
-    /// `ABS(x) < minlikelihood` on doubles — 8 hard-to-predict conditions.
-    FloatCompare,
-    /// Reinterpret the (positive) doubles as unsigned integers and compare
-    /// those: IEEE-754 doubles of one sign are lexicographically ordered by
-    /// their bit patterns, so the outcome is identical and branch-friendly.
-    #[default]
-    IntegerCast,
-}
-
-/// Runtime configuration of the likelihood engine — every switch corresponds
-/// to one of the paper's optimizations so each can be measured independently.
+/// Runtime configuration of the likelihood engine: the two settings that
+/// change results or threads. The kernels' lane width follows the CPU
+/// ([`KernelTier::probe`]) and the scaling conditional has one form, so
+/// neither is a setting; both are bit-neutral.
 ///
 /// Two named profiles matter (DESIGN.md, "Profiles"): [`Self::optimized`],
 /// the fastest choices on this host and the `Default`, and [`Self::cell`],
 /// the Cell-optimal choices the simulated tables and the search goldens pin.
-/// They differ in `exp_impl` only, which changes log-likelihood bits; lane
-/// type, scaling conditional and `parallel` threads/stripes do not.
+/// They differ in `exp_impl` only, which changes log-likelihood bits;
+/// `parallel` threads/stripes do not.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LikelihoodConfig {
     /// libm vs SDK-style exponential (§5.2.2).
     pub exp_impl: crate::model::ExpImpl,
-    /// Scalar vs vectorized likelihood loops (§5.2.5).
-    pub kernel: KernelKind,
-    /// Float vs integer-cast scaling conditional (§5.2.3).
-    pub scaling: ScalingCheck,
     /// Loop-level parallelism over site patterns (the RAxML-OMP analogue;
     /// the paper's third parallelism layer).
     pub parallel: bool,
@@ -99,35 +70,27 @@ impl Default for LikelihoodConfig {
 impl LikelihoodConfig {
     /// The host profile: what measures fastest on the machines this runs on
     /// (sequential). libm `exp` — 34 ns per P matrix against 88 ns for the
-    /// SDK-style polynomial; the widest lanes the CPU has; the integer-cast
-    /// conditional stays because the float compare measures within noise of
-    /// it.
+    /// SDK-style polynomial.
     pub fn optimized() -> LikelihoodConfig {
-        LikelihoodConfig { exp_impl: crate::model::ExpImpl::Libm, ..LikelihoodConfig::cell() }
+        LikelihoodConfig { exp_impl: crate::model::ExpImpl::Libm, parallel: false }
     }
 
     /// The Cell profile: the paper's final SPE configuration — SDK-style
-    /// `exp` (§5.2.2), vector loops (§5.2.5; bit-identical at any lane
-    /// count), integer-cast scaling conditional (§5.2.3). Everything whose
+    /// `exp` (§5.2.2); the vector loops (§5.2.5) and integer-cast scaling
+    /// conditional (§5.2.3) are what every profile runs. Everything whose
     /// recorded output must not move with a host `exp` choice sets it
     /// explicitly: the kernel-trace capture the Cell model prices, and the
     /// search goldens.
     pub fn cell() -> LikelihoodConfig {
-        LikelihoodConfig {
-            exp_impl: crate::model::ExpImpl::Sdk,
-            kernel: KernelKind::Vector,
-            scaling: ScalingCheck::IntegerCast,
-            parallel: false,
-        }
+        LikelihoodConfig { exp_impl: crate::model::ExpImpl::Sdk, ..LikelihoodConfig::optimized() }
     }
 
-    /// The unoptimized baseline (what the naive Cell port ran).
+    /// Vestigial: the same configuration as [`Self::optimized`], since the
+    /// lane width and the scaling conditional are no longer settings. It
+    /// survives only because the standalone `benchmark/` package still calls
+    /// it (its search and wide-scoring workloads re-score under it); it goes
+    /// when that package stops calling it.
     pub fn baseline() -> LikelihoodConfig {
-        LikelihoodConfig {
-            exp_impl: crate::model::ExpImpl::Libm,
-            kernel: KernelKind::Scalar,
-            scaling: ScalingCheck::FloatCompare,
-            parallel: false,
-        }
+        LikelihoodConfig::optimized()
     }
 }

@@ -4,8 +4,10 @@
 //! Independence from the production path is the point: transition matrices
 //! are computed by scaling-and-squaring series exponentiation of the rate
 //! matrix (not eigendecomposition), conditional likelihoods by direct
-//! recursion (no pattern-sharing tricks, no underflow scaling, no case
-//! specialization). Only usable on small trees — exactly what tests need.
+//! recursion (no case specialization, no tiles, no lanes). Underflow is
+//! handled by a rule of its own, not the engine's 2⁻²⁵⁶ threshold: every
+//! conditional vector is divided by its largest entry and the logarithm of
+//! that factor carried per pattern, so deep trees stay finite.
 //!
 //! It also keeps the scalar `makenewz` formulas the tiled kernels replaced
 //! ([`sumtable_aos`], [`newton_derivatives_aos`]) — one pattern at a time
@@ -116,36 +118,52 @@ fn mat_scale(a: &[[f64; 4]; 4], s: f64) -> [[f64; 4]; 4] {
     c
 }
 
-/// Conditional likelihood of the subtree at `node` (seen from `parent`) for
-/// one pattern and one rate multiplier.
+/// `P · x`, each entry summed in state order.
+fn mat_vec(p: &[[f64; 4]; 4], x: &[f64; 4]) -> [f64; 4] {
+    std::array::from_fn(|s| p[s].iter().zip(x).map(|(a, b)| a * b).sum())
+}
+
+/// Conditional likelihoods of the subtree at `node` (seen from `parent`)
+/// under one rate multiplier, per pattern: each 4-vector divided by its
+/// largest entry, with the natural log of the factors taken out of the
+/// subtree in the second vector. Each branch's `P` is computed once.
 fn conditional(
     tree: &Tree,
     aln: &PatternAlignment,
     q: &[[f64; 4]; 4],
     rate: f64,
-    pattern: usize,
     node: NodeId,
     parent: NodeId,
-) -> [f64; 4] {
+) -> (Vec<[f64; 4]>, Vec<f64>) {
+    let n = aln.n_patterns();
     if tree.is_tip(node) {
-        return TIP_LIKELIHOODS[aln.tip_row(node)[pattern] as usize];
+        let x = aln.tip_row(node).iter().map(|&code| TIP_LIKELIHOODS[code as usize]).collect();
+        return (x, vec![0.0; n]);
     }
-    let mut out = [1.0; 4];
+    let mut x = vec![[1.0; 4]; n];
+    let mut ln_scale = vec![0.0; n];
     for (child, len) in tree.neighbors_of(node) {
         if child == parent {
             continue;
         }
         let p = expm(q, len * rate);
-        let cl = conditional(tree, aln, q, rate, pattern, child, node);
-        for s in 0..4 {
-            let mut acc = 0.0;
-            for (t, &clt) in cl.iter().enumerate() {
-                acc += p[s][t] * clt;
+        let (cx, cs) = conditional(tree, aln, q, rate, child, node);
+        for i in 0..n {
+            let px = mat_vec(&p, &cx[i]);
+            for s in 0..4 {
+                x[i][s] *= px[s];
             }
-            out[s] *= acc;
+            ln_scale[i] += cs[i];
         }
     }
-    out
+    for (xi, si) in x.iter_mut().zip(&mut ln_scale) {
+        let top = xi.iter().copied().fold(0.0, f64::max);
+        if top > 0.0 {
+            xi.iter_mut().for_each(|v| *v /= top);
+            *si += top.ln();
+        }
+    }
+    (x, ln_scale)
 }
 
 /// Naive log-likelihood of the tree under the model — the ground truth the
@@ -159,27 +177,33 @@ pub fn log_likelihood_naive(
     let q = rate_matrix(model);
     let freqs = model.freqs();
     let (u, v) = tree.edges()[0];
-    let n_rates = rates.n_categories();
+    // Per rate, per pattern: the site likelihood as (mantissa, ln scale).
+    let per_rate: Vec<Vec<(f64, f64)>> = rates
+        .rates()
+        .iter()
+        .map(|&r| {
+            let (xu, su) = conditional(tree, aln, &q, r, u, v);
+            let (xv, sv) = conditional(tree, aln, &q, r, v, u);
+            let p = expm(&q, tree.branch_length(u, v) * r);
+            (0..aln.n_patterns())
+                .map(|i| {
+                    let pv = mat_vec(&p, &xv[i]);
+                    let site: f64 = (0..4).map(|s| freqs[s] * xu[i][s] * pv[s]).sum();
+                    (site, su[i] + sv[i])
+                })
+                .collect()
+        })
+        .collect();
+    let n_rates = rates.n_categories() as f64;
     let mut lnl = 0.0;
-    for i in 0..aln.n_patterns() {
-        let w = aln.weights()[i];
+    for (i, &w) in aln.weights().iter().enumerate() {
         if w == 0.0 {
             continue;
         }
-        let mut site = 0.0;
-        for &r in rates.rates() {
-            let lu = conditional(tree, aln, &q, r, i, u, v);
-            let lv = conditional(tree, aln, &q, r, i, v, u);
-            let p = expm(&q, tree.branch_length(u, v) * r);
-            for s in 0..4 {
-                let mut acc = 0.0;
-                for (t, &lvt) in lv.iter().enumerate() {
-                    acc += p[s][t] * lvt;
-                }
-                site += freqs[s] * lu[s] * acc;
-            }
-        }
-        lnl += w * (site / n_rates as f64).ln();
+        // Σ_c site_c · e^{scale_c}, factored by the largest scale.
+        let top = per_rate.iter().map(|r| r[i].1).fold(f64::NEG_INFINITY, f64::max);
+        let site: f64 = per_rate.iter().map(|r| r[i].0 * (r[i].1 - top).exp()).sum();
+        lnl += w * ((site / n_rates).ln() + top);
     }
     lnl
 }

@@ -332,7 +332,7 @@ mod tests {
     use super::*;
     use crate::likelihood::engine::LikelihoodEngine;
     use crate::likelihood::kernels::Child;
-    use crate::likelihood::{KernelKind, LikelihoodConfig, ScalingCheck};
+    use crate::likelihood::LikelihoodConfig;
     use crate::model::{GammaRates, SubstModel};
     use crate::simulate::SimulationConfig;
     use crate::tree::Tree;
@@ -651,8 +651,7 @@ mod tests {
         let newview = |codes_l: &[u8], codes_r: &[u8], x: &mut [f64], scale: &mut [u32]| {
             let left = Child::Tip { codes: codes_l, tables: &tables_l };
             let right = Child::Tip { codes: codes_r, tables: &tables_r };
-            let (kind, scaling) = (KernelKind::Vector, ScalingCheck::IntegerCast);
-            kernels::newview(&left, &right, x, scale, n_rates, kind, scaling)
+            kernels::newview(&left, &right, x, scale, n_rates)
         };
 
         let mut seq_x = vec![0.0f64; len];

@@ -33,7 +33,8 @@ const RATE_MAX: f64 = 50.0;
 /// Configuration of a full ML inference.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
-    /// Kernel/exp/scaling/parallelism switches for the likelihood engine.
+    /// The likelihood engine's `exp` implementation and loop-level
+    /// parallelism (the kernels' lane width follows the CPU).
     pub likelihood: LikelihoodConfig,
     /// Number of discrete Γ rate categories (RAxML default: 4).
     pub n_rate_categories: usize,
@@ -135,7 +136,8 @@ macro_rules! builder_setters {
 
 impl SearchConfigBuilder {
     builder_setters! {
-        /// Kernel/exp/scaling/parallelism switches for the likelihood engine.
+        /// The likelihood engine's `exp` implementation and loop-level
+        /// parallelism.
         likelihood: LikelihoodConfig,
         /// Number of discrete Γ rate categories.
         n_rate_categories: usize,

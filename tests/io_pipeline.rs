@@ -96,6 +96,9 @@ fn corrupt_corpus_yields_typed_errors() {
         ("truncated.phy", |e| matches!(e, E::Parse { format: "PHYLIP", .. })),
         ("bad_header.phy", |e| matches!(e, E::Parse { format: "PHYLIP", .. })),
         ("short_row.phy", |e| matches!(e, E::Parse { format: "PHYLIP", .. })),
+        // Header counts far beyond the records must not size an allocation.
+        ("huge_site_count.phy", |e| matches!(e, E::Parse { format: "PHYLIP", .. })),
+        ("huge_taxon_count.phy", |e| matches!(e, E::Parse { format: "PHYLIP", .. })),
     ];
     for (name, expected) in cases {
         match load_alignment(&data.join(name)) {

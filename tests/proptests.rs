@@ -14,9 +14,7 @@ use phylo::bipartitions::{robinson_foulds, tree_bipartitions};
 use phylo::io::newick::{parse_newick, write_newick};
 use phylo::likelihood::engine::LikelihoodEngine;
 use phylo::likelihood::reference::log_likelihood_naive;
-use phylo::likelihood::{
-    KernelKind, LikelihoodConfig, LikelihoodWorkspace, ScalingCheck, WorkspaceOptions,
-};
+use phylo::likelihood::{LikelihoodConfig, LikelihoodWorkspace, WorkspaceOptions};
 use phylo::math::{brent_minimize, discrete_gamma_rates, jacobi_eigen};
 use phylo::model::{ExpImpl, GammaRates, SubstModel};
 use phylo::search::parsimony_score;
@@ -365,140 +363,6 @@ proptest! {
         prop_assert!(nwk.ends_with(';'));
         for name in &names {
             prop_assert!(nwk.contains(name.as_str()));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// likelihood kernels
-// ---------------------------------------------------------------------
-
-proptest! {
-    /// The 1-lane portable kernel and the dispatched one (four lanes on an
-    /// AVX2 host, else two) agree to the bit on random instances, under both
-    /// scaling-check variants, through the full engine. Lanes map to
-    /// patterns, so widening the kernel never changes any per-pattern
-    /// operation order.
-    #[test]
-    fn kernel_variants_agree_on_random_instances(seed in 0u64..40) {
-        let w = SimulationConfig::new(6, 100, seed).generate();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let tree = Tree::random(6, 0.2, &mut rng).unwrap();
-        let model = SubstModel::gtr(w.alignment.base_frequencies(), [1.0; 6]).unwrap();
-        let rates = GammaRates::standard(0.6).unwrap();
-        let mut reference: Option<f64> = None;
-        for kernel in [KernelKind::Scalar, KernelKind::Vector] {
-            for scaling in [ScalingCheck::FloatCompare, ScalingCheck::IntegerCast] {
-                let cfg = LikelihoodConfig { kernel, scaling, ..LikelihoodConfig::optimized() };
-                let mut engine = LikelihoodEngine::new(&w.alignment, model.clone(), rates.clone(), cfg);
-                let lnl = engine.log_likelihood(&tree);
-                let r = *reference.get_or_insert(lnl);
-                prop_assert_eq!(lnl.to_bits(), r.to_bits(),
-                    "{:?}/{:?}: {} vs {}", kernel, scaling, lnl, r);
-            }
-        }
-    }
-
-    /// Direct kernel-level bit-equality over random partials, P matrices
-    /// and tip codes — including patterns driven below the underflow
-    /// threshold so the §5.2.3 rescaling conditional fires on a random
-    /// subset of lanes. Outputs, per-pattern scale counts and the
-    /// `ScaleStats` instrumentation must all be identical between the
-    /// 1-lane portable kernel and the dispatched one, for all three
-    /// child-case pairings. (Every lane type against every other is
-    /// `phylo`'s own `likelihood::kernels` differential test.)
-    #[test]
-    fn wide_kernels_bit_equal_on_random_partials(
-        seed in 0u64..150,
-        n_patterns in 1usize..40,
-        n_rates in 1usize..5,
-        tiny_mask in 0u64..256,
-    ) {
-        use phylo::likelihood::kernels::{
-            build_tip_tables, newview, tile_partials, tiled_len, Child, Mat4,
-        };
-        use phylo::likelihood::SCALE_THRESHOLD;
-        use rand::Rng;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let stride = n_rates * 4;
-        let mut arb_pmats = |n: usize| -> Vec<Mat4> {
-            (0..n)
-                .map(|_| {
-                    let mut m = [[0.0f64; 4]; 4];
-                    for row in &mut m {
-                        for v in row.iter_mut() {
-                            *v = rng.gen_range(0.05..1.0);
-                        }
-                    }
-                    m
-                })
-                .collect()
-        };
-        let pmats_l = arb_pmats(n_rates);
-        let pmats_r = arb_pmats(n_rates);
-        let tables_l = build_tip_tables(&pmats_l);
-        let tables_r = build_tip_tables(&pmats_r);
-        let codes_l: Vec<u8> = (0..n_patterns).map(|_| rng.gen_range(1u8..16)).collect();
-        let codes_r: Vec<u8> = (0..n_patterns).map(|_| rng.gen_range(1u8..16)).collect();
-        // Patterns whose bit is set in `tiny_mask` (cycled over blocks of 8)
-        // get partials near the scaling threshold in BOTH children, so their
-        // newview products underflow and the rescale fires mid-block.
-        let mut arb_partials = || -> Vec<f64> {
-            (0..n_patterns * stride)
-                .map(|j| {
-                    let pattern = j / stride;
-                    let v: f64 = rng.gen_range(0.05..1.0);
-                    if (tiny_mask >> (pattern % 8)) & 1 == 1 { v * SCALE_THRESHOLD } else { v }
-                })
-                .collect()
-        };
-        let xl = tile_partials(&arb_partials(), n_patterns, n_rates);
-        let xr = tile_partials(&arb_partials(), n_patterns, n_rates);
-        let sl: Vec<u32> = (0..n_patterns).map(|_| rng.gen_range(0u32..3)).collect();
-        let sr: Vec<u32> = (0..n_patterns).map(|_| rng.gen_range(0u32..3)).collect();
-
-        let cases = [
-            (
-                Child::Tip { codes: &codes_l, tables: &tables_l },
-                Child::Tip { codes: &codes_r, tables: &tables_r },
-            ),
-            (
-                Child::Tip { codes: &codes_l, tables: &tables_l },
-                Child::Inner { x: &xr, scale: &sr, pmats: &pmats_r },
-            ),
-            (
-                Child::Inner { x: &xl, scale: &sl, pmats: &pmats_l },
-                Child::Inner { x: &xr, scale: &sr, pmats: &pmats_r },
-            ),
-        ];
-        for (l, r) in &cases {
-            for scaling in [ScalingCheck::FloatCompare, ScalingCheck::IntegerCast] {
-                let mut ref_x = vec![0.0; tiled_len(n_patterns, n_rates)];
-                let mut ref_s = vec![0u32; n_patterns];
-                let ref_stats =
-                    newview(l, r, &mut ref_x, &mut ref_s, n_rates, KernelKind::Scalar, scaling);
-                let mut x = vec![0.0; tiled_len(n_patterns, n_rates)];
-                let mut s = vec![0u32; n_patterns];
-                let stats = newview(l, r, &mut x, &mut s, n_rates, KernelKind::Vector, scaling);
-                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(&x), bits(&ref_x), "{:?} partials", scaling);
-                prop_assert_eq!(&s, &ref_s, "{:?} scale counts", scaling);
-                prop_assert_eq!(stats, ref_stats, "{:?} ScaleStats", scaling);
-            }
-        }
-
-        // Every pattern flagged tiny in both children must actually have
-        // fired the rescale in the inner/inner case — the proptest would be
-        // vacuous if the threshold never triggered.
-        let mut ref_x = vec![0.0; tiled_len(n_patterns, n_rates)];
-        let mut ref_s = vec![0u32; n_patterns];
-        let (l, r) = &cases[2];
-        newview(l, r, &mut ref_x, &mut ref_s, n_rates, KernelKind::Scalar, ScalingCheck::IntegerCast);
-        for (i, &s) in ref_s.iter().enumerate() {
-            if (tiny_mask >> (i % 8)) & 1 == 1 {
-                prop_assert!(s > sl[i] + sr[i], "pattern {} should have rescaled", i);
-            }
         }
     }
 }

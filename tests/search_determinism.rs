@@ -1,14 +1,13 @@
 //! Full-search trajectory determinism: an entire SPR + NNI hill climb —
 //! every candidate scored, every move applied, every branch optimized —
-//! must be bit-identical between the 1-lane portable `newview` and the
-//! dispatched one, four lanes on an AVX2 host, else two (lanes map to
-//! patterns, so widening the kernel never changes any per-pattern operation
-//! order), and across `RAYON_NUM_THREADS` (fixed chunk boundaries plus an
-//! indexed sequential reduction make scheduling invisible to the arithmetic).
+//! must be bit-identical across `RAYON_NUM_THREADS` (fixed chunk boundaries
+//! plus an indexed sequential reduction make scheduling invisible to the
+//! arithmetic). That the kernels' lane width never changes a bit is
+//! `phylo`'s own lane-type differential tests.
 
 use phylo::alignment::PatternAlignment;
 use phylo::likelihood::engine::LikelihoodEngine;
-use phylo::likelihood::{KernelKind, LikelihoodConfig};
+use phylo::likelihood::LikelihoodConfig;
 use phylo::model::{GammaRates, SubstModel};
 use phylo::search::nni::nni_round;
 use phylo::search::spr::spr_round;
@@ -28,15 +27,10 @@ struct Trajectory {
 
 /// A short but complete search: random start, branch smoothing, then SPR
 /// and NNI rounds to convergence (capped), with every statistic recorded.
-fn run_search(
-    aln: &PatternAlignment,
-    n_taxa: usize,
-    kernel: KernelKind,
-    parallel: bool,
-) -> Trajectory {
+fn run_search(aln: &PatternAlignment, n_taxa: usize, parallel: bool) -> Trajectory {
     let model = SubstModel::gtr(aln.base_frequencies(), [1.0; 6]).unwrap();
     let rates = GammaRates::standard(0.8).unwrap();
-    let cfg = LikelihoodConfig { kernel, parallel, ..LikelihoodConfig::optimized() };
+    let cfg = LikelihoodConfig { parallel, ..LikelihoodConfig::optimized() };
     let mut engine = LikelihoodEngine::new(aln, model, rates, cfg);
     let mut rng = StdRng::seed_from_u64(17);
     let mut tree = Tree::random(n_taxa, 0.1, &mut rng).unwrap();
@@ -62,15 +56,6 @@ fn run_search(
 }
 
 #[test]
-fn search_is_bit_identical_across_kernel_kinds() {
-    let w = SimulationConfig::new(9, 700, 23).generate();
-    let reference = run_search(&w.alignment, 9, KernelKind::Scalar, false);
-    assert!(reference.evaluated > 0, "the search must actually evaluate candidates");
-    let t = run_search(&w.alignment, 9, KernelKind::Vector, false);
-    assert_eq!(t, reference, "the dispatched kernel's search diverged from the scalar kernel's");
-}
-
-#[test]
 fn search_is_bit_identical_across_thread_counts() {
     // Enough distinct patterns to engage the chunked parallel dispatchers.
     let w = SimulationConfig { mean_branch: 0.4, ..SimulationConfig::new(8, 2400, 37) }.generate();
@@ -78,7 +63,7 @@ fn search_is_bit_identical_across_thread_counts() {
 
     let run = |threads: &str| {
         std::env::set_var("RAYON_NUM_THREADS", threads);
-        let t = run_search(&w.alignment, 8, KernelKind::Vector, true);
+        let t = run_search(&w.alignment, 8, true);
         std::env::remove_var("RAYON_NUM_THREADS");
         t
     };
