@@ -39,7 +39,7 @@ fn bench_dispatch(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for &e in edges.iter().step_by(8) {
-                engine.invalidate_for_branch(tree, e.0, e.1);
+                engine.invalidate_for_branch(e.0, e.1);
                 acc += engine.log_likelihood_at(tree, e);
             }
             black_box(acc)

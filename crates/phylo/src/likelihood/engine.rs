@@ -198,13 +198,7 @@ impl<'a> LikelihoodEngine<'a> {
     /// Tips and stale inner nodes return `None`. Exposed for equivalence
     /// tests (sequential vs striped, fresh vs recycled arenas).
     pub fn node_partial(&self, node: NodeId) -> Option<(&[f64], &[u32], NodeId)> {
-        if node < self.n_taxa {
-            return None;
-        }
-        let idx = self.inner_idx(node);
-        if !self.slot_is_current(idx) {
-            return None;
-        }
+        let idx = node.checked_sub(self.n_taxa)?;
         self.ws.orientation[idx]
             .map(|tw| (self.ws.partials[idx].as_slice(), self.ws.scales[idx].as_slice(), tw))
     }
@@ -218,14 +212,6 @@ impl<'a> LikelihoodEngine<'a> {
     /// Zero the reuse ledger (e.g. at a search-round boundary).
     pub fn reset_reuse_stats(&mut self) {
         self.reuse = ReuseStats::default();
-    }
-
-    /// A slot's partial is live only when its validity generation matches
-    /// the workspace's current cache generation ([`Self::invalidate_all`]
-    /// is an O(1) generation bump rather than an orientation sweep).
-    #[inline]
-    fn slot_is_current(&self, idx: usize) -> bool {
-        self.ws.valid_gen[idx] == self.ws.cache_gen
     }
 
     /// Replace the substitution model (invalidates all partials).
@@ -269,76 +255,54 @@ impl<'a> LikelihoodEngine<'a> {
         self.trace.end_spr_round();
     }
 
-    /// Invalidate every cached partial (call after any topology change).
+    /// Invalidate every cached partial: every orientation is cleared, so
+    /// the next traversal recomputes the whole tree. O(inner nodes).
     pub fn invalidate_all(&mut self) {
         self.ws.reset();
     }
 
     /// Invalidate exactly the partials whose subtree contains the branch
-    /// `(u, v)` — everything except partials oriented *toward* the branch.
-    /// Call after changing that branch's length.
-    pub fn invalidate_for_branch(&mut self, tree: &Tree, u: NodeId, v: NodeId) {
-        let n_nodes = tree.n_nodes();
-        let ws = &mut self.ws;
-        // First hop from every node toward u (DFS with parent pointers),
-        // using workspace scratch so steady-state calls allocate nothing.
-        ws.hop.clear();
-        ws.hop.resize(n_nodes, usize::MAX);
-        ws.seen.clear();
-        ws.seen.resize(n_nodes, false);
-        ws.node_stack.clear();
-        ws.node_stack.push(u);
-        ws.seen[u] = true;
-        while let Some(x) = ws.node_stack.pop() {
-            for (n, _) in tree.neighbors_of(x) {
-                if !ws.seen[n] {
-                    ws.seen[n] = true;
-                    ws.hop[n] = x; // first hop from n toward u is x
-                    ws.node_stack.push(n);
-                }
-            }
-        }
-        ws.hop[u] = v; // from u, the branch lies toward v
-
-        for inner in self.n_taxa..n_nodes {
-            let idx = inner - self.n_taxa;
-            // Nodes not connected to the branch (e.g. a pruned subtree)
-            // cannot contain it; their caches stay as they are.
-            if ws.hop[inner] == usize::MAX && inner != u {
-                continue;
-            }
-            if let Some(q) = ws.orientation[idx] {
-                // The partial at `inner` toward q covers the subtree away
-                // from q; it contains branch (u,v) unless q is the first hop
-                // toward the branch.
-                if q != ws.hop[inner] {
-                    ws.orientation[idx] = None;
-                }
+    /// `(u, v)` — every partial not oriented *toward* it. Call after
+    /// changing that branch's length.
+    ///
+    /// Valid partials all face one branch, or the connected stale region a
+    /// topology edit left (DESIGN.md, "Partials valid by orientation
+    /// alone"), so the partials that contain `(u, v)` lie on one path: from
+    /// `u` and from `v`, orientations are followed away from the branch,
+    /// clearing as the walk goes, until one points back or is already
+    /// clear. A length change at the branch the last traversal prepared
+    /// stales nothing.
+    pub fn invalidate_for_branch(&mut self, u: NodeId, v: NodeId) {
+        for (mut from, mut node) in [(v, u), (u, v)] {
+            while let Some(toward) = self.slot(node).and_then(|o| o.take_if(|t| *t != from)) {
+                (from, node) = (node, toward);
             }
         }
     }
 
     /// Rename the target of a cached orientation: if `node`'s partial is
     /// valid "toward `from`", mark it valid "toward `to`" instead. Used by
-    /// the SPR bookkeeping when a topology edit replaces a neighbor without
-    /// changing the subtree the partial summarizes (e.g. splitting the edge
-    /// `(x, y)` with a junction `v` turns "x toward y" into "x toward v").
-    pub fn remap_orientation(&mut self, node: NodeId, from: NodeId, to: NodeId) {
-        if node < self.n_taxa {
-            return;
-        }
-        let idx = self.inner_idx(node);
-        if self.ws.orientation[idx] == Some(from) {
-            self.ws.orientation[idx] = Some(to);
+    /// the SPR and NNI bookkeeping when a topology edit replaces a neighbor
+    /// without changing the subtree the partial summarizes (e.g. splitting
+    /// the edge `(x, y)` with a junction `v` turns "x toward y" into "x
+    /// toward v"). The caller keeps every valid partial facing the stale
+    /// region, which is what [`Self::invalidate_for_branch`] relies on.
+    pub(crate) fn remap_orientation(&mut self, node: NodeId, from: NodeId, to: NodeId) {
+        if let Some(o) = self.slot(node).filter(|o| **o == Some(from)) {
+            *o = Some(to);
         }
     }
 
     /// Drop the cached partial of one inner node.
-    pub fn clear_orientation(&mut self, node: NodeId) {
-        if node >= self.n_taxa {
-            let idx = self.inner_idx(node);
-            self.ws.orientation[idx] = None;
+    pub(crate) fn clear_orientation(&mut self, node: NodeId) {
+        if let Some(o) = self.slot(node) {
+            *o = None;
         }
+    }
+
+    /// The orientation slot of an inner node; tips have none.
+    fn slot(&mut self, node: NodeId) -> Option<&mut Option<NodeId>> {
+        node.checked_sub(self.n_taxa).map(|i| &mut self.ws.orientation[i])
     }
 
     /// Log-likelihood of the tree, evaluated at an arbitrary branch (the
@@ -457,8 +421,8 @@ impl<'a> LikelihoodEngine<'a> {
     }
 
     /// Optimize the length of branch `(u, v)` by Newton–Raphson on the sum
-    /// table (`makenewz`). Updates the tree and invalidates dependent
-    /// partials. Returns the optimized length.
+    /// table (`makenewz`). Updates the tree; no cached partial contains the
+    /// branch it optimizes, so none goes stale. Returns the optimized length.
     pub fn optimize_branch(&mut self, tree: &mut Tree, edge: Edge) -> f64 {
         self.optimize_branch_with_iters(tree, edge, NEWTON_MAX_ITER).0
     }
@@ -558,8 +522,9 @@ impl<'a> LikelihoodEngine<'a> {
             lnl_at_t = best_lnl;
         }
         t = clamp_branch(t);
+        // `prepare` left every valid partial facing (u, v), so the new
+        // length stales none of them.
         tree.set_branch_length(u, v, t);
-        self.invalidate_for_branch(tree, u, v);
 
         let inner_ops = [u, v].iter().filter(|&&n| !tree.is_tip(n)).count() as u32;
         self.trace.push(KernelEvent {
@@ -649,8 +614,7 @@ impl<'a> LikelihoodEngine<'a> {
             ws.visit_stack.push((p, toward));
             // Discovery order puts every node before its descendants…
             while let Some((node, tw)) = ws.visit_stack.pop() {
-                let idx = node - n_taxa;
-                if ws.orientation[idx] == Some(tw) && ws.valid_gen[idx] == ws.cache_gen {
+                if ws.orientation[node - n_taxa] == Some(tw) {
                     reused += 1;
                     continue; // already valid — subtree under it is too
                 }
@@ -803,7 +767,6 @@ impl<'a> LikelihoodEngine<'a> {
     fn finish_op(&mut self, op: TraversalOp, stats: ScaleStats, parent: CallParent) {
         let idx = self.inner_idx(op.node);
         self.ws.orientation[idx] = Some(op.toward);
-        self.ws.valid_gen[idx] = self.ws.cache_gen;
         self.reuse.partials_recomputed += 1;
 
         let kernel_op = match (op.left_tip, op.right_tip) {
@@ -962,7 +925,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_is_generational_and_reuse_is_counted() {
+    fn invalidate_all_clears_every_partial_and_reuse_is_counted() {
         let (aln, tree) = toy_setup();
         let mut eng = engine(&aln, LikelihoodConfig::optimized());
         eng.log_likelihood(&tree);
@@ -976,13 +939,12 @@ mod tests {
         assert_eq!(warm.partials_recomputed, after_cold.partials_recomputed);
         assert!(warm.partials_reused >= 1, "warm evaluation must reuse cached partials");
 
-        // After the O(1) generation bump every slot is stale even though
-        // its orientation still matches — nothing may be reused.
+        // After `invalidate_all` every slot is stale — nothing may be reused.
         eng.invalidate_all();
         eng.reset_reuse_stats();
         eng.log_likelihood(&tree);
         let cold = eng.reuse_stats();
-        assert_eq!(cold.partials_reused, 0, "generation bump must invalidate all slots");
+        assert_eq!(cold.partials_reused, 0, "invalidate_all must invalidate all slots");
         assert_eq!(cold.partials_recomputed, after_cold.partials_recomputed);
     }
 
@@ -1020,7 +982,7 @@ mod tests {
         // Change a branch, rely on targeted invalidation.
         let (u, v) = edges[1];
         tree.set_branch_length(u, v, 0.735);
-        eng.invalidate_for_branch(&tree, u, v);
+        eng.invalidate_for_branch(u, v);
         let fast = eng.log_likelihood(&tree);
         // Full invalidation reference.
         eng.invalidate_all();

@@ -138,18 +138,13 @@ pub struct LikelihoodWorkspace {
     /// Per-pattern scaling counts per inner node (unpadded).
     pub(crate) scales: Vec<Vec<u32>>,
     /// `orientation[i] = Some(q)`: inner node `n_taxa + i`'s partial is
-    /// valid for the tree rooted so that `q` is its parent — provided its
-    /// validity generation also matches (see [`Self::cache_gen`]).
+    /// valid for the tree rooted so that `q` is its parent; `None`: stale.
+    /// This is the whole validity state. Every valid partial faces one
+    /// branch (the last one a traversal prepared) or the connected stale
+    /// region a topology edit left behind, and the subtree under a valid
+    /// partial is valid too (DESIGN.md, "Partials valid by orientation
+    /// alone").
     pub(crate) orientation: Vec<Option<NodeId>>,
-    /// Validity generation per inner node: the partial at slot `i` is live
-    /// only when `valid_gen[i] == cache_gen`. Bumping `cache_gen` is the
-    /// O(1) whole-cache invalidation (`invalidate_all`); targeted
-    /// invalidation (`invalidate_for_branch`) still clears orientations so
-    /// cross-move partial reuse keeps untouched subtrees warm.
-    pub(crate) valid_gen: Vec<u64>,
-    /// Current cache generation; starts at 1 so a zeroed `valid_gen` is
-    /// stale by construction.
-    pub(crate) cache_gen: u64,
     /// Per-rate P-matrix scratch for the two `newview` child branches and
     /// for the `evaluate`/`makenewz` branch.
     pub(crate) pmat_a: Vec<Mat4>,
@@ -175,10 +170,6 @@ pub struct LikelihoodWorkspace {
     /// Branch order of the current smoothing call
     /// (`optimize_all_branches`), parent→child in depth-first pre-order.
     pub(crate) smooth_order: Vec<Edge>,
-    /// Scratch for targeted invalidation (`invalidate_for_branch`).
-    pub(crate) hop: Vec<usize>,
-    pub(crate) seen: Vec<bool>,
-    pub(crate) node_stack: Vec<NodeId>,
     /// Scratch for the SPR candidate scan.
     pub(crate) spr: SprScratch,
 }
@@ -220,11 +211,6 @@ impl LikelihoodWorkspace {
         }
         self.orientation.clear();
         self.orientation.resize(n_inner, None);
-        self.valid_gen.clear();
-        self.valid_gen.resize(n_inner, 0);
-        // Generation 0 marks "never computed"; start (or continue) strictly
-        // above it so every slot is stale after adoption.
-        self.cache_gen = self.cache_gen.max(1);
 
         self.pmat_a.resize(n_rates, [[0.0; 4]; 4]);
         self.pmat_b.resize(n_rates, [[0.0; 4]; 4]);
@@ -248,13 +234,6 @@ impl LikelihoodWorkspace {
         self.smooth_order.clear();
         self.smooth_order.reserve(n_nodes);
 
-        self.hop.clear();
-        self.hop.resize(n_nodes, usize::MAX);
-        self.seen.clear();
-        self.seen.resize(n_nodes, false);
-        self.node_stack.clear();
-        self.node_stack.reserve(n_nodes);
-
         // One entry per branch (2n − 3 < n_nodes) at most.
         self.spr.candidates.clear();
         self.spr.candidates.reserve(n_nodes);
@@ -268,11 +247,11 @@ impl LikelihoodWorkspace {
         self.n_rates = n_rates;
     }
 
-    /// Invalidate every cached partial without touching buffer sizes: an
-    /// O(1) generation bump — every slot's `valid_gen` is now stale — plus
-    /// clearing the compiled descriptor list.
+    /// Invalidate every cached partial without touching buffer sizes:
+    /// every orientation is cleared (O(inner nodes); the full traversal
+    /// that follows costs far more) and so is the compiled descriptor list.
     pub fn reset(&mut self) {
-        self.cache_gen += 1;
+        self.orientation.fill(None);
         self.ops.clear();
     }
 
@@ -293,9 +272,9 @@ impl LikelihoodWorkspace {
     /// allocating anything. The tiled partials dominate —
     /// `(n_taxa − 2) × tiled_len × 8` — with the per-node scale vectors and
     /// the Newton sum table as the next terms; fixed per-rate scratch is
-    /// included, per-node bookkeeping (pointers, generations) is counted at
-    /// its true size. This is the number admission control compares against
-    /// a memory budget *before* accepting a job.
+    /// included, per-node bookkeeping (orientations, traversal and SPR
+    /// scratch) is counted at its true size. This is the number admission
+    /// control compares against a memory budget *before* accepting a job.
     pub fn estimate_bytes(n_taxa: usize, n_patterns: usize, n_rates: usize) -> u64 {
         let n_inner = n_taxa.saturating_sub(2) as u64;
         let n_nodes = n_taxa as u64 + n_inner;
@@ -308,9 +287,7 @@ impl LikelihoodWorkspace {
         let rate_scratch = (n_rates as u64)
             * (3 * std::mem::size_of::<Mat4>() + 2 * std::mem::size_of::<TipTable16>()) as u64;
         let per_node = n_inner
-            * (std::mem::size_of::<Option<NodeId>>() + std::mem::size_of::<u64>()) as u64
-            + n_nodes * (std::mem::size_of::<usize>() + 1 + std::mem::size_of::<NodeId>()) as u64
-            + n_inner * std::mem::size_of::<TraversalOp>() as u64
+            * (std::mem::size_of::<Option<NodeId>>() + std::mem::size_of::<TraversalOp>()) as u64
             // visit_stack and smooth_order
             + n_nodes * (std::mem::size_of::<(NodeId, NodeId)>() + std::mem::size_of::<Edge>()) as u64
             + n_nodes
@@ -369,24 +346,11 @@ mod tests {
         assert!(ws.partials.iter().all(|p| p.len() == 104 * 16));
         assert!(ws.scales.iter().all(|s| s.len() == 100));
         assert_eq!(ws.orientation.len(), 6);
-        assert_eq!(ws.valid_gen.len(), 6);
-        assert!(ws.cache_gen >= 1, "generation 0 is reserved for never-computed slots");
         assert_eq!(ws.pmat_a.len(), 4);
         // The sum table is tiled like the partials.
         assert_eq!(ws.sum_data.len(), 104 * 16);
         assert_eq!(ws.sum_scale.len(), 100);
-        assert_eq!(ws.hop.len(), 14);
         assert_eq!(ws.dimensions(), (8, 100, 4));
-    }
-
-    #[test]
-    fn reset_is_a_generation_bump() {
-        let mut ws = LikelihoodWorkspace::for_dimensions(6, 40, 2);
-        let gen_before = ws.cache_gen;
-        ws.valid_gen[0] = gen_before; // pretend slot 0 was computed
-        ws.reset();
-        assert_eq!(ws.cache_gen, gen_before + 1);
-        assert!(ws.valid_gen[0] < ws.cache_gen, "all slots stale after reset");
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn apply_nni(
     }
     let [(a, _), _] = tree.other_neighbors(u, v);
     let (c, _) = tree.other_neighbors(v, u)[swap.min(1)];
-    engine.invalidate_for_branch(tree, u, v);
+    engine.invalidate_for_branch(u, v);
     tree.nni(u, v, swap)?;
     engine.remap_orientation(a, u, v);
     engine.remap_orientation(c, v, u);

@@ -40,9 +40,8 @@ pub struct SprRoundStats {
 /// Split the edge `(x, y)` with junction `v` (regraft bookkeeping): partials
 /// whose subtree contains the edge become stale; `x`/`y` partials pointing
 /// at each other become partials pointing at `v`.
-fn note_split(engine: &mut LikelihoodEngine<'_>, tree: &Tree, x: NodeId, y: NodeId, v: NodeId) {
-    // Must run while (x, y) is still an edge.
-    engine.invalidate_for_branch(tree, x, y);
+fn note_split(engine: &mut LikelihoodEngine<'_>, x: NodeId, y: NodeId, v: NodeId) {
+    engine.invalidate_for_branch(x, y);
     engine.remap_orientation(x, y, v);
     engine.remap_orientation(y, x, v);
     engine.clear_orientation(v);
@@ -127,25 +126,6 @@ pub fn spr_round(
     radius: usize,
     epsilon: f64,
 ) -> SprRoundStats {
-    spr_round_with_mode(engine, tree, radius, epsilon, true)
-}
-
-/// [`spr_round`] with the cross-move partial reuse made switchable:
-/// `reuse = false` flushes every cached partial before each candidate
-/// scoring and each applied-move re-evaluation, forcing a full recompute
-/// per candidate. The deterministic kernels make both modes bit-identical
-/// in every likelihood and every applied move — the flag exists so the
-/// benchmark suite can price the reuse, not to change results.
-pub fn spr_round_with_mode(
-    engine: &mut LikelihoodEngine<'_>,
-    tree: &mut Tree,
-    radius: usize,
-    epsilon: f64,
-    reuse: bool,
-) -> SprRoundStats {
-    if !reuse {
-        engine.invalidate_all();
-    }
     let mut current = engine.log_likelihood(tree);
     let mut applied = 0;
     let mut evaluated = 0;
@@ -176,7 +156,7 @@ pub fn spr_round_with_mode(
         };
         let (ma, mb) = pruned.merged_edge;
         note_merge(engine, ma, mb, v);
-        engine.invalidate_for_branch(tree, ma, mb);
+        engine.invalidate_for_branch(ma, mb);
 
         // Score every target in topological scan order. A score depends on
         // the tree alone, never on what the cache happened to hold, so the
@@ -186,7 +166,7 @@ pub fn spr_round_with_mode(
             let target = slot.0;
             let (x, y) = target;
             let old_len = tree.branch_length(x, y);
-            note_split(engine, tree, x, y, pruned.junction);
+            note_split(engine, x, y, pruned.junction);
             if tree.regraft(&pruned, target).is_err() {
                 // Roll the bookkeeping back; the edge still exists.
                 note_merge(engine, x, y, pruned.junction);
@@ -195,9 +175,6 @@ pub fn spr_round_with_mode(
             // Lazy scoring, RAxML-style: one junction newview inside the
             // makenewz preparation plus a couple of Newton steps; the
             // sum table reports the likelihood for free.
-            if !reuse {
-                engine.invalidate_all();
-            }
             let (_, lnl) =
                 engine.optimize_branch_with_iters(tree, (pruned.junction, pruned.root), 2);
             evaluated += 1;
@@ -214,7 +191,7 @@ pub fn spr_round_with_mode(
         match select_winner(targets) {
             Some((lnl, target)) if lnl > current + epsilon => {
                 let (x, y) = target;
-                note_split(engine, tree, x, y, pruned.junction);
+                note_split(engine, x, y, pruned.junction);
                 tree.regraft(&pruned, target).expect("best target is still a valid edge");
                 // Lazy local optimization of the three branches the move
                 // created (RAxML's lazy SPR refinement).
@@ -224,13 +201,7 @@ pub fn spr_round_with_mode(
                     *local = edge(v_node, n);
                 }
                 for e in locals {
-                    if !reuse {
-                        engine.invalidate_all();
-                    }
                     engine.optimize_branch(tree, e);
-                }
-                if !reuse {
-                    engine.invalidate_all();
                 }
                 current = engine.log_likelihood(tree);
                 applied += 1;
@@ -241,7 +212,7 @@ pub fn spr_round_with_mode(
             }
             _ => {
                 // Put the subtree back exactly where it was.
-                note_split(engine, tree, ma, mb, pruned.junction);
+                note_split(engine, ma, mb, pruned.junction);
                 tree.undo_prune(&pruned).expect("undo information is consistent");
             }
         }
@@ -440,53 +411,6 @@ mod tests {
             "the true tree on overwhelming data should be a local optimum"
         );
         assert_eq!(robinson_foulds(&tree, &w.true_tree), 0, "tree must be unchanged");
-    }
-
-    /// Reuse and full-recompute modes are the same search, priced
-    /// differently: identical moves, identical evaluation counts, and the
-    /// final likelihood equal to the bit.
-    #[test]
-    fn reuse_and_full_recompute_modes_are_bit_identical() {
-        for seed in [6u64, 17, 29] {
-            let w = SimulationConfig::new(9, 300, seed).generate();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let start = Tree::random(9, 0.1, &mut rng).unwrap();
-
-            let mut t_reuse = start.clone();
-            let mut eng = engine(&w.alignment);
-            eng.optimize_all_branches(&mut t_reuse, 1);
-            eng.reset_reuse_stats();
-            let s_reuse = spr_round_with_mode(&mut eng, &mut t_reuse, 4, 1e-4, true);
-            let r_reuse = eng.reuse_stats();
-
-            let mut t_full = start;
-            let mut eng = engine(&w.alignment);
-            eng.optimize_all_branches(&mut t_full, 1);
-            eng.reset_reuse_stats();
-            let s_full = spr_round_with_mode(&mut eng, &mut t_full, 4, 1e-4, false);
-            let r_full = eng.reuse_stats();
-
-            // Same answer, less work: the reuse mode must actually skip
-            // traversal entries and execute fewer newview descriptors.
-            assert!(r_reuse.partials_reused > 0, "seed {seed}: nothing reused");
-            assert!(
-                r_reuse.partials_recomputed < r_full.partials_recomputed,
-                "seed {seed}: reuse recomputed {} vs full {}",
-                r_reuse.partials_recomputed,
-                r_full.partials_recomputed
-            );
-
-            assert_eq!(s_reuse.applied, s_full.applied, "seed {seed}");
-            assert_eq!(s_reuse.evaluated, s_full.evaluated, "seed {seed}");
-            assert_eq!(
-                s_reuse.log_likelihood.to_bits(),
-                s_full.log_likelihood.to_bits(),
-                "seed {seed}: {} vs {}",
-                s_reuse.log_likelihood,
-                s_full.log_likelihood
-            );
-            assert_eq!(t_reuse, t_full, "seed {seed}: topologies differ");
-        }
     }
 
     #[test]

@@ -404,23 +404,24 @@ impl Shared {
     }
 
     /// The single idempotent completion path (worker closure, seal
-    /// callback, or cancellation — whichever first). Updates the table,
-    /// quotas, counters and metrics, appends the journal mark, and wakes
-    /// waiters.
+    /// callback, or cancellation — whichever first). The first caller claims
+    /// the job under the state lock and appends its journal mark with no
+    /// lock held (synced under [`SyncPolicy::EveryAppend`]); only then does
+    /// it publish the terminal state, update quotas, counters and metrics,
+    /// and wake waiters. A job that reads as settled is therefore already
+    /// durable.
     fn finish(&self, job_id: u64, outcome: Settle) {
-        let mut st = self.state.lock().expect("service state");
-        let Some(rec) = st.jobs.get_mut(&job_id) else { return };
-        if rec.finished {
-            return;
+        {
+            let mut st = self.state.lock().expect("service state");
+            let Some(rec) = st.jobs.get_mut(&job_id) else { return };
+            if rec.finished {
+                return;
+            }
+            rec.finished = true;
         }
-        rec.finished = true;
-        let was_running = matches!(rec.state, JobState::Running);
-        let tenant = rec.tenant.clone();
-        let submitted_ns = rec.submitted_ns;
-        let trace = rec.trace;
-        let journal_entry = match outcome {
-            Settle::Done(result) => {
-                let line = JsonObj::new()
+        let journal_entry = match &outcome {
+            Settle::Done(result) => Some(
+                JsonObj::new()
                     .str("ev", "done")
                     .u64("job", job_id)
                     .num("log_likelihood", result.log_likelihood)
@@ -429,47 +430,57 @@ impl Shared {
                     .str("tree", &result.tree_exact)
                     .u64("rounds", result.rounds as u64)
                     .u64("moves_applied", result.moves_applied as u64)
-                    .finish();
+                    .finish(),
+            ),
+            // An interrupted checkpointing job is left unsettled in the
+            // journal on purpose: a restart re-enqueues it and the
+            // checkpoint tier resumes it bit-identically.
+            Settle::Failed { interrupted: true, .. } => None,
+            Settle::Failed { message, interrupted: false } => Some(
+                JsonObj::new()
+                    .str("ev", "failed")
+                    .u64("job", job_id)
+                    .str("error", message)
+                    .finish(),
+            ),
+            Settle::Cancelled { reason, .. } => Some(
+                JsonObj::new()
+                    .str("ev", "cancelled")
+                    .u64("job", job_id)
+                    .str("reason", reason)
+                    .finish(),
+            ),
+        };
+        if let Some(line) = journal_entry {
+            self.journal_line(&line);
+        }
+
+        let mut st = self.state.lock().expect("service state");
+        let rec = st.jobs.get_mut(&job_id).expect("a claimed job stays in the table");
+        let was_running = matches!(rec.state, JobState::Running);
+        let tenant = rec.tenant.clone();
+        let submitted_ns = rec.submitted_ns;
+        let trace = rec.trace;
+        match outcome {
+            Settle::Done(result) => {
                 rec.state = JobState::Done(result);
                 st.stats.completed += 1;
                 obs::global().counter("serve_completed_total").inc();
-                Some(line)
             }
-            Settle::Failed { message, interrupted } => {
-                rec.state = JobState::Failed(message.clone());
+            Settle::Failed { message, .. } => {
+                rec.state = JobState::Failed(message);
                 st.stats.failed += 1;
                 obs::global().counter("serve_failed_total").inc();
-                // An interrupted checkpointing job is left unsettled in the
-                // journal on purpose: a restart re-enqueues it and the
-                // checkpoint tier resumes it bit-identically.
-                if interrupted {
-                    None
-                } else {
-                    Some(
-                        JsonObj::new()
-                            .str("ev", "failed")
-                            .u64("job", job_id)
-                            .str("error", &message)
-                            .finish(),
-                    )
-                }
             }
             Settle::Cancelled { reason, deadline } => {
-                rec.state = JobState::Cancelled(reason.clone());
+                rec.state = JobState::Cancelled(reason);
                 st.stats.cancelled += 1;
                 obs::global().counter("serve_cancelled_total").inc();
                 if deadline {
                     obs::global().counter("serve_deadline_expired_total").inc();
                 }
-                Some(
-                    JsonObj::new()
-                        .str("ev", "cancelled")
-                        .u64("job", job_id)
-                        .str("reason", &reason)
-                        .finish(),
-                )
             }
-        };
+        }
         if was_running {
             st.stats.running -= 1;
         }
@@ -484,9 +495,6 @@ impl Shared {
         obs::global().histogram("serve_sojourn_ns").record_traced(sojourn, trace);
         obs::trace::global().span_aux(SpanCtx::root(trace), "job", 0, submitted_ns, end_ns, job_id);
         drop(st);
-        if let Some(line) = journal_entry {
-            self.journal_line(&line);
-        }
         self.done_cv.notify_all();
         // Wake the farm feed so the mailbox drain (seal, queue_wait/run/
         // seal spans, exemplars) happens now, not at the next submission

@@ -40,10 +40,12 @@ run cargo test -q -p phylo --lib likelihood::kernels::tests::dispatch_follows_th
 
 # The kernels are arithmetic and `unsafe`: optimized builds reorder and
 # vectorize what debug builds run literally, so the bit-identity suites run
-# again in release.
+# again in release — and with them the SPR/NNI cache bookkeeping and the
+# slot-by-slot cached-vs-cold partial check.
 if [[ "$quick" -eq 0 ]]; then
     run cargo test --release -q -p phylo likelihood::
-    run cargo test --release -q --test search_golden --test search_determinism --test bootstrap_compaction
+    run cargo test --release -q -p phylo search::
+    run cargo test --release -q --test search_golden --test search_determinism --test bootstrap_compaction --test partial_cache
 fi
 
 # Determinism gate: the parallel-path tests must pass pinned to one, two and

@@ -268,15 +268,13 @@ fn sync_policy_controls_journal_durability() {
     durable.register_dataset("d", aln.clone());
     let job = durable.submit("a", &quick_spec(1)).unwrap();
     durable.wait_done(job, WAIT).unwrap();
-    // A job becomes `Done` before its journal mark is appended, so a waiter
-    // that arrives late can return while that `sync_data` is in flight;
-    // shutdown joins the worker that issues it.
-    durable.shutdown().unwrap();
+    // The `done` mark is synced before the job reads as done.
     assert!(
         durable.journal_sync_count() >= 2,
         "submit + done should each have synced, saw {}",
         durable.journal_sync_count()
     );
+    durable.shutdown().unwrap();
 
     let lazy = InferenceService::start(
         ServiceConfig::new(1)
@@ -289,6 +287,41 @@ fn sync_policy_controls_journal_durability() {
     lazy.wait_done(job, WAIT).unwrap();
     lazy.shutdown().unwrap();
     assert_eq!(lazy.journal_sync_count(), 0, "OsManaged must not fsync");
+}
+
+/// A job that reads as done is already journaled: its `done` mark is
+/// synced and in the file while the service is still running, whether the
+/// client polled `status` or waited. Polling in a tight loop lands in any
+/// window between publishing `Done` and syncing the mark.
+#[test]
+fn done_is_journaled_before_it_is_visible() {
+    let dir = unique_dir("done-before-visible");
+    let service = InferenceService::start(ServiceConfig::new(1).with_state_dir(&dir)).unwrap();
+    service.register_dataset("d", small_alignment(8));
+    for seed in 1..=6 {
+        let job = service.submit("a", &quick_spec(seed)).unwrap();
+        let state = if seed % 3 == 0 {
+            service.wait_done(job, WAIT).unwrap().state
+        } else {
+            loop {
+                match service.status(job).unwrap().state {
+                    WireState::Queued | WireState::Running => std::thread::yield_now(),
+                    settled => break settled,
+                }
+            }
+        };
+        assert_eq!(state, WireState::Done, "job {job}");
+        // One synced append per submit and one per completion.
+        let syncs = service.journal_sync_count();
+        assert!(syncs >= 2 * seed, "job {job} reads as done after {syncs} journal syncs");
+        let journal = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+        let mark = format!("{{\"ev\":\"done\",\"job\":{job},");
+        assert!(
+            journal.lines().any(|line| line.starts_with(&mark)),
+            "job {job} reads as done but its journal mark is missing:\n{journal}"
+        );
+    }
+    service.shutdown().unwrap();
 }
 
 /// End-to-end fault injection: under an aggressive deterministic plan a
