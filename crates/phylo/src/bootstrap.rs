@@ -1,5 +1,5 @@
 //! Full analyses: multiple inferences + non-parametric bootstrapping on the
-//! work-stealing inference farm (the paper's §3.1 MPI scheme, in-process).
+//! one-queue inference farm (the paper's §3.1 MPI scheme, in-process).
 //!
 //! A "publishable" reconstruction runs 20–200 distinct inferences on the
 //! original alignment (to find the best-known ML tree) plus 100–1,000

@@ -1,28 +1,32 @@
-//! The task-tier inference farm: a batched, shardable work-stealing engine
-//! for embarrassingly parallel phylogenetic jobs (bootstraps, multiple
-//! inferences, workload captures).
+//! The task-tier inference farm: one FIFO job queue drained by a fixed set
+//! of workers, for embarrassingly parallel phylogenetic jobs (bootstraps,
+//! multiple inferences, workload captures).
 //!
 //! This is the §3.1 task-level layer (the paper's MPI master–worker
 //! scheme). Design points:
 //!
-//! * **Per-worker deques, stealing from the back.** Each worker owns a
-//!   deque; the master distributes jobs round-robin, owners pop from the
-//!   front, idle workers steal from the back of a victim's deque. The
-//!   deques are individually mutex-striped (the contention profile of a
-//!   Chase-Lev deque without its unsafe memory reclamation): a worker in
-//!   steady state only touches its own lock, and thieves touch a victim's
-//!   lock once per steal instead of every dispatch contending on one
-//!   global queue.
+//! * **One queue, one lock.** The feeding thread appends each job to one
+//!   FIFO queue and whichever worker is free takes the oldest, so jobs
+//!   start in submission order — RAxML's master handing the next job to
+//!   the worker that reports back. The queue, the in-flight counters and
+//!   the workers' mail sit behind one mutex. A job here is a whole search
+//!   or bootstrap (milliseconds to seconds), so the microsecond a claim
+//!   spends on that lock is noise at this grain.
+//! * **No caller code under the lock.** The feed, the observer and the
+//!   seal hook run on the feeding thread with the lock released: a slow
+//!   hook (a checkpoint append, a service lock) never stalls a worker's
+//!   claim, and a panicking one closes the queue and reaches the caller
+//!   once the workers have finished, instead of poisoning the lock or
+//!   leaving idle workers waiting forever.
 //! * **Bounded submission with backpressure.** [`FarmConfig::bounded`]
 //!   caps the number of in-flight (submitted but not completed) jobs; the
 //!   feeding thread blocks until completions free capacity, so a lazy job
 //!   iterator of any length runs in bounded memory.
 //! * **Deterministic job→result ordering.** Results land in submission
-//!   order regardless of which worker ran which job or how work was
-//!   stolen; the in-order seal callback fires for job *i* only after jobs
-//!   `0..i` have sealed, which is what lets an append-only
-//!   [`crate::checkpoint::BootstrapStore`] persist every completed job
-//!   without reordering records.
+//!   order regardless of which worker ran which job; the in-order seal
+//!   callback fires for job *i* only after jobs `0..i` have sealed, which
+//!   is what lets an append-only [`crate::checkpoint::BootstrapStore`]
+//!   persist every completed job without reordering records.
 //! * **Per-worker reusable shards.** Each worker owns a mutable shard
 //!   (e.g. a [`crate::likelihood::LikelihoodWorkspace`]) created once at
 //!   spawn and threaded through every job it runs, so steady-state jobs
@@ -33,14 +37,13 @@
 //!   message; the farm keeps draining and every other job's result
 //!   survives. Worker deaths (from the injectable [`FarmFaultPlan`])
 //!   likewise degrade per-job instead of wedging the farm.
-//! * **Observability.** A [`FarmObserver`] receives start/complete/steal/
-//!   death events with nanosecond timestamps; the `raxml-cell` crate
-//!   bridges these into the `cellsim` trace log so farm-tier runs export
-//!   the same Chrome-trace/JSONL artifacts as the simulator. Independently,
+//! * **Observability.** A [`FarmObserver`] receives start/complete/seal/
+//!   death events with nanosecond timestamps; the service and the
+//!   benchmark turn them into spans and telemetry. Independently,
 //!   every run records wall-clock telemetry into the process-wide
 //!   [`obs`] metrics registry: per-worker queue-wait / run / seal-lag
 //!   latency histograms (`farm_queue_wait_ns_w<i>`, `farm_job_run_ns_w<i>`,
-//!   `farm_seal_lag_ns_w<i>`) and exactly-once job/steal/backpressure/death
+//!   `farm_seal_lag_ns_w<i>`) and exactly-once job/backpressure/death
 //!   counters (`farm_*_total`) that stay coherent with [`FarmStats`] by
 //!   construction — counters tick where the stats tick. With the registry
 //!   disabled (the default) each record is one branch and zero heap
@@ -48,13 +51,13 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// How a farm run is shaped: worker count, submission bound, fault plan.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FarmConfig {
-    /// Worker threads (each with its own deque and shard).
+    /// Worker threads (each with its own shard).
     pub n_workers: usize,
     /// Maximum in-flight (submitted, not yet completed) jobs; `0` means
     /// unbounded. The feeding thread blocks when the bound is reached.
@@ -111,8 +114,8 @@ impl FarmFaultPlan {
     }
 
     /// Kill `worker` after it has completed `completed_jobs` jobs (0 kills
-    /// it before it runs anything). Its queued jobs are stolen by the
-    /// survivors; if every worker dies, the remainder surface as
+    /// it before it runs anything). The survivors run the rest of the
+    /// queue; if every worker dies, the remainder surface as
     /// [`FarmError::WorkerLost`].
     pub fn kill_worker_after(mut self, worker: usize, completed_jobs: usize) -> FarmFaultPlan {
         self.deaths.push((worker, completed_jobs));
@@ -203,8 +206,6 @@ pub enum FarmEvent {
     /// completed_at_nanos`). `worker` is `usize::MAX` for jobs written off
     /// as [`FarmError::WorkerLost`].
     JobSealed { at_nanos: u64, worker: usize, job: usize, ok: bool, completed_at_nanos: u64 },
-    /// `thief` stole job `job` from the back of `victim`'s deque.
-    JobStolen { at_nanos: u64, thief: usize, victim: usize, job: usize },
     /// A fault-plan death: `worker` stopped pulling work.
     WorkerDied { at_nanos: u64, worker: usize },
 }
@@ -248,11 +249,12 @@ pub struct FarmStats {
     pub n_jobs: usize,
     /// Jobs that produced a [`FarmError`] instead of a result.
     pub n_failed: usize,
-    /// Successful steals.
+    /// Always 0: the farm has one queue and nothing to steal. Kept so
+    /// readers of the field keep compiling.
     pub steals: u64,
     /// Peak submitted-but-not-completed jobs (≤ `capacity` when bounded).
     pub max_in_flight: usize,
-    /// Jobs completed per worker (stolen jobs count for the thief).
+    /// Jobs completed per worker.
     pub per_worker_jobs: Vec<usize>,
     /// Workers killed by the fault plan.
     pub workers_died: usize,
@@ -315,7 +317,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// per-job recording.
 struct FarmMetrics {
     /// `farm_queue_wait_ns_w<i>`: push-to-claim latency, recorded by the
-    /// worker that ran the job (thieves record into their own histogram).
+    /// worker that ran the job.
     queue_wait: Vec<obs::Histogram>,
     /// `farm_job_run_ns_w<i>`: job execution wall time per worker.
     run: Vec<obs::Histogram>,
@@ -326,7 +328,6 @@ struct FarmMetrics {
     /// stats can never disagree.
     jobs: obs::Counter,
     failed: obs::Counter,
-    steals: obs::Counter,
     backpressure: obs::Counter,
     deaths: obs::Counter,
 }
@@ -347,51 +348,33 @@ impl FarmMetrics {
                 .collect(),
             jobs: reg.counter("farm_jobs_total"),
             failed: reg.counter("farm_jobs_failed_total"),
-            steals: reg.counter("farm_steals_total"),
             backpressure: reg.counter("farm_backpressure_waits_total"),
             deaths: reg.counter("farm_workers_died_total"),
         })
     }
 }
 
-/// A job's landed outcome plus the provenance the seal loop needs to
-/// record seal lag: when it completed and which worker ran it
-/// (`usize::MAX` for jobs written off as [`FarmError::WorkerLost`]).
+/// A job's landed outcome plus the provenance the seal needs to record
+/// seal lag: when it completed and which worker ran it (`usize::MAX` for
+/// jobs written off as [`FarmError::WorkerLost`]).
 struct Slot<R> {
     result: Result<R, FarmError>,
     completed_at: u64,
     worker: usize,
 }
 
-impl<R> Slot<R> {
-    fn lost(job: usize, at_nanos: u64) -> Slot<R> {
-        Slot {
-            result: Err(FarmError::WorkerLost { job }),
-            completed_at: at_nanos,
-            worker: usize::MAX,
-        }
-    }
-}
-
-/// A completed job on its way back to the feeding thread.
-struct Completion<R> {
-    job: usize,
-    worker: usize,
-    at_nanos: u64,
-    result: Result<R, FarmError>,
-}
-
-/// Worker→master mail. Events and completions share one queue so the
+/// Worker→feeder mail. Events and completions share one list so the
 /// observer sees a worker's `JobStarted` before its `JobCompleted`.
 enum Mail<R> {
     Event(FarmEvent),
-    Done(Completion<R>),
+    Done(usize, Slot<R>),
 }
 
-/// Counters shared between the feeder and the workers.
-struct Inner<R> {
-    /// Jobs currently sitting unclaimed in some deque.
-    queued: usize,
+/// Everything the feeder and the workers share, behind the farm's one lock.
+struct State<J, R> {
+    /// Submitted, unclaimed jobs in submission order: `(job index, job,
+    /// enqueued_at nanos)`; the timestamp feeds the queue-wait histogram.
+    queue: VecDeque<(usize, J, u64)>,
     submitted: usize,
     completed: usize,
     /// No more submissions will arrive.
@@ -402,10 +385,7 @@ struct Inner<R> {
 }
 
 struct Shared<J, R> {
-    /// `(job index, job, enqueued_at nanos)` — the timestamp feeds the
-    /// queue-wait histogram.
-    deques: Vec<Mutex<VecDeque<(usize, J, u64)>>>,
-    inner: Mutex<Inner<R>>,
+    state: Mutex<State<J, R>>,
     /// Workers wait here for work (or close).
     work_cv: Condvar,
     /// The feeder waits here for completions (capacity or final drain).
@@ -413,20 +393,28 @@ struct Shared<J, R> {
 }
 
 impl<J, R> Shared<J, R> {
-    fn new(n_workers: usize) -> Shared<J, R> {
-        Shared {
-            deques: (0..n_workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            inner: Mutex::new(Inner {
-                queued: 0,
-                submitted: 0,
-                completed: 0,
-                closed: false,
-                live_workers: n_workers,
-                mail: Vec::new(),
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        }
+    /// Lock the farm state. Only queue and counter bookkeeping runs under
+    /// this guard — jobs run on the workers and every caller hook on the
+    /// feeder with it released — so nothing can panic while it is held, the
+    /// mutex is never poisoned, and the `expect`s here and on the condvar
+    /// waits are unreachable.
+    fn lock(&self) -> MutexGuard<'_, State<J, R>> {
+        self.state.lock().expect("farm state")
+    }
+}
+
+/// Closes the queue when the feeding thread leaves its loop — at the end
+/// of the feed, or unwinding from a panicking feed, observer or seal hook —
+/// so idle workers wake, run what is queued and exit, and `thread::scope`
+/// joins them and resumes the panic instead of waiting forever.
+struct CloseOnDrop<'a, J, R>(&'a Shared<J, R>);
+
+impl<J, R> Drop for CloseOnDrop<'_, J, R> {
+    fn drop(&mut self) {
+        // No `expect` in a destructor that may run during an unwind; setting
+        // the flag is valid on any state.
+        self.0.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.0.work_cv.notify_all();
     }
 }
 
@@ -434,40 +422,9 @@ fn nanos(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// Claim a job: own deque front first, then a steal sweep over the other
-/// deques' backs. Returns `None` once the farm is closed and drained.
-#[allow(clippy::type_complexity)]
-fn next_job<J, R>(shared: &Shared<J, R>, id: usize) -> Option<(usize, J, u64, Option<usize>)> {
-    let n = shared.deques.len();
-    loop {
-        let own = shared.deques[id].lock().expect("farm deque").pop_front();
-        if let Some((idx, job, enq)) = own {
-            shared.inner.lock().expect("farm state").queued -= 1;
-            return Some((idx, job, enq, None));
-        }
-        for k in 1..n {
-            let victim = (id + k) % n;
-            let stolen = shared.deques[victim].lock().expect("farm deque").pop_back();
-            if let Some((idx, job, enq)) = stolen {
-                shared.inner.lock().expect("farm state").queued -= 1;
-                return Some((idx, job, enq, Some(victim)));
-            }
-        }
-        let inner = shared.inner.lock().expect("farm state");
-        if inner.queued > 0 {
-            // A job is in flight between the feeder's counter bump and its
-            // deque push (or another thief beat us) — re-sweep.
-            drop(inner);
-            std::thread::yield_now();
-            continue;
-        }
-        if inner.closed {
-            return None;
-        }
-        let _reacquired = shared.work_cv.wait(inner).expect("farm state");
-    }
-}
-
+/// Claim jobs from the front of the queue until it is closed and empty (or
+/// the fault plan kills this worker). Every notify follows the unlock, so a
+/// woken thread does not wake only to block on the lock.
 fn worker_loop<J, R, W, F>(
     shared: &Shared<J, R>,
     id: usize,
@@ -483,20 +440,25 @@ fn worker_loop<J, R, W, F>(
 {
     let quota = fault.death_after(id);
     let mut done_here = 0usize;
+    let mut state = shared.lock();
     loop {
         if quota == Some(done_here) {
-            let mut inner = shared.inner.lock().expect("farm state");
-            inner.live_workers -= 1;
-            inner
+            state.live_workers -= 1;
+            state
                 .mail
                 .push(Mail::Event(FarmEvent::WorkerDied { at_nanos: nanos(epoch), worker: id }));
-            drop(inner);
+            drop(state);
             shared.done_cv.notify_all();
             return;
         }
-        let Some((idx, job, enqueued_at, stolen_from)) = next_job(shared, id) else {
-            return;
+        let Some((idx, job, enqueued_at)) = state.queue.pop_front() else {
+            if state.closed {
+                return;
+            }
+            state = shared.work_cv.wait(state).expect("farm state");
+            continue;
         };
+        drop(state);
         let started = nanos(epoch);
         let result = if fault.injects_fault(idx) {
             Err(FarmError::InjectedFault { job: idx, worker: id })
@@ -516,149 +478,127 @@ fn worker_loop<J, R, W, F>(
             m.queue_wait[id].record(started.saturating_sub(enqueued_at));
             m.run[id].record(finished.saturating_sub(started));
         }
-        let mut inner = shared.inner.lock().expect("farm state");
-        if let Some(victim) = stolen_from {
-            inner.mail.push(Mail::Event(FarmEvent::JobStolen {
+        state = shared.lock();
+        state.completed += 1;
+        state.mail.extend([
+            Mail::Event(FarmEvent::JobStarted {
                 at_nanos: started,
-                thief: id,
-                victim,
+                worker: id,
                 job: idx,
-            }));
-        }
-        inner.mail.push(Mail::Event(FarmEvent::JobStarted {
-            at_nanos: started,
-            worker: id,
-            job: idx,
-            enqueued_at_nanos: enqueued_at,
-        }));
-        inner.completed += 1;
-        inner.mail.push(Mail::Done(Completion {
-            job: idx,
-            worker: id,
-            at_nanos: finished,
-            result,
-        }));
-        inner.mail.push(Mail::Event(FarmEvent::JobCompleted {
-            at_nanos: finished,
-            worker: id,
-            job: idx,
-            ok,
-            started_at_nanos: started,
-        }));
-        drop(inner);
+                enqueued_at_nanos: enqueued_at,
+            }),
+            Mail::Done(idx, Slot { result, completed_at: finished, worker: id }),
+            Mail::Event(FarmEvent::JobCompleted {
+                at_nanos: finished,
+                worker: id,
+                job: idx,
+                ok,
+                started_at_nanos: started,
+            }),
+        ]);
+        drop(state);
         shared.done_cv.notify_all();
+        state = shared.lock();
     }
 }
 
-fn ensure_slot<R>(results: &mut Vec<Option<Slot<R>>>, job: usize) {
-    if results.len() <= job {
-        results.resize_with(job + 1, || None);
-    }
-}
-
-/// Flush the in-order prefix of sealed results through `on_sealed`. This is
-/// the exactly-once point of the farm, so the registry's job counters tick
-/// here — they agree with [`FarmStats`] by construction, not by auditing.
-/// One `nanos(epoch)` read per job feeds both the seal-lag histogram and
-/// the [`FarmEvent::JobSealed`] event, so an observer re-deriving the lag
-/// from the event gets the histogram's integer exactly.
-fn seal_ready<R, S>(
-    results: &[Option<Slot<R>>],
-    sealed: &mut usize,
-    metrics: Option<&FarmMetrics>,
+/// The feeding thread's half of a run: the landed results, the in-order
+/// seal, the accounting and the caller's hooks.
+struct Feeder<'m, 'o, R, S> {
+    results: Vec<Option<Slot<R>>>,
+    sealed: usize,
+    stats: FarmStats,
+    metrics: Option<&'m FarmMetrics>,
     epoch: Instant,
-    observer: &mut Option<&mut dyn FarmObserver>,
-    on_sealed: &mut S,
-) where
+    observer: Option<&'o mut dyn FarmObserver>,
+    on_sealed: S,
+}
+
+impl<R, S> Feeder<'_, '_, R, S>
+where
     S: FnMut(usize, &Result<R, FarmError>),
 {
-    while *sealed < results.len() {
-        match &results[*sealed] {
-            Some(slot) => {
-                let sealed_at = nanos(epoch);
-                if let Some(m) = metrics {
-                    m.jobs.inc();
-                    if slot.result.is_err() {
-                        m.failed.inc();
-                    }
-                    if slot.worker != usize::MAX {
-                        m.seal_lag[slot.worker].record(sealed_at.saturating_sub(slot.completed_at));
-                    }
-                }
-                if let Some(obs) = observer.as_deref_mut() {
-                    obs.on_event(FarmEvent::JobSealed {
-                        at_nanos: sealed_at,
-                        worker: slot.worker,
-                        job: *sealed,
-                        ok: slot.result.is_ok(),
-                        completed_at_nanos: slot.completed_at,
-                    });
-                }
-                on_sealed(*sealed, &slot.result);
-                *sealed += 1;
-            }
-            None => break,
+    fn land(&mut self, job: usize, slot: Slot<R>) {
+        if self.results.len() <= job {
+            self.results.resize_with(job + 1, || None);
         }
+        if slot.worker != usize::MAX {
+            self.stats.per_worker_jobs[slot.worker] += 1;
+        }
+        if slot.result.is_err() {
+            self.stats.n_failed += 1;
+        }
+        self.results[job] = Some(slot);
     }
-}
 
-/// Drain worker mail on the feeding thread: forward events to the
-/// observer, land completions in their slots, advance the in-order seal.
-#[allow(clippy::too_many_arguments)]
-fn drain_mail<R, S>(
-    inner: &mut Inner<R>,
-    results: &mut Vec<Option<Slot<R>>>,
-    sealed: &mut usize,
-    stats: &mut FarmStats,
-    metrics: Option<&FarmMetrics>,
-    epoch: Instant,
-    observer: &mut Option<&mut dyn FarmObserver>,
-    on_sealed: &mut S,
-) where
-    S: FnMut(usize, &Result<R, FarmError>),
-{
-    for mail in inner.mail.drain(..) {
-        match mail {
-            Mail::Event(ev) => {
-                match ev {
-                    FarmEvent::JobStolen { .. } => {
-                        stats.steals += 1;
-                        if let Some(m) = metrics {
-                            m.steals.inc();
-                        }
-                    }
-                    FarmEvent::WorkerDied { .. } => {
-                        stats.workers_died += 1;
-                        if let Some(m) = metrics {
+    /// Write job `job` off: no worker is left to run it.
+    fn lose(&mut self, job: usize) {
+        let result = Err(FarmError::WorkerLost { job });
+        self.land(job, Slot { result, completed_at: nanos(self.epoch), worker: usize::MAX });
+    }
+
+    /// Take the workers' mail out of `state` and release the lock; then
+    /// forward events to the observer, land completions in their slots and
+    /// flush the in-order prefix through `on_sealed`. The guard is taken by
+    /// value, so no hook runs while the farm state is locked.
+    ///
+    /// The seal is the exactly-once point of the farm, so the registry's
+    /// job counters tick there — they agree with [`FarmStats`] by
+    /// construction, not by auditing. One `nanos(epoch)` read per job feeds
+    /// both the seal-lag histogram and the [`FarmEvent::JobSealed`] event,
+    /// so an observer re-deriving the lag from the event gets the
+    /// histogram's integer exactly.
+    fn drain<J>(&mut self, mut state: MutexGuard<'_, State<J, R>>) {
+        let mail = std::mem::take(&mut state.mail);
+        drop(state);
+        for item in mail {
+            match item {
+                Mail::Event(ev) => {
+                    if let FarmEvent::WorkerDied { .. } = ev {
+                        self.stats.workers_died += 1;
+                        if let Some(m) = self.metrics {
                             m.deaths.inc();
                         }
                     }
-                    _ => {}
+                    if let Some(obs) = self.observer.as_deref_mut() {
+                        obs.on_event(ev);
+                    }
                 }
-                if let Some(obs) = observer.as_deref_mut() {
-                    obs.on_event(ev);
-                }
-            }
-            Mail::Done(c) => {
-                stats.per_worker_jobs[c.worker] += 1;
-                if c.result.is_err() {
-                    stats.n_failed += 1;
-                }
-                ensure_slot(results, c.job);
-                results[c.job] =
-                    Some(Slot { result: c.result, completed_at: c.at_nanos, worker: c.worker });
+                Mail::Done(job, slot) => self.land(job, slot),
             }
         }
+        while let Some(Some(slot)) = self.results.get(self.sealed) {
+            let sealed_at = nanos(self.epoch);
+            if let Some(m) = self.metrics {
+                m.jobs.inc();
+                if slot.result.is_err() {
+                    m.failed.inc();
+                }
+                if slot.worker != usize::MAX {
+                    m.seal_lag[slot.worker].record(sealed_at.saturating_sub(slot.completed_at));
+                }
+            }
+            if let Some(obs) = self.observer.as_deref_mut() {
+                obs.on_event(FarmEvent::JobSealed {
+                    at_nanos: sealed_at,
+                    worker: slot.worker,
+                    job: self.sealed,
+                    ok: slot.result.is_ok(),
+                    completed_at_nanos: slot.completed_at,
+                });
+            }
+            (self.on_sealed)(self.sealed, &slot.result);
+            self.sealed += 1;
+        }
     }
-    seal_ready(results, sealed, metrics, epoch, observer, on_sealed);
 }
 
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Run `jobs` through a work-stealing farm. The full entry point; see
-/// [`run_batch`] for the common no-hooks case.
+/// Run `jobs` through the farm. The full entry point; see [`run_batch`]
+/// for the common no-hooks case.
 ///
 /// * `make_shard(worker)` builds each worker's reusable mutable state.
 /// * `work(&mut shard, job_index, job)` executes one job on a worker.
@@ -667,8 +607,9 @@ fn drain_mail<R, S>(
 ///   submission order (job `i` seals only after `0..i` have), on this
 ///   thread — the checkpoint-append hook.
 ///
-/// Returns one result slot per job, in submission order. The call only
-/// panics on misuse (`n_workers == 0`); job failures are data.
+/// Returns one result slot per job, in submission order. Job failures are
+/// data; the call panics on misuse (`n_workers == 0`) and re-raises a
+/// panic from the observer or `on_sealed` once the workers have stopped.
 pub fn run_farm<J, R, W, MkW, F, S>(
     config: &FarmConfig,
     jobs: impl IntoIterator<Item = J>,
@@ -704,13 +645,15 @@ where
 /// queue) gets live seals and telemetry between submissions instead of
 /// only when the next job happens to arrive. The feed is responsible for
 /// its own bounded wait before answering `Idle`; the farm never sleeps.
+/// A panicking feed closes the queue and propagates once the workers have
+/// finished what was queued.
 pub fn run_farm_polling<J, R, W, MkW, F, S>(
     config: &FarmConfig,
     mut feed: impl FnMut() -> FeedPoll<J>,
     mut make_shard: MkW,
     work: F,
-    mut observer: Option<&mut dyn FarmObserver>,
-    mut on_sealed: S,
+    observer: Option<&mut dyn FarmObserver>,
+    on_sealed: S,
 ) -> FarmOutcome<R>
 where
     J: Send,
@@ -724,152 +667,113 @@ where
     let n_workers = config.n_workers;
     let run_start = Instant::now();
     let epoch = config.epoch.unwrap_or(run_start);
-    let shared: Shared<J, R> = Shared::new(n_workers);
+    let shared = Shared {
+        state: Mutex::new(State {
+            queue: VecDeque::new(),
+            submitted: 0,
+            completed: 0,
+            closed: false,
+            live_workers: n_workers,
+            mail: Vec::new(),
+        }),
+        work_cv: Condvar::new(),
+        done_cv: Condvar::new(),
+    };
     let shards: Vec<W> = (0..n_workers).map(&mut make_shard).collect();
     let metrics = FarmMetrics::new(n_workers);
-    let metrics = metrics.as_ref();
-
-    let mut results: Vec<Option<Slot<R>>> = Vec::new();
-    let mut sealed = 0usize;
-    let mut stats = FarmStats { per_worker_jobs: vec![0; n_workers], ..FarmStats::default() };
+    let mut feeder = Feeder {
+        results: Vec::new(),
+        sealed: 0,
+        stats: FarmStats { per_worker_jobs: vec![0; n_workers], ..FarmStats::default() },
+        metrics: metrics.as_ref(),
+        epoch,
+        observer,
+        on_sealed,
+    };
 
     std::thread::scope(|s| {
+        let close = CloseOnDrop(&shared);
         for (id, shard) in shards.into_iter().enumerate() {
-            let shared = &shared;
-            let work = &work;
-            let fault = &config.fault;
+            let (shared, work, fault, metrics) = (&shared, &work, &config.fault, feeder.metrics);
             s.spawn(move || worker_loop(shared, id, shard, work, fault, epoch, metrics));
         }
 
         // Feed with backpressure; an idle feed triggers a drain instead of
         // a dispatch, so seals never wait for the next submission.
-        let mut farm_dead = false;
         let mut next_idx = 0usize;
         loop {
             let job = match feed() {
                 FeedPoll::Closed => break,
                 FeedPoll::Idle => {
-                    drain_mail(
-                        &mut shared.inner.lock().expect("farm state"),
-                        &mut results,
-                        &mut sealed,
-                        &mut stats,
-                        metrics,
-                        epoch,
-                        &mut observer,
-                        &mut on_sealed,
-                    );
+                    feeder.drain(shared.lock());
                     continue;
                 }
                 FeedPoll::Job(job) => job,
             };
             let idx = next_idx;
             next_idx += 1;
-            if !farm_dead {
-                let mut inner = shared.inner.lock().expect("farm state");
-                loop {
-                    drain_mail(
-                        &mut inner,
-                        &mut results,
-                        &mut sealed,
-                        &mut stats,
-                        metrics,
-                        epoch,
-                        &mut observer,
-                        &mut on_sealed,
-                    );
-                    if inner.live_workers == 0 {
-                        farm_dead = true;
-                        break;
-                    }
-                    let in_flight = inner.submitted - inner.completed;
-                    if config.capacity == 0 || in_flight < config.capacity {
-                        inner.submitted += 1;
-                        inner.queued += 1;
-                        stats.max_in_flight =
-                            stats.max_in_flight.max(inner.submitted - inner.completed);
-                        break;
-                    }
-                    if let Some(m) = metrics {
+            let mut state = shared.lock();
+            loop {
+                let in_flight = state.submitted - state.completed;
+                if !state.mail.is_empty() {
+                    feeder.drain(state);
+                    state = shared.lock();
+                } else if state.live_workers == 0 {
+                    drop(state);
+                    feeder.lose(idx);
+                    break;
+                } else if config.capacity == 0 || in_flight < config.capacity {
+                    state.submitted += 1;
+                    feeder.stats.max_in_flight = feeder.stats.max_in_flight.max(in_flight + 1);
+                    state.queue.push_back((idx, job, nanos(epoch)));
+                    drop(state);
+                    shared.work_cv.notify_one();
+                    break;
+                } else {
+                    if let Some(m) = feeder.metrics {
                         m.backpressure.inc();
                     }
-                    inner = shared.done_cv.wait(inner).expect("farm state");
-                }
-                if !farm_dead {
-                    drop(inner);
-                    shared.deques[idx % n_workers].lock().expect("farm deque").push_back((
-                        idx,
-                        job,
-                        nanos(epoch),
-                    ));
-                    shared.work_cv.notify_one();
-                    continue;
+                    state = shared.done_cv.wait(state).expect("farm state");
                 }
             }
-            // No worker left to run this job.
-            ensure_slot(&mut results, idx);
-            results[idx] = Some(Slot::lost(idx, nanos(epoch)));
-            stats.n_failed += 1;
         }
-
-        shared.inner.lock().expect("farm state").closed = true;
-        shared.work_cv.notify_all();
+        drop(close);
 
         // Drain until every submitted job has a completion (or the jobs
         // stranded by a total worker loss are written off).
-        let mut inner = shared.inner.lock().expect("farm state");
+        let mut state = shared.lock();
         loop {
-            drain_mail(
-                &mut inner,
-                &mut results,
-                &mut sealed,
-                &mut stats,
-                metrics,
-                epoch,
-                &mut observer,
-                &mut on_sealed,
-            );
-            if inner.completed >= inner.submitted {
+            if !state.mail.is_empty() {
+                feeder.drain(state);
+                state = shared.lock();
+            } else if state.completed == state.submitted {
                 break;
-            }
-            if inner.live_workers == 0 {
-                drop(inner);
-                for deque in &shared.deques {
-                    for (idx, _job, _enq) in deque.lock().expect("farm deque").drain(..) {
-                        ensure_slot(&mut results, idx);
-                        results[idx] = Some(Slot::lost(idx, nanos(epoch)));
-                        stats.n_failed += 1;
-                    }
+            } else if state.live_workers == 0 {
+                let stranded = std::mem::take(&mut state.queue);
+                state.completed = state.submitted;
+                drop(state);
+                for (idx, _job, _enqueued_at) in stranded {
+                    feeder.lose(idx);
                 }
-                inner = shared.inner.lock().expect("farm state");
-                inner.completed = inner.submitted;
-                inner.queued = 0;
-                continue;
+                state = shared.lock();
+            } else {
+                state = shared.done_cv.wait(state).expect("farm state");
             }
-            inner = shared.done_cv.wait(inner).expect("farm state");
         }
-        drop(inner);
     });
 
     // The drain loop exits on the last completion, but a worker can still
-    // push mail after that (its fault-plan death races the master's final
-    // drain). All workers have joined here, so one more drain under the
-    // lock is guaranteed to observe everything; it also flushes the seal.
-    drain_mail(
-        &mut shared.inner.lock().expect("farm state"),
-        &mut results,
-        &mut sealed,
-        &mut stats,
-        metrics,
-        epoch,
-        &mut observer,
-        &mut on_sealed,
-    );
+    // post mail after that (its fault-plan death races the final drain).
+    // All workers have joined here, so one more drain observes everything;
+    // it also flushes the seal.
+    feeder.drain(shared.lock());
+    let mut stats = feeder.stats;
     // The run's own wall, not time on the (possibly much older) shared
     // event clock: `jobs_per_sec` divides by it.
     stats.elapsed_nanos = nanos(run_start);
-    stats.n_jobs = results.len();
-    let results: Vec<Result<R, FarmError>> = results
+    stats.n_jobs = feeder.results.len();
+    let results: Vec<Result<R, FarmError>> = feeder
+        .results
         .into_iter()
         .map(|slot| slot.expect("every job sealed exactly once").result)
         .collect();
@@ -975,8 +879,9 @@ mod tests {
     }
 
     #[test]
-    fn dead_workers_jobs_are_stolen_by_survivors() {
-        // Worker 0 dies immediately; its round-robin share must still run.
+    fn a_dead_workers_share_runs_on_the_survivors() {
+        // Worker 0 dies before claiming anything; the survivors run the
+        // whole queue.
         let config = FarmConfig::new(3).with_fault(FarmFaultPlan::none().kill_worker_after(0, 0));
         let outcome = run_farm(
             &config,
@@ -1136,9 +1041,6 @@ mod tests {
         assert_eq!(completes, 40);
         assert_eq!(deaths, 1);
         assert_eq!(outcome.stats.workers_died, 1);
-        let steals =
-            events.iter().filter(|e| matches!(e, FarmEvent::JobStolen { .. })).count() as u64;
-        assert_eq!(steals, outcome.stats.steals);
     }
 
     #[test]
@@ -1187,18 +1089,22 @@ mod tests {
     }
 
     #[test]
-    fn skewed_work_triggers_stealing() {
-        // Round-robin puts every 4th job on worker 0; worker 0's jobs are
-        // slow, so the other workers drain their own deques and then steal
-        // worker 0's backlog.
-        let outcome = run_batch((0..64u32).collect(), 4, |idx, j| {
-            if idx % 4 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
+    fn jobs_start_in_submission_order() {
+        // Job 0 holds one worker until the other 39 jobs are done, so the
+        // second worker runs all of them alone, in the order it claims them.
+        let order = Mutex::new(Vec::new());
+        let outcome = run_batch((0..40usize).collect(), 2, |idx, _| {
+            if idx == 0 {
+                let deadline = Instant::now() + std::time::Duration::from_secs(10);
+                while order.lock().unwrap().len() < 39 && Instant::now() < deadline {
+                    std::hint::spin_loop();
+                }
+            } else {
+                order.lock().unwrap().push(idx);
             }
-            j
         });
-        assert_eq!(outcome.results.len(), 64);
-        assert!(outcome.stats.steals > 0, "expected steals under skew: {:?}", outcome.stats);
+        assert_eq!(outcome.stats.n_failed, 0);
+        assert_eq!(order.into_inner().unwrap(), (1..40).collect::<Vec<_>>());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! * **Parallelism**: loop-level parallelism over site patterns (the
 //!   RAxML-OMP analogue: a thread owns a pattern stripe for a whole
 //!   traversal, and reductions are bit-reproducible; [`parallel`]),
-//!   and a work-stealing inference farm for embarrassingly parallel
+//!   and a one-queue inference farm for embarrassingly parallel
 //!   replicates — bounded submission, deterministic result order, typed
 //!   per-job failures ([`farm`]).
 //! * **Instrumentation**: a kernel-invocation trace ([`trace`]) consumed by

@@ -3,7 +3,7 @@
 //! The paper exploits RAxML parallelism at three granularities:
 //!
 //! 1. **Task level** — embarrassingly parallel bootstraps/inferences under a
-//!    master–worker scheme (§3.1). Here: [`crate::farm`], the work-stealing
+//!    master–worker scheme (§3.1). Here: [`crate::farm`], the one-queue
 //!    inference farm (the MPI analogue).
 //! 2. **Loop level** — the likelihood loops distributed across processors
 //!    (the RAxML-OMP / LLP-across-SPEs layer). Here: one rule

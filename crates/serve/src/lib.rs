@@ -2,7 +2,7 @@
 //!
 //! The paper's PPE/SPE split *is* a serving architecture: a coordinator
 //! dispatching likelihood work to a pool of workers. This crate puts a
-//! front door on that substrate — the work-stealing
+//! front door on that substrate — the one-queue
 //! [`phylo::farm`] plus the [`obs`] metrics registry — so the
 //! system serves sustained multi-tenant traffic instead of one batch at a
 //! time:

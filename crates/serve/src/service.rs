@@ -625,7 +625,7 @@ impl InferenceService {
             std::thread::Builder::new().name("serve-scheduler".to_string()).spawn(move || {
                 // Live progress for the `/metrics` endpoint: farm lifecycle
                 // events become registry counters as the feeder drains its
-                // mailbox, so a scrape sees starts/steals/deaths in flight,
+                // mailbox, so a scrape sees starts and deaths in flight,
                 // not just at shutdown. The same events carry the exact
                 // queue/run/seal interval endpoints, which the trace bridge
                 // turns into spans and histogram exemplars.
@@ -635,9 +635,6 @@ impl InferenceService {
                             obs::global().counter("serve_farm_started_total").inc()
                         }
                         FarmEvent::JobCompleted { .. } | FarmEvent::JobSealed { .. } => {}
-                        FarmEvent::JobStolen { .. } => {
-                            obs::global().counter("serve_farm_steals_total").inc()
-                        }
                         FarmEvent::WorkerDied { .. } => {
                             obs::global().counter("serve_farm_worker_deaths_total").inc()
                         }

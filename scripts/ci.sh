@@ -48,6 +48,16 @@ if [[ "$quick" -eq 0 ]]; then
     run cargo test --release -q --test search_golden --test search_determinism --test bootstrap_compaction --test partial_cache
 fi
 
+# The farm's one lock under optimized timing: its integration suite once,
+# then its unit tests twenty times on the already-built binary — a lost
+# wake-up or a missed close shows up here as a hang or a failure.
+if [[ "$quick" -eq 0 ]]; then
+    run cargo test --release -q --test farm
+    for _ in $(seq 20); do
+        run cargo test --release -q -p phylo --lib farm::
+    done
+fi
+
 # Determinism gate: the parallel-path tests must pass pinned to one, two and
 # three stripes and at the default thread count — stripe ownership and the
 # fixed-block reductions make parallel log-likelihoods bit-identical (and

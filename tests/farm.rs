@@ -1,11 +1,17 @@
 //! Cross-crate stress and integration tests for the inference farm:
-//! accounting under hundreds of tiny jobs with injected failures and the
-//! determinism contract across worker counts.
+//! accounting under hundreds of tiny jobs with injected failures, the
+//! determinism contract across worker counts, and panics in caller hooks
+//! reaching the caller.
 
-use phylo::farm::{run_batch, run_farm, FarmConfig, FarmError, FarmFaultPlan};
+use phylo::farm::{
+    run_batch, run_farm, run_farm_polling, FarmConfig, FarmError, FarmEvent, FarmFaultPlan,
+    FeedPoll,
+};
 use phylo::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
+use std::time::Duration;
 
 /// Install a silent panic hook for the duration of one closure so
 /// intentionally panicking jobs don't spray backtraces over test output.
@@ -93,7 +99,7 @@ fn farm_survives_combined_fault_injection() {
 
 /// Determinism across worker counts on real likelihood work: the same
 /// bootstrap batch under 1, 2 and 5 workers produces bit-identical lnLs
-/// and identical trees, regardless of stealing and shard reuse.
+/// and identical trees, regardless of scheduling and shard reuse.
 #[test]
 fn farm_bootstrap_batch_is_worker_count_invariant() {
     let aln = SimulationConfig { mean_branch: 0.12, ..SimulationConfig::new(6, 240, 9) }
@@ -128,4 +134,66 @@ fn farm_bootstrap_batch_is_worker_count_invariant() {
     let one = run(1);
     assert_eq!(one, run(2), "1 vs 2 workers");
     assert_eq!(one, run(5), "1 vs 5 workers");
+}
+
+/// Run `f` on a helper thread and return its panic's message, or `None`
+/// if none arrived within ten seconds — a farm that hangs instead.
+fn panic_within_ten_seconds(f: impl FnOnce() + Send + 'static) -> Option<String> {
+    with_quiet_panics(|| {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let payload = catch_unwind(AssertUnwindSafe(f)).err();
+            let message = payload.and_then(|p| p.downcast::<&'static str>().ok());
+            let _ = tx.send(message.map(|s| s.to_string()));
+        });
+        rx.recv_timeout(Duration::from_secs(10)).ok().flatten()
+    })
+}
+
+/// A panic in the feed, the observer or the seal hook closes the queue and
+/// reaches the caller with its own message, instead of leaving idle workers
+/// waiting forever or poisoning the farm's lock under them.
+#[test]
+fn a_panicking_hook_reaches_the_caller() {
+    let feed = panic_within_ten_seconds(|| {
+        let mut calls = 0u32;
+        let feed = move || {
+            calls += 1;
+            if calls == 4 {
+                panic!("feed failed on call 4");
+            }
+            FeedPoll::Job(calls)
+        };
+        run_farm_polling(&FarmConfig::new(2), feed, |_| (), |(), _, j| j, None, |_, _| {});
+    });
+    assert_eq!(feed.as_deref(), Some("feed failed on call 4"));
+
+    let observer = panic_within_ten_seconds(|| {
+        let mut seen = 0;
+        let mut observer = |_: FarmEvent| {
+            seen += 1;
+            if seen == 5 {
+                panic!("observer failed on event 5");
+            }
+        };
+        run_farm(
+            &FarmConfig::new(2),
+            0..20u32,
+            |_| (),
+            |(), _, j| j,
+            Some(&mut observer),
+            |_, _| {},
+        );
+    });
+    assert_eq!(observer.as_deref(), Some("observer failed on event 5"));
+
+    let seal = panic_within_ten_seconds(|| {
+        let on_sealed = |i, _: &Result<u32, FarmError>| {
+            if i == 3 {
+                panic!("seal hook failed at job 3");
+            }
+        };
+        run_farm(&FarmConfig::new(2), 0..20u32, |_| (), |(), _, j| j, None, on_sealed);
+    });
+    assert_eq!(seal.as_deref(), Some("seal hook failed at job 3"));
 }
