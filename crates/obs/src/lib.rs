@@ -22,6 +22,8 @@
 //!   same hand-rolled validator).
 //! * [`json`] — the minimal JSON reader behind the service's wire
 //!   protocol, journal and event log.
+//! * [`log`] — the durable record log those files are written as (and the
+//!   bootstrap store): one framing, one checksum, one recovery rule.
 //!
 //! ## Overhead contract
 //!
@@ -36,6 +38,7 @@
 
 pub mod hist;
 pub mod json;
+pub mod log;
 pub mod trace;
 
 pub use hist::{HistogramCell, HistogramSnapshot};

@@ -13,7 +13,7 @@
 
 use crate::alignment::PatternAlignment;
 use crate::bipartitions::split_support;
-use crate::checkpoint::{search_fingerprint, BootstrapStore, Fingerprint};
+use crate::checkpoint::{fingerprint, search_fingerprint, BootstrapStore};
 use crate::error::{PhyloError, Result};
 use crate::farm::{run_farm, FarmConfig};
 use crate::likelihood::LikelihoodWorkspace;
@@ -321,11 +321,11 @@ impl BootstrapAnalysis {
     /// Fingerprint tying a [`BootstrapStore`] to this exact analysis on this
     /// exact alignment.
     pub fn fingerprint(&self, aln: &PatternAlignment) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.push_u64(search_fingerprint(aln, &self.search, self.seed))
-            .push_u64(self.n_inferences as u64)
-            .push_u64(self.n_bootstraps as u64);
-        fp.finish()
+        fingerprint([
+            search_fingerprint(aln, &self.search, self.seed),
+            self.n_inferences as u64,
+            self.n_bootstraps as u64,
+        ])
     }
 
     /// As [`BootstrapAnalysis::try_run`], persisting every completed job to an

@@ -10,9 +10,10 @@
 //!   is recomputed from the seed and only the mutable state (tree, Γ
 //!   shape, round counters) is restored from disk.
 //! * [`BootstrapStore`] — an append-only log of completed bootstrap /
-//!   inference jobs. Each record is one line; a crash mid-write leaves at
-//!   most one malformed trailing record, which is dropped on reload (the
-//!   job simply re-runs).
+//!   inference jobs, one [`obs::log`] record per job. A record cut short by
+//!   a crash mid-append is dropped on reload (the job simply re-runs); a
+//!   damaged record anywhere before the final line is an error, and the
+//!   file is left as it is.
 //!
 //! Both formats are plain text, versioned by a header line, and guarded by
 //! an FNV-1a fingerprint of the analysis inputs so a checkpoint written
@@ -23,8 +24,8 @@
 use crate::alignment::PatternAlignment;
 use crate::error::{PhyloError, Result};
 use crate::search::SearchConfig;
+use obs::log::{Format, RecordLog, SyncPolicy, Verdict};
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -55,80 +56,50 @@ fn ckpt_metrics() -> Option<&'static CkptMetrics> {
     }))
 }
 
-/// File-format version; bumped on any incompatible layout change.
-const VERSION: u32 = 1;
-
-/// Magic first token of every checkpoint file.
-const MAGIC: &str = "#RAXML-CELL-CHECKPOINT";
+/// First line of a search snapshot; its version is bumped on any
+/// incompatible layout change.
+const HEADER: &str = "#RAXML-CELL-CHECKPOINT v1 search";
 
 // ---------------------------------------------------------------------------
 // Fingerprints
 // ---------------------------------------------------------------------------
 
-/// Incremental FNV-1a-64 hash over the inputs that define an analysis.
+/// FNV-1a-64 ([`obs::trace::fnv1a`]) over the little-endian bytes of the
+/// `u64`s that define an analysis.
 ///
 /// Not cryptographic — it only needs to make accidental cross-analysis
 /// resumes (wrong alignment, wrong seed, changed search radius) fail loudly
 /// instead of producing silently wrong trees.
-#[derive(Debug, Clone)]
-pub struct Fingerprint(u64);
-
-impl Fingerprint {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub fn new() -> Fingerprint {
-        Fingerprint(Fingerprint::OFFSET)
-    }
-
-    pub fn push_bytes(&mut self, bytes: &[u8]) -> &mut Fingerprint {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Fingerprint::PRIME);
-        }
-        self
-    }
-
-    pub fn push_u64(&mut self, v: u64) -> &mut Fingerprint {
-        self.push_bytes(&v.to_le_bytes())
-    }
-
-    pub fn push_str(&mut self, s: &str) -> &mut Fingerprint {
-        // Length prefix keeps ("ab","c") distinct from ("a","bc").
-        self.push_u64(s.len() as u64);
-        self.push_bytes(s.as_bytes())
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fingerprint {
-    fn default() -> Fingerprint {
-        Fingerprint::new()
-    }
+pub fn fingerprint(values: impl IntoIterator<Item = u64>) -> u64 {
+    let bytes: Vec<u8> = values.into_iter().flat_map(u64::to_le_bytes).collect();
+    obs::trace::fnv1a(&bytes)
 }
 
 /// Fingerprint of one ML search: alignment shape and taxa, the seed, and
-/// every [`SearchConfig`] knob that alters the search trajectory.
+/// every [`SearchConfig`] knob that alters the search trajectory. Each taxon
+/// name enters as its length and then its bytes, so ("ab","c") and
+/// ("a","bc") differ.
 pub fn search_fingerprint(aln: &PatternAlignment, config: &SearchConfig, seed: u64) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.push_u64(aln.n_taxa() as u64)
-        .push_u64(aln.n_sites() as u64)
-        .push_u64(aln.n_patterns() as u64);
+    let mut bytes: Vec<u8> = [aln.n_taxa(), aln.n_sites(), aln.n_patterns()]
+        .into_iter()
+        .flat_map(|n| (n as u64).to_le_bytes())
+        .collect();
     for name in aln.taxon_names() {
-        fp.push_str(name);
+        bytes.extend((name.len() as u64).to_le_bytes());
+        bytes.extend(name.as_bytes());
     }
-    fp.push_u64(seed)
-        .push_u64(config.spr_radius as u64)
-        .push_u64(config.max_spr_rounds as u64)
-        .push_u64(config.epsilon.to_bits())
-        .push_u64(config.n_rate_categories as u64)
-        .push_u64(config.initial_alpha.to_bits())
-        .push_u64(config.initial_branch_length.to_bits())
-        .push_u64(u64::from(config.optimize_alpha));
-    fp.finish()
+    let knobs = [
+        seed,
+        config.spr_radius as u64,
+        config.max_spr_rounds as u64,
+        config.epsilon.to_bits(),
+        config.n_rate_categories as u64,
+        config.initial_alpha.to_bits(),
+        config.initial_branch_length.to_bits(),
+        u64::from(config.optimize_alpha),
+    ];
+    bytes.extend(knobs.into_iter().flat_map(u64::to_le_bytes));
+    obs::trace::fnv1a(&bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -143,19 +114,6 @@ fn bad(path: &Path, message: impl Into<String>) -> PhyloError {
     PhyloError::Checkpoint { path: path.display().to_string(), message: message.into() }
 }
 
-/// Write `contents` to `path` atomically: write a sibling temp file, flush,
-/// then rename over the target. A crash mid-write leaves the previous
-/// checkpoint intact.
-fn atomic_write(path: &Path, contents: &str) -> Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        f.write_all(contents.as_bytes()).map_err(|e| io_err(&tmp, e))?;
-        f.sync_all().map_err(|e| io_err(&tmp, e))?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
-}
-
 fn parse_hex_u64(path: &Path, field: &str, text: &str) -> Result<u64> {
     u64::from_str_radix(text, 16).map_err(|_| bad(path, format!("bad {field} value {text:?}")))
 }
@@ -164,62 +122,7 @@ fn parse_usize(path: &Path, field: &str, text: &str) -> Result<usize> {
     text.parse().map_err(|_| bad(path, format!("bad {field} value {text:?}")))
 }
 
-/// Streams checkpoint lines through one reusable buffer, so replay memory
-/// is O(longest line) instead of O(file) — the difference between a few KB
-/// and hundreds of MB on a long bootstrap log of big trees.
-struct LineReader<R> {
-    inner: R,
-    buf: String,
-}
-
-impl<R: std::io::BufRead> LineReader<R> {
-    fn new(inner: R) -> LineReader<R> {
-        LineReader { inner, buf: String::new() }
-    }
-
-    /// Next line with the trailing `\n`/`\r\n` stripped; `Ok(None)` at EOF.
-    /// The returned slice borrows the internal buffer, valid until the next
-    /// call.
-    fn next_line(&mut self) -> std::io::Result<Option<&str>> {
-        self.buf.clear();
-        if self.inner.read_line(&mut self.buf)? == 0 {
-            return Ok(None);
-        }
-        Ok(Some(self.buf.trim_end_matches('\n').trim_end_matches('\r')))
-    }
-}
-
-/// Validate `#RAXML-CELL-CHECKPOINT v<N> <kind>` and the following
-/// `fingerprint <hex>` line; the reader is left positioned at the first
-/// body line.
-fn check_header<R: std::io::BufRead>(
-    path: &Path,
-    lines: &mut LineReader<R>,
-    kind: &str,
-    fingerprint: u64,
-) -> Result<()> {
-    let header =
-        lines.next_line().map_err(|e| io_err(path, e))?.ok_or_else(|| bad(path, "empty file"))?;
-    let mut parts = header.split_whitespace();
-    if parts.next() != Some(MAGIC) {
-        return Err(bad(path, "not a checkpoint file (bad magic)"));
-    }
-    let version = parts.next().unwrap_or("");
-    if version != format!("v{VERSION}") {
-        return Err(bad(path, format!("unsupported version {version:?} (expected v{VERSION})")));
-    }
-    let found_kind = parts.next().unwrap_or("");
-    if found_kind != kind {
-        return Err(bad(path, format!("checkpoint kind {found_kind:?} is not {kind:?}")));
-    }
-    let fp_line = lines
-        .next_line()
-        .map_err(|e| io_err(path, e))?
-        .ok_or_else(|| bad(path, "missing fingerprint line"))?;
-    let fp_hex = fp_line
-        .strip_prefix("fingerprint ")
-        .ok_or_else(|| bad(path, "missing fingerprint line"))?;
-    let found = parse_hex_u64(path, "fingerprint", fp_hex)?;
+fn check_fingerprint(path: &Path, found: u64, fingerprint: u64) -> Result<()> {
     if found != fingerprint {
         return Err(bad(
             path,
@@ -288,44 +191,36 @@ impl SearchCheckpointer {
     /// (fresh start); a present-but-foreign or corrupt file is an error —
     /// silently ignoring it would discard real progress.
     pub fn load(&self) -> Result<Option<SearchCheckpoint>> {
-        let file = match std::fs::File::open(&self.path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err(&self.path, e)),
-        };
         let path = &self.path;
-        let mut lines = LineReader::new(std::io::BufReader::new(file));
-        check_header(path, &mut lines, "search", self.fingerprint)?;
-        fn field<R: std::io::BufRead>(
-            path: &Path,
-            lines: &mut LineReader<R>,
-            name: &str,
-        ) -> Result<String> {
-            let line = lines
-                .next_line()
-                .map_err(|e| io_err(path, e))?
-                .ok_or_else(|| bad(path, format!("missing {name} line")))?;
-            line.strip_prefix(name)
-                .and_then(|rest| rest.strip_prefix(' '))
-                .map(str::to_owned)
-                .ok_or_else(|| bad(path, format!("missing {name} line")))
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(io_err(path, e)),
+        };
+        let mut lines = text.lines();
+        match lines.next() {
+            Some(HEADER) => {}
+            Some(h) if h.starts_with("#RAXML-CELL-CHECKPOINT") => {
+                return Err(bad(path, format!("unsupported header {h:?} (expected {HEADER:?})")));
+            }
+            _ => return Err(bad(path, "not a checkpoint file (bad magic)")),
         }
-        let rounds_done = parse_usize(path, "rounds", &field(path, &mut lines, "rounds")?)?;
-        let moves_applied = parse_usize(path, "moves", &field(path, &mut lines, "moves")?)?;
-        let last_applied =
-            parse_usize(path, "last-applied", &field(path, &mut lines, "last-applied")?)?;
-        let alpha_bits = parse_hex_u64(path, "alpha", &field(path, &mut lines, "alpha")?)?;
-        if lines.next_line().map_err(|e| io_err(path, e))? != Some("tree") {
+        let mut field = |name: &str| {
+            lines
+                .next()
+                .and_then(|line| line.strip_prefix(name)?.strip_prefix(' '))
+                .ok_or_else(|| bad(path, format!("missing {name} line")))
+        };
+        let found = parse_hex_u64(path, "fingerprint", field("fingerprint")?)?;
+        check_fingerprint(path, found, self.fingerprint)?;
+        let rounds_done = parse_usize(path, "rounds", field("rounds")?)?;
+        let moves_applied = parse_usize(path, "moves", field("moves")?)?;
+        let last_applied = parse_usize(path, "last-applied", field("last-applied")?)?;
+        let alpha_bits = parse_hex_u64(path, "alpha", field("alpha")?)?;
+        if lines.next() != Some("tree") {
             return Err(bad(path, "missing tree section"));
         }
-        let tree_exact: String = {
-            let mut s = String::new();
-            while let Some(line) = lines.next_line().map_err(|e| io_err(path, e))? {
-                s.push_str(line);
-                s.push('\n');
-            }
-            s
-        };
+        let tree_exact: String = lines.flat_map(|line| [line, "\n"]).collect();
         // Validate eagerly so a truncated tree fails at load, not mid-search.
         crate::tree::Tree::from_exact_string(&tree_exact)
             .map_err(|e| bad(path, format!("unreadable tree section: {e}")))?;
@@ -341,7 +236,7 @@ impl SearchCheckpointer {
     /// Atomically persist `snap`, then enforce the abort policy.
     pub fn save(&mut self, snap: &SearchCheckpoint) -> Result<()> {
         let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC} v{VERSION} search");
+        let _ = writeln!(out, "{HEADER}");
         let _ = writeln!(out, "fingerprint {:016x}", self.fingerprint);
         let _ = writeln!(out, "rounds {}", snap.rounds_done);
         let _ = writeln!(out, "moves {}", snap.moves_applied);
@@ -351,7 +246,7 @@ impl SearchCheckpointer {
         out.push_str(&snap.tree_exact);
         let metrics = ckpt_metrics();
         let t0 = metrics.map(|_| Instant::now());
-        atomic_write(&self.path, &out)?;
+        obs::log::atomic_write(&self.path, out.as_bytes()).map_err(|e| io_err(&self.path, e))?;
         if let (Some(m), Some(t0)) = (metrics, t0) {
             m.write_ns.record(t0.elapsed().as_nanos() as u64);
             m.write_bytes.add(out.len() as u64);
@@ -379,85 +274,94 @@ pub struct JobRecord {
     pub tree_exact: String,
 }
 
+/// The store's log kind; v1 stores began `#RAXML-CELL-CHECKPOINT v1 bootstrap`.
+const STORE: Format = Format {
+    kind: "RAXML-CELL-BOOTSTRAP",
+    v1_header: "#RAXML-CELL-CHECKPOINT v1 bootstrap",
+    metrics: "bootstrap_store",
+};
+
+/// A store record: the analysis fingerprint, then its job count, then one
+/// record per completed job.
+enum StoreLine {
+    Fingerprint(u64),
+    Total(usize),
+    Job(JobRecord),
+}
+
 /// Append-only log of completed bootstrap-analysis jobs.
 ///
 /// Records must arrive contiguously from index 0 — the analysis driver
 /// completes jobs in chunks and appends each chunk in order, so "how far
-/// did we get" is simply the record count. On open, a malformed or
-/// truncated trailing record (a crash mid-append) is discarded and the
-/// file is rewritten to the clean prefix.
+/// did we get" is simply the record count. On open, a record cut short by a
+/// crash mid-append is dropped, and cut off the file by the next append; a
+/// damaged record before it is an error.
 #[derive(Debug)]
 pub struct BootstrapStore {
-    path: PathBuf,
-    fingerprint: u64,
+    log: RecordLog,
     total: usize,
     records: Vec<JobRecord>,
 }
 
 impl BootstrapStore {
     /// Open (or create) the store for an analysis of `total` jobs with the
-    /// given fingerprint. An existing file for a *different* analysis is an
-    /// error; a missing file starts empty.
+    /// given fingerprint. An existing file for a *different* analysis, or
+    /// one damaged before its final line, is an error and is left as it is;
+    /// a missing file starts empty.
     pub fn open(
         path: impl Into<PathBuf>,
         fingerprint: u64,
         total: usize,
     ) -> Result<BootstrapStore> {
         let path = path.into();
-        let mut store = BootstrapStore { path, fingerprint, total, records: Vec::new() };
-        let file = match std::fs::File::open(&store.path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                store.rewrite()?;
-                return Ok(store);
-            }
-            Err(e) => return Err(io_err(&store.path, e)),
+        let mut n = 0;
+        let decode = |line: &str| {
+            let parsed = match n {
+                0 => StoreLine::Fingerprint(
+                    u64::from_str_radix(line.strip_prefix("fingerprint ")?, 16).ok()?,
+                ),
+                1 => StoreLine::Total(line.strip_prefix("total ")?.parse().ok()?),
+                _ => StoreLine::Job(parse_record(line, n - 2)?),
+            };
+            n += 1;
+            Some(parsed)
         };
-        let path = store.path.clone();
-        let mut lines = LineReader::new(std::io::BufReader::new(file));
-        check_header(&path, &mut lines, "bootstrap", fingerprint)?;
-        let total_line = lines
-            .next_line()
-            .map_err(|e| io_err(&path, e))?
-            .ok_or_else(|| bad(&path, "missing total line"))?;
-        let found_total = total_line
-            .strip_prefix("total ")
-            .ok_or_else(|| bad(&path, "missing total line"))
-            .and_then(|t| parse_usize(&path, "total", t))?;
-        if found_total != total {
+        let (log, lines, verdict) = RecordLog::open(&path, &STORE, SyncPolicy::EveryAppend, decode)
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::InvalidData => bad(&path, e.to_string()),
+                _ => io_err(&path, e),
+            })?;
+        if let Verdict::Corrupt { line, count } = verdict {
             return Err(bad(
                 &path,
-                format!("job count mismatch ({found_total} on disk, {total} expected)"),
+                format!("line {line} is damaged ({count} damaged in all); not resuming over it"),
             ));
         }
-        let mut truncated = false;
-        loop {
-            match lines.next_line() {
-                Ok(None) => break,
-                Ok(Some(line)) => match parse_record(line, store.records.len()) {
-                    Some(rec) => store.records.push(rec),
-                    // First bad/out-of-order record: everything after it is
-                    // the debris of a crash mid-append. Drop it and stop.
-                    None => {
-                        truncated = true;
-                        break;
-                    }
-                },
-                // A torn append can leave non-UTF-8 garbage on the final
-                // line; inside the record section that is crash debris too,
-                // not a hard error. Genuine I/O failures still propagate.
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    truncated = true;
-                    break;
+        let n_meta = lines.len().min(2);
+        let mut store = BootstrapStore { log, total, records: Vec::new() };
+        for line in lines {
+            match line {
+                StoreLine::Fingerprint(found) => check_fingerprint(&path, found, fingerprint)?,
+                StoreLine::Total(found) if found != total => {
+                    return Err(bad(
+                        &path,
+                        format!("job count mismatch ({found} on disk, {total} expected)"),
+                    ));
                 }
-                Err(e) => return Err(io_err(&path, e)),
+                StoreLine::Total(_) => {}
+                StoreLine::Job(rec) => store.records.push(rec),
             }
         }
         if store.records.len() > total {
             return Err(bad(&path, "more records than jobs"));
         }
-        if truncated {
-            store.rewrite()?;
+        // A new store, or one cut short before its job records, gets the
+        // analysis lines it lacks.
+        if n_meta == 0 {
+            store.append_line(&format!("fingerprint {fingerprint:016x}"))?;
+        }
+        if n_meta <= 1 {
+            store.append_line(&format!("total {total}"))?;
         }
         Ok(store)
     }
@@ -482,15 +386,14 @@ impl BootstrapStore {
     pub fn append(&mut self, log_likelihood: f64, tree_exact: &str) -> Result<()> {
         let index = self.records.len();
         assert!(index < self.total, "appending job {index} to a store of {} jobs", self.total);
-        let line = record_line(index, log_likelihood, tree_exact);
+        let line = format!(
+            "job {index} {:016x} {}",
+            log_likelihood.to_bits(),
+            tree_exact.trim_end_matches('\n').replace('\n', "|")
+        );
         let metrics = ckpt_metrics();
         let t0 = metrics.map(|_| Instant::now());
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| io_err(&self.path, e))?;
-        f.write_all(line.as_bytes()).map_err(|e| io_err(&self.path, e))?;
-        f.sync_all().map_err(|e| io_err(&self.path, e))?;
+        self.append_line(&line)?;
         if let (Some(m), Some(t0)) = (metrics, t0) {
             m.append_ns.record(t0.elapsed().as_nanos() as u64);
             m.append_bytes.add(line.len() as u64);
@@ -499,32 +402,13 @@ impl BootstrapStore {
         Ok(())
     }
 
-    /// Rewrite the whole file from the in-memory state (header + clean
-    /// records) — used on creation and after dropping crash debris.
-    fn rewrite(&self) -> Result<()> {
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC} v{VERSION} bootstrap");
-        let _ = writeln!(out, "fingerprint {:016x}", self.fingerprint);
-        let _ = writeln!(out, "total {}", self.total);
-        for rec in &self.records {
-            out.push_str(&record_line(rec.index, rec.log_likelihood, &rec.tree_exact));
-        }
-        atomic_write(&self.path, &out)
+    fn append_line(&self, line: &str) -> Result<()> {
+        self.log.append(line).map_err(|e| io_err(self.log.path(), e))
     }
 }
 
-/// `job <idx> <lnl_bits> <tree with '\n' → '|'>` on a single line, so a
-/// torn append can damage at most the final line.
-fn record_line(index: usize, log_likelihood: f64, tree_exact: &str) -> String {
-    format!(
-        "job {index} {:016x} {}\n",
-        log_likelihood.to_bits(),
-        tree_exact.trim_end_matches('\n').replace('\n', "|")
-    )
-}
-
-/// Parse one record line; `None` on any damage or if the index is not the
-/// expected next one.
+/// Parse one `job <idx> <lnl_bits hex> <tree with '\n' → '|'>` record;
+/// `None` on any damage or if the index is not the expected next one.
 fn parse_record(line: &str, expected_index: usize) -> Option<JobRecord> {
     let rest = line.strip_prefix("job ")?;
     let mut parts = rest.splitn(3, ' ');
@@ -563,6 +447,7 @@ mod tests {
         let cfg = SearchConfig::fast();
         let base = search_fingerprint(&w.alignment, &cfg, 5);
         assert_eq!(base, search_fingerprint(&w.alignment, &cfg, 5), "deterministic");
+        assert_eq!(base, 0x22f3_00a7_4bbd_fa69, "a changed value orphans every file on disk");
         assert_ne!(base, search_fingerprint(&w.alignment, &cfg, 6), "seed matters");
         let mut wide = cfg.clone();
         wide.spr_radius += 1;
@@ -712,6 +597,32 @@ mod tests {
         assert_eq!(store.completed(), 1, "binary debris dropped, clean prefix kept");
         let again = BootstrapStore::open(&path, 7, 3).unwrap();
         assert_eq!(again.completed(), 1);
+    }
+
+    /// A flipped bit in a middle record — in its index or in its lnL hex —
+    /// is an error, and the file is left byte for byte as it was.
+    #[test]
+    fn bootstrap_store_refuses_a_flipped_bit_mid_file() {
+        let path = tmp("bootstrap-flipped.ckpt");
+        let tree = sample_tree_exact();
+        for (field, offset) in [("index", "job ".len()), ("lnL hex", "job 1 ".len() + 3)] {
+            let _ = std::fs::remove_file(&path);
+            {
+                let mut store = BootstrapStore::open(&path, 7, 4).unwrap();
+                for lnl in [-10.0, -11.0, -12.0] {
+                    store.append(lnl, &tree).unwrap();
+                }
+            }
+            let mut bytes = std::fs::read(&path).unwrap();
+            let text = String::from_utf8(bytes.clone()).unwrap();
+            let at = text.find("\njob 1 ").unwrap() + 1 + offset;
+            bytes[at] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            let err = BootstrapStore::open(&path, 7, 4).unwrap_err();
+            assert!(matches!(err, PhyloError::Checkpoint { .. }), "{field}: {err}");
+            assert!(err.to_string().contains("line 5"), "{field}: {err}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{field}: file untouched");
+        }
     }
 
     /// Multi-MB tree for the streaming-replay regression tests: big enough

@@ -9,22 +9,26 @@
 //! job id, and trace id — so an incident line joins against both the
 //! journal and a span tree.
 //!
-//! The file format follows `journal.jsonl`: a `#`-prefixed header line
-//! whose version bump invalidates old logs loudly, then one JSON object
-//! per line, append-only. [`EventLog::read`] is torn-tail tolerant — a
-//! crash mid-append leaves a final line that fails to parse and is
-//! skipped, never an error.
+//! The file is an [`obs::log`] record log, like `journal.jsonl`: one JSON
+//! object per record, append-only. The log is diagnostic, so
+//! [`EventLog::read`] never fails on damage: a torn final line and any
+//! damaged line before it are skipped, and the latter are counted in
+//! `serve_event_log_corrupt_lines_total`.
 
 use crate::wire::{self, JsonObj};
 use obs::json;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use obs::log::{Format, RecordLog, SyncPolicy};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Event log header; a version bump invalidates old logs loudly.
-pub const EVENTS_HEADER: &str = "#RAXML-CELL-SERVE-EVENTS v1";
+/// The event log's kind. v1 files (`#RAXML-CELL-SERVE-EVENTS v1`, no
+/// checksums) are read, and migrated to v2 by the first emit.
+pub const EVENTS: Format = Format {
+    kind: "RAXML-CELL-SERVE-EVENTS",
+    v1_header: "#RAXML-CELL-SERVE-EVENTS v1",
+    metrics: "serve_event_log",
+};
 
 /// Event severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,44 +75,33 @@ pub struct EventRecord {
     pub detail: String,
 }
 
-#[derive(Debug)]
-struct Inner {
-    file: Mutex<File>,
-    epoch: Instant,
-    path: PathBuf,
-}
-
-/// An append-only JSONL event sink. Clones share one file handle and one
-/// epoch, so the client and server sides of a test can interleave into a
-/// single coherent timeline.
+/// An append-only JSONL event sink. Clones share one log and one epoch, so
+/// the client and server sides of a test can interleave into a single
+/// coherent timeline.
 #[derive(Debug, Clone)]
 pub struct EventLog {
-    inner: Arc<Inner>,
+    log: Arc<RecordLog>,
+    epoch: Instant,
 }
 
 impl EventLog {
-    /// Open (or create) the log at `path` for appending, writing the
-    /// header if the file is empty.
+    /// Open (or create) the log at `path` for appending; the first emit
+    /// writes the header if the file has none and cuts off a torn tail.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<EventLog> {
-        let path = path.into();
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if file.metadata()?.len() == 0 {
-            writeln!(file, "{EVENTS_HEADER}")?;
-        }
-        Ok(EventLog {
-            inner: Arc::new(Inner { file: Mutex::new(file), epoch: Instant::now(), path }),
-        })
+        let (log, ..) = RecordLog::open(path, &EVENTS, SyncPolicy::OsManaged, |_| Some(()))?;
+        Ok(EventLog { log: Arc::new(log), epoch: Instant::now() })
     }
 
     /// Where this log writes.
     pub fn path(&self) -> &Path {
-        &self.inner.path
+        self.log.path()
     }
 
-    /// Append one event line. Write failures are swallowed — an event log
-    /// on a full disk must never take the serving path down with it.
+    /// Append one event line. A failed write is rolled back and counted in
+    /// `serve_event_log_write_errors_total`; an event log on a full disk
+    /// must never take the serving path down with it.
     pub fn emit(&self, level: Level, kind: &str, tenant: &str, job: u64, trace: u64, detail: &str) {
-        let at_ns = self.inner.epoch.elapsed().as_nanos() as u64;
+        let at_ns = self.epoch.elapsed().as_nanos() as u64;
         let line = JsonObj::new()
             .u64("ts_ns", at_ns)
             .str("level", level.as_str())
@@ -118,38 +111,27 @@ impl EventLog {
             .u64("trace", trace)
             .str("detail", detail)
             .finish();
-        let mut file = self.inner.file.lock().expect("event log file");
-        let _ = writeln!(file, "{line}");
+        self.log.append(&line).ok();
     }
 
-    /// Parse every well-formed event line of the file at `path`, skipping
-    /// the header, blanks, and a torn final line.
+    /// Every intact event of the file at `path`, skipping a torn final line
+    /// and counting the damaged lines before it.
     pub fn read(path: impl AsRef<Path>) -> std::io::Result<Vec<EventRecord>> {
-        let contents = std::fs::read_to_string(path)?;
-        let mut events = Vec::new();
-        for line in contents.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Ok(v) = json::parse(line) else { continue };
-            let (Some(level), Some(kind)) =
-                (wire::get_str(&v, "level").and_then(Level::parse), wire::get_str(&v, "kind"))
-            else {
-                continue;
-            };
-            events.push(EventRecord {
-                at_ns: wire::get_u64(&v, "ts_ns").unwrap_or(0),
-                level,
-                kind: kind.to_string(),
-                tenant: wire::get_str(&v, "tenant").unwrap_or("").to_string(),
-                job: wire::get_u64(&v, "job").unwrap_or(0),
-                trace: wire::get_u64(&v, "trace").unwrap_or(0),
-                detail: wire::get_str(&v, "detail").unwrap_or("").to_string(),
-            });
-        }
-        Ok(events)
+        obs::log::read(path.as_ref(), &EVENTS, decode).map(|(events, _)| events)
     }
+}
+
+fn decode(line: &str) -> Option<EventRecord> {
+    let v = json::parse(line).ok()?;
+    Some(EventRecord {
+        at_ns: wire::get_u64(&v, "ts_ns").unwrap_or(0),
+        level: wire::get_str(&v, "level").and_then(Level::parse)?,
+        kind: wire::get_str(&v, "kind")?.to_string(),
+        tenant: wire::get_str(&v, "tenant").unwrap_or("").to_string(),
+        job: wire::get_u64(&v, "job").unwrap_or(0),
+        trace: wire::get_u64(&v, "trace").unwrap_or(0),
+        detail: wire::get_str(&v, "detail").unwrap_or("").to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -197,6 +179,22 @@ mod tests {
         let events = EventLog::read(&path).unwrap();
         assert_eq!(events.len(), 1, "torn tail and bad level skipped, not fatal");
         assert_eq!(events[0].kind, "drain");
+    }
+
+    /// A crash mid-append leaves a torn final line; the next life's first
+    /// event must not be glued onto it.
+    #[test]
+    fn an_event_emitted_after_a_torn_tail_is_read_back() {
+        let path = unique_path("after-torn-tail");
+        EventLog::open(&path).unwrap().emit(Level::Info, "before", "", 0, 0, "");
+        let mut raw = std::fs::read_to_string(&path).unwrap();
+        raw.push_str("{\"ts_ns\":12,\"level\":\"info\",\"ki");
+        std::fs::write(&path, raw).unwrap();
+
+        EventLog::open(&path).unwrap().emit(Level::Warn, "after", "", 0, 0, "");
+        let kinds: Vec<String> =
+            EventLog::read(&path).unwrap().into_iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, ["before", "after"]);
     }
 
     #[test]

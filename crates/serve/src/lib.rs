@@ -15,7 +15,7 @@
 //!   fair round-robin scheduler into one long-lived farm run; admission
 //!   control (global queue bound + per-tenant in-flight quotas) backed by
 //!   the farm's bounded-submission backpressure; job status polling;
-//!   crash-safe jobs via a durable journal plus the
+//!   crash-safe jobs via a durable journal ([`journal`]) plus the
 //!   [`phylo::checkpoint`] tier.
 //! * **Server** ([`server`]): a thread-per-connection TCP front end that
 //!   multiplexes the frame protocol with a plain-HTTP `GET /metrics`
@@ -71,6 +71,7 @@
 pub mod client;
 pub mod events;
 pub mod fault;
+pub mod journal;
 pub mod server;
 pub mod service;
 pub mod wire;

@@ -42,7 +42,7 @@
 //! ## Crash safety
 //!
 //! With a state dir configured, every accepted job is journaled
-//! (`journal.jsonl`, JSON lines, torn-tail tolerant) and checkpointing jobs
+//! ([`crate::journal`], torn-tail tolerant) and checkpointing jobs
 //! snapshot through [`phylo::checkpoint::SearchCheckpointer`] under
 //! `job-<id>.ckpt`. On restart the journal is replayed: finished jobs come
 //! back pollable with their exact result bits, unfinished jobs re-enqueue
@@ -50,8 +50,8 @@
 //! bit-identically. A job interrupted mid-checkpoint is deliberately left
 //! unsettled in the journal so the restart retries it.
 
-use crate::wire::{self, JobSpec, JsonObj, RejectReason, StatsWire, WireResult, WireState};
-use obs::json::{self, Json};
+use crate::journal::{self, Entry};
+use crate::wire::{self, JobSpec, RejectReason, StatsWire, WireResult, WireState};
 use obs::trace::{trace_id, SpanCtx};
 use phylo::alignment::PatternAlignment;
 use phylo::checkpoint::SearchCheckpointer;
@@ -62,32 +62,14 @@ use phylo::search::{run_inference, InferenceOptions, SearchResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Journal header line; a version bump invalidates old journals loudly.
-const JOURNAL_HEADER: &str = "#RAXML-CELL-SERVE-JOURNAL v1";
-
-/// When journal appends reach the disk platter.
-///
-/// `File::flush()` is a no-op for unbuffered files, so "append + flush" was
-/// never durable — a machine crash could lose acknowledged submits. The
-/// default now pays one `sync_data` per append: an acked submit survives
-/// power loss. `OsManaged` opts back into the old cheap behaviour for
-/// throughput studies where the OS page cache is trusted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// `sync_data` after every journal append (durable acks).
-    #[default]
-    EveryAppend,
-    /// Leave flushing to the OS page cache (fast, crash-lossy).
-    OsManaged,
-}
+/// When journal appends reach the disk (default: `sync_data` per append).
+pub use obs::log::SyncPolicy;
 
 /// How the service is sized and where (if anywhere) it persists state.
 #[derive(Debug, Clone)]
@@ -326,12 +308,9 @@ struct Shared {
     feed_cv: Condvar,
     /// Wakes status waiters: some job reached `Done`/`Failed`.
     done_cv: Condvar,
-    journal: Mutex<Option<File>>,
+    journal: Option<obs::log::RecordLog>,
     sealed_ok: AtomicU64,
     sealed_failed: AtomicU64,
-    /// `sync_data` calls actually issued — the durability tests' witness
-    /// (obs counters are global and cross-test contaminated).
-    journal_syncs: AtomicU64,
 }
 
 impl Shared {
@@ -382,24 +361,11 @@ impl Shared {
         }
     }
 
-    fn journal_line(&self, line: &str) {
-        let mut guard = self.journal.lock().expect("journal lock");
-        if let Some(file) = guard.as_mut() {
-            // A torn final line (crash mid-append) is tolerated by the
-            // replay parser; whether the append survives a crash at all is
-            // the sync policy's call.
-            let _ = writeln!(file, "{line}");
-            match self.config.sync_policy {
-                SyncPolicy::EveryAppend => {
-                    if file.sync_data().is_ok() {
-                        self.journal_syncs.fetch_add(1, Ordering::Relaxed);
-                        obs::global().counter("serve_journal_sync_total").inc();
-                    }
-                }
-                SyncPolicy::OsManaged => {
-                    let _ = file.flush();
-                }
-            }
+    fn journal(&self, entry: &Entry) {
+        if let Some(journal) = &self.journal {
+            // A failed append is rolled back and counted; the job stays
+            // admitted, since refusing it would need a wire reject reason.
+            journal.append(&entry.encode()).ok();
         }
     }
 
@@ -419,40 +385,21 @@ impl Shared {
             }
             rec.finished = true;
         }
-        let journal_entry = match &outcome {
-            Settle::Done(result) => Some(
-                JsonObj::new()
-                    .str("ev", "done")
-                    .u64("job", job_id)
-                    .num("log_likelihood", result.log_likelihood)
-                    .u64("lnl_bits", result.log_likelihood.to_bits())
-                    .u64("alpha_bits", result.alpha.to_bits())
-                    .str("tree", &result.tree_exact)
-                    .u64("rounds", result.rounds as u64)
-                    .u64("moves_applied", result.moves_applied as u64)
-                    .finish(),
-            ),
+        let entry = match &outcome {
+            Settle::Done(result) => Some(Entry::Done { job: job_id, result: result.clone() }),
             // An interrupted checkpointing job is left unsettled in the
             // journal on purpose: a restart re-enqueues it and the
             // checkpoint tier resumes it bit-identically.
             Settle::Failed { interrupted: true, .. } => None,
-            Settle::Failed { message, interrupted: false } => Some(
-                JsonObj::new()
-                    .str("ev", "failed")
-                    .u64("job", job_id)
-                    .str("error", message)
-                    .finish(),
-            ),
-            Settle::Cancelled { reason, .. } => Some(
-                JsonObj::new()
-                    .str("ev", "cancelled")
-                    .u64("job", job_id)
-                    .str("reason", reason)
-                    .finish(),
-            ),
+            Settle::Failed { message, interrupted: false } => {
+                Some(Entry::Failed { job: job_id, error: message.clone() })
+            }
+            Settle::Cancelled { reason, .. } => {
+                Some(Entry::Cancelled { job: job_id, reason: reason.clone() })
+            }
         };
-        if let Some(line) = journal_entry {
-            self.journal_line(&line);
+        if let Some(entry) = entry {
+            self.journal(&entry);
         }
 
         let mut st = self.state.lock().expect("service state");
@@ -586,20 +533,9 @@ impl InferenceService {
         let mut journal = None;
         if let Some(dir) = &config.state_dir {
             std::fs::create_dir_all(dir)?;
-            let path = dir.join("journal.jsonl");
-            if path.exists() {
-                replay_journal(&std::fs::read_to_string(&path)?, &mut state)?;
-            }
-            let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-            if file.metadata()?.len() == 0 {
-                writeln!(file, "{JOURNAL_HEADER}")?;
-                if config.sync_policy == SyncPolicy::EveryAppend {
-                    file.sync_data()?;
-                } else {
-                    file.flush()?;
-                }
-            }
-            journal = Some(file);
+            let (opened, entries) = journal::open(&dir.join("journal.jsonl"), config.sync_policy)?;
+            replay_journal(entries, &mut state);
+            journal = Some(opened);
         }
         obs::global().gauge("serve_queue_depth").set(state.stats.queued as f64);
 
@@ -609,10 +545,9 @@ impl InferenceService {
             state: Mutex::new(state),
             feed_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            journal: Mutex::new(journal),
+            journal,
             sealed_ok: AtomicU64::new(0),
             sealed_failed: AtomicU64::new(0),
-            journal_syncs: AtomicU64::new(0),
         });
 
         let farm_config =
@@ -761,15 +696,13 @@ impl InferenceService {
         obs::global().gauge("serve_queue_depth").set(st.stats.queued as f64);
         drop(st);
 
-        let mut obj = JsonObj::new().str("ev", "submit").u64("job", id).str("tenant", tenant);
-        if let Some(key) = idem {
-            obj = obj.str("idem", key);
-        }
-        if trace != 0 {
-            obj = obj.u64("trace", trace);
-        }
-        let line = spec.write_fields(obj).finish();
-        self.shared.journal_line(&line);
+        self.shared.journal(&Entry::Submit {
+            job: id,
+            tenant: tenant.to_string(),
+            idem: idem.map(str::to_string),
+            trace,
+            spec: spec.clone(),
+        });
         self.shared.feed_cv.notify_all();
         Ok((id, trace))
     }
@@ -939,7 +872,7 @@ impl InferenceService {
     /// `sync_data` calls the journal has issued (0 under
     /// [`SyncPolicy::OsManaged`] or without a state dir).
     pub fn journal_sync_count(&self) -> u64 {
-        self.shared.journal_syncs.load(Ordering::Relaxed)
+        self.shared.journal.as_ref().map_or(0, obs::log::RecordLog::syncs)
     }
 
     /// The order jobs were handed to the farm — the fairness tests'
@@ -1148,107 +1081,54 @@ fn on_sealed(shared: &Arc<Shared>, farm_idx: usize, sealed: &Result<(), FarmErro
 }
 
 /// Replay a journal into a fresh `State`: finished jobs become pollable
-/// records, unfinished ones re-enqueue under their original ids.
-fn replay_journal(contents: &str, state: &mut State) -> std::io::Result<()> {
-    // (id, tenant, spec, trace, settled-state) in submit order.
-    let mut order: Vec<u64> = Vec::new();
-    let mut submitted: HashMap<u64, (String, JobSpec, u64)> = HashMap::new();
+/// records, unfinished ones re-enqueue under their original ids, in submit
+/// order. Every job's idempotency key is rebound (settled ones included) so
+/// a client retrying a submit from before the crash still dedups.
+fn replay_journal(entries: Vec<Entry>, state: &mut State) {
+    let mut submits = Vec::new();
     let mut settled: HashMap<u64, JobState> = HashMap::new();
-    // job id → idempotency key, rebound into `state.idem` for *all*
-    // replayed jobs (settled ones included) so a client retrying a submit
-    // from before the crash still dedups to the original id.
-    let mut idem_of: HashMap<u64, String> = HashMap::new();
-
-    for line in contents.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // A torn final line (crash mid-append) parses as an error: skip.
-        let Ok(v) = json::parse(line) else { continue };
-        let (Some(ev), Some(job)) = (event_kind(&v), wire::get_u64(&v, "job")) else { continue };
-        match ev {
-            "submit" => {
-                let Some(tenant) = wire::get_str(&v, "tenant") else { continue };
-                let Ok(spec) = JobSpec::from_json(&v) else { continue };
-                if let Some(key) = wire::get_str(&v, "idem") {
-                    idem_of.insert(job, key.to_string());
-                }
-                // The journaled trace id makes replay reproduce the same
-                // trace tree a re-run of the job will extend.
-                let trace = wire::get_u64(&v, "trace").unwrap_or(0);
-                if submitted.insert(job, (tenant.to_string(), spec, trace)).is_none() {
-                    order.push(job);
-                }
+    for entry in entries {
+        let (job, done) = match entry {
+            Entry::Submit { job, tenant, idem, trace, spec } => {
+                submits.push((job, tenant, idem, trace, spec));
+                continue;
             }
-            "done" => {
-                let (Some(lnl), Some(alpha), Some(tree)) = (
-                    wire::get_u64(&v, "lnl_bits"),
-                    wire::get_u64(&v, "alpha_bits"),
-                    wire::get_str(&v, "tree"),
-                ) else {
-                    continue;
-                };
-                settled.insert(
-                    job,
-                    JobState::Done(WireResult {
-                        log_likelihood: f64::from_bits(lnl),
-                        alpha: f64::from_bits(alpha),
-                        tree_exact: tree.to_string(),
-                        rounds: wire::get_usize(&v, "rounds").unwrap_or(0),
-                        moves_applied: wire::get_usize(&v, "moves_applied").unwrap_or(0),
-                    }),
-                );
-            }
-            "failed" => {
-                let error = wire::get_str(&v, "error").unwrap_or("unknown failure").to_string();
-                settled.insert(job, JobState::Failed(error));
-            }
-            "cancelled" => {
-                let reason = wire::get_str(&v, "reason").unwrap_or("cancelled").to_string();
-                settled.insert(job, JobState::Cancelled(reason));
-            }
-            _ => {}
-        }
+            Entry::Done { job, result } => (job, JobState::Done(result)),
+            Entry::Failed { job, error } => (job, JobState::Failed(error)),
+            Entry::Cancelled { job, reason } => (job, JobState::Cancelled(reason)),
+        };
+        settled.insert(job, done);
     }
 
     let now = Instant::now();
-    for id in order {
-        let (tenant, spec, trace) = submitted.remove(&id).expect("submit recorded");
+    for (id, tenant, idem, trace, spec) in submits {
         state.next_id = state.next_id.max(id + 1);
         state.stats.accepted += 1;
-        if let Some(key) = idem_of.remove(&id) {
+        if let Some(key) = idem {
             state.idem.insert(idem_key(&tenant, &key), id);
         }
-        match settled.remove(&id) {
-            Some(done) => {
-                match done {
-                    JobState::Done(_) => state.stats.completed += 1,
-                    JobState::Failed(_) => state.stats.failed += 1,
-                    JobState::Cancelled(_) => state.stats.cancelled += 1,
-                    _ => unreachable!(),
-                }
-                state.jobs.insert(
-                    id,
-                    JobRecord {
-                        tenant,
-                        spec,
-                        state: done,
-                        submitted_at: now,
-                        submitted_ns: 0,
-                        trace,
-                        finished: true,
-                    },
-                );
-            }
-            None => enqueue(state, id, tenant, spec, now, trace, 0),
+        let Some(done) = settled.remove(&id) else {
+            enqueue(state, id, tenant, spec, now, trace, 0);
+            continue;
+        };
+        match done {
+            JobState::Done(_) => state.stats.completed += 1,
+            JobState::Failed(_) => state.stats.failed += 1,
+            JobState::Cancelled(_) => state.stats.cancelled += 1,
+            _ => unreachable!(),
         }
+        let (submitted_at, submitted_ns) = (now, 0);
+        let record = JobRecord {
+            tenant,
+            spec,
+            state: done,
+            submitted_at,
+            submitted_ns,
+            trace,
+            finished: true,
+        };
+        state.jobs.insert(id, record);
     }
-    Ok(())
-}
-
-fn event_kind(v: &Json) -> Option<&str> {
-    wire::get_str(v, "ev")
 }
 
 #[cfg(test)]

@@ -501,6 +501,32 @@ pub struct WireResult {
     pub moves_applied: usize,
 }
 
+impl WireResult {
+    /// Append the result's fields (bit patterns beside the readable values)
+    /// onto a JSON object under construction.
+    pub fn write_fields(&self, obj: JsonObj) -> JsonObj {
+        obj.num("log_likelihood", self.log_likelihood)
+            .u64("lnl_bits", self.log_likelihood.to_bits())
+            .num("alpha", self.alpha)
+            .u64("alpha_bits", self.alpha.to_bits())
+            .str("tree", &self.tree_exact)
+            .u64("rounds", self.rounds as u64)
+            .u64("moves_applied", self.moves_applied as u64)
+    }
+
+    /// Read a result back out of a parsed JSON object, from the bit patterns.
+    pub fn from_json(v: &Json) -> Result<WireResult, String> {
+        let bits = |key| get_u64(v, key).map(f64::from_bits).ok_or(format!("no '{key}'"));
+        Ok(WireResult {
+            log_likelihood: bits("lnl_bits")?,
+            alpha: bits("alpha_bits")?,
+            tree_exact: get_str(v, "tree").ok_or("no 'tree'")?.to_string(),
+            rounds: get_usize(v, "rounds").unwrap_or(0),
+            moves_applied: get_usize(v, "moves_applied").unwrap_or(0),
+        })
+    }
+}
+
 /// One job's externally visible lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireState {
@@ -622,14 +648,7 @@ impl Response {
                     obj = obj.u64("trace", s.trace);
                 }
                 if let Some(r) = &s.result {
-                    obj = obj
-                        .num("log_likelihood", r.log_likelihood)
-                        .u64("lnl_bits", r.log_likelihood.to_bits())
-                        .num("alpha", r.alpha)
-                        .u64("alpha_bits", r.alpha.to_bits())
-                        .str("tree", &r.tree_exact)
-                        .u64("rounds", r.rounds as u64)
-                        .u64("moves_applied", r.moves_applied as u64);
+                    obj = r.write_fields(obj);
                 }
                 if let Some(e) = &s.error {
                     obj = obj.str("error", e);
@@ -674,22 +693,11 @@ impl Response {
                 let state = get_str(&v, "state")
                     .and_then(WireState::parse)
                     .ok_or("status: missing or unknown 'state'")?;
-                let result = if state == WireState::Done {
-                    Some(WireResult {
-                        log_likelihood: f64::from_bits(
-                            get_u64(&v, "lnl_bits").ok_or("status: done without 'lnl_bits'")?,
-                        ),
-                        alpha: f64::from_bits(
-                            get_u64(&v, "alpha_bits").ok_or("status: done without 'alpha_bits'")?,
-                        ),
-                        tree_exact: get_str(&v, "tree")
-                            .ok_or("status: done without 'tree'")?
-                            .to_string(),
-                        rounds: get_usize(&v, "rounds").unwrap_or(0),
-                        moves_applied: get_usize(&v, "moves_applied").unwrap_or(0),
-                    })
-                } else {
-                    None
+                let result = match state {
+                    WireState::Done => Some(
+                        WireResult::from_json(&v).map_err(|e| format!("status: done with {e}"))?,
+                    ),
+                    _ => None,
                 };
                 Ok(Response::Status(JobStatusWire {
                     job: get_u64(&v, "job").ok_or("status: missing 'job'")?,

@@ -48,6 +48,12 @@ if [[ "$quick" -eq 0 ]]; then
     run cargo test --release -q --test search_golden --test search_determinism --test bootstrap_compaction --test partial_cache
 fi
 
+# The durable record log under the journal, the bootstrap store and the
+# event log: every cut and every bit flip, over many more drawn logs.
+if [[ "$quick" -eq 0 ]]; then
+    run env PROPTEST_CASES=512 cargo test --release -q --test record_log
+fi
+
 # The farm's one lock under optimized timing: its integration suite once,
 # then its unit tests twenty times on the already-built binary — a lost
 # wake-up or a missed close shows up here as a hang or a failure.

@@ -198,6 +198,79 @@ fn torn_journal_tail_is_tolerated_and_keys_survive() {
     revived.shutdown().unwrap();
 }
 
+/// Three lives with a torn tail between the first two: the second life's
+/// first append must not be glued onto the torn line, so the job it
+/// submitted is still there, done, in the third life, and its key dedups.
+#[test]
+fn a_job_submitted_after_a_torn_tail_survives_the_next_restart() {
+    let dir = unique_dir("torn-tail-three-lives");
+    let aln = small_alignment(6);
+    let life = || {
+        let service =
+            InferenceService::start(ServiceConfig::new(1).paused().with_state_dir(&dir)).unwrap();
+        service.register_dataset("d", aln.clone());
+        service.resume();
+        service
+    };
+
+    let first = life();
+    let job = first.submit_idem("a", &quick_spec(2), Some("k-life-1")).unwrap();
+    first.wait_done(job, WAIT).unwrap();
+    first.shutdown().unwrap();
+    let mut file =
+        std::fs::OpenOptions::new().append(true).open(dir.join("journal.jsonl")).unwrap();
+    file.write_all(br#"{"ev":"submit","job":99,"tenant":"a","idem":"k-torn","datas"#).unwrap();
+    drop(file);
+
+    let second = life();
+    let later = second.submit_idem("a", &quick_spec(3), Some("k-life-2")).unwrap();
+    let done = second.wait_done(later, WAIT).unwrap().result.unwrap();
+    second.shutdown().unwrap();
+
+    let third = life();
+    let status = third.status(later).expect("the job submitted after the torn tail survives");
+    assert_eq!(status.state, WireState::Done);
+    assert_eq!(status.result.unwrap().log_likelihood.to_bits(), done.log_likelihood.to_bits());
+    assert_eq!(third.submit_idem("a", &quick_spec(3), Some("k-life-2")).unwrap(), later);
+    let report = third.shutdown().unwrap();
+    assert_eq!(report.stats.accepted, 2);
+    assert_eq!(report.dispatched, 0, "nothing re-ran");
+}
+
+/// A journal whose header names another version, or with one flipped byte
+/// in a line before the final one, refuses to start the service instead of
+/// replaying around the damage.
+#[test]
+fn a_foreign_or_damaged_journal_refuses_to_start() {
+    let dir = unique_dir("damaged-journal");
+    let service = InferenceService::start(ServiceConfig::new(1).with_state_dir(&dir)).unwrap();
+    service.register_dataset("d", small_alignment(6));
+    for seed in 1..=3 {
+        let job = service.submit("a", &quick_spec(seed)).unwrap();
+        service.wait_done(job, WAIT).unwrap();
+    }
+    service.shutdown().unwrap();
+    let path = dir.join("journal.jsonl");
+    let intact = std::fs::read_to_string(&path).unwrap();
+    let start = || InferenceService::start(ServiceConfig::new(1).paused().with_state_dir(&dir));
+
+    let body = intact.split_once('\n').unwrap().1;
+    std::fs::write(&path, format!("#RAXML-CELL-SERVE-JOURNAL v9\n{body}")).unwrap();
+    let err = start().err().expect("a v9 journal is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+
+    // The second job's submit line sits between other records.
+    let mut bytes = intact.into_bytes();
+    let at =
+        String::from_utf8_lossy(&bytes).find(r#"{"ev":"submit","job":2,"tenant":"a""#).unwrap();
+    bytes[at + r#"{"ev":"submit","job":2,"tenant":""#.len()] ^= 0x02;
+    std::fs::write(&path, &bytes).unwrap();
+    let err = start().err().expect("a damaged submit line is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("journal.jsonl"), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "the journal is left as it is");
+}
+
 /// Cancelling a queued job settles it as `Cancelled` without dispatching
 /// it, and the books balance: completed + failed + cancelled == accepted.
 #[test]
